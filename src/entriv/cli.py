@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from . import euler_section, extended_powers, hochschild, steenrod_cochains, stunted_ktheory, sym_seq
-from .core_algebra import ChainComplex, formality_splitting, homology
+from .core_algebra import ChainComplex, formality_splitting, homology, is_prime
 
 
 class UsageError(Exception):
@@ -179,11 +179,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+_PARSER: _Parser | None = None
+
+
 def parse(argv) -> Command:
+    global _PARSER
     argv = list(argv)
     if argv[:1] == ["extpow"] and len(argv) > 1 and argv[1] in ("ses", "pushout"):
         argv = argv[1:]
-    ns = build_parser().parse_args(argv)
+    if _PARSER is None:  # built on first use, once per process
+        _PARSER = build_parser()
+    ns = _PARSER.parse_args(argv)
     params = {k: v for k, v in vars(ns).items() if k not in ("verb", "format", "out")}
     _validate(ns.verb, params)
     return Command(ns.verb, params, ns.format, ns.out)
@@ -191,9 +197,8 @@ def parse(argv) -> Command:
 
 def _validate(verb: str, params: dict):
     prime = params.get("prime")
-    if prime is not None:
-        if prime < 2 or any(prime % q == 0 for q in range(2, prime)):
-            raise UsageError(f"--prime {prime} is not a prime")
+    if prime is not None and not is_prime(prime):
+        raise UsageError(f"--prime {prime} is not a prime")
     if verb == "ku-ses" and params["n"] < 2:
         raise UsageError("ku-ses requires --n >= 2")
     if verb in ("ses", "pushout") and params["n"] < 1:
@@ -441,7 +446,7 @@ def run_batch(cmd: Command) -> Report:
     reports = []
     failures = []
     for idx, entry in enumerate(manifest):
-        argv = entry["argv"] if isinstance(entry, dict) else entry
+        argv = entry.get("argv") if isinstance(entry, dict) else entry
         if not isinstance(argv, list):
             raise UsageError(f"manifest entry {idx} has no argv list")
         argv = [str(a) for a in argv]

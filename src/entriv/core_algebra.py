@@ -14,10 +14,40 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from math import gcd
 
 Ring = str  # "Z", "Q" or "F<p>" for a prime p
+
+
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin with the primes 2..37 as witnesses: exact for
+    n < 3.18 * 10^23, so for every 64-bit value; above that a strong
+    probable-prime test."""
+    if n < 2:
+        return False
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def ring_prime(ring: Ring) -> int | None:
@@ -26,7 +56,7 @@ def ring_prime(ring: Ring) -> int | None:
         return None
     if ring.startswith("F") and ring[1:].isdigit():
         p = int(ring[1:])
-        if p >= 2:
+        if is_prime(p):
             return p
     raise ValueError(f"unknown coefficient ring {ring!r}")
 
@@ -148,13 +178,9 @@ def _snf_cache_path(m: IntMatrix) -> str | None:
 def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
     """L*m*R = diag(d_1, ..., d_k) with d_1 | d_2 | ..., d_i >= 0 and L, R unimodular."""
     path = _snf_cache_path(m)
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            data = json.load(fh)
-        snf = SmithNormalForm(tuple(data["diagonal"]),
-                              IntMatrix.from_rows(data["left"]),
-                              IntMatrix.from_rows(data["right"]))
-        if snf.verify(m):  # guard against stale cache entries
+    if path:
+        snf = _snf_cache_load(path, m)
+        if snf is not None:
             return snf
 
     a = [list(row) for row in m.entries]
@@ -231,12 +257,44 @@ def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
     diag = tuple(a[i][i] for i in range(min(nrows, ncols)))
     snf = SmithNormalForm(diag, IntMatrix.from_rows(left), IntMatrix.from_rows(right))
     if path:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump({"diagonal": list(diag),
+        _snf_cache_store(path, snf)
+    return snf
+
+
+def _snf_cache_load(path: str, m: IntMatrix) -> SmithNormalForm | None:
+    """The cached Smith form of m, or None (a miss) when the entry is absent,
+    unreadable, malformed or does not verify against m."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        snf = SmithNormalForm(tuple(data["diagonal"]),
+                              IntMatrix.from_rows(data["left"]),
+                              IntMatrix.from_rows(data["right"]))
+        return snf if snf.verify(m) else None
+    except (OSError, ValueError, KeyError, TypeError, IndexError):
+        return None
+
+
+def _snf_cache_store(path: str, snf: SmithNormalForm):
+    """Write through a temporary file and os.replace, so a reader never sees
+    a partly written entry; a cache that cannot be written is skipped."""
+    directory = os.path.dirname(path) or "."
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".snf_", suffix=".tmp")
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump({"diagonal": list(snf.diagonal),
                        "left": snf.left.to_lists(),
                        "right": snf.right.to_lists()}, fh)
-    return snf
+        os.replace(tmp, path)
+    except OSError:
+        pass
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def rank_z(m: IntMatrix) -> int:

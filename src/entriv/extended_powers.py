@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core_algebra import ChainComplex, GradedAbelianGroup, homology
+from .core_algebra import ChainComplex, GradedAbelianGroup, homology, is_prime
 from .stunted_ktheory import binom_mod2
 
 FAMILIES = ("einf", "en+1", "en-1", "e2", "e1")
@@ -88,7 +88,7 @@ def dl_basis(p: int, n: int, family: str, degree_window: tuple) -> DLBasis:
     """Basis classes of one family, restricted to a bounded degree window."""
     if p == 2:
         raise ValueError("p = 2 is handled by the stunted cell model, not dl_basis")
-    if p < 3 or any(p % q == 0 for q in range(2, p)):
+    if p < 3 or not is_prime(p):
         raise ValueError("p must be an odd prime")
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")

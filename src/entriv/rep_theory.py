@@ -38,7 +38,7 @@ def _identity_mat(dim):
 
 def _compose_signed(f, g):
     """(f o g) on signed basis maps: first g, then f."""
-    return tuple((f[j][0], f[j][1] * s) for j, s in g)
+    return tuple([f[j] if s == 1 else (f[j][0], -f[j][1]) for j, s in g])
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,9 @@ class SignedPermModule:
             if len(self.gens_perm) != ngen:
                 raise ValueError("one signed permutation per adjacent transposition")
             for g in self.gens_perm:
-                if sorted(j for j, _ in g) != list(range(self.dim)):
+                if sorted([j for j, _ in g]) != list(range(self.dim)):
                     raise ValueError("signed permutation is not a bijection")
-                if any(s not in (1, -1) for _, s in g):
+                if {s for _, s in g} - {1, -1}:
                     raise ValueError("signs must be +-1")
             self._check_relations(self.gens_perm, _compose_signed,
                                   tuple((j, 1) for j in range(self.dim)))

@@ -9,7 +9,14 @@ comparing against a different sign convention must conjugate by per-degree
 signs.
 
 Induced modules are materialized on explicit coset bases; the arity at which
-this is allowed is capped (memory control at desk scale).
+this is allowed is capped (memory control at desk scale).  The kernel works on
+integers: each basis element is a number (orbit, coset, A-label, tensor label
+in mixed radix) with a precomputed position inside its total degree, so a
+generator's image is found by arithmetic, not by looking up labelled tuples.
+The combinatorics of each orbit's cosets are computed once per process, and
+within one `compose` call the signed action of each permutation on A- and
+B-labels, each tensor-label action and each Koszul sign are computed once and
+reused.
 """
 
 from __future__ import annotations
@@ -172,9 +179,16 @@ class SymSeq:
 
     @staticmethod
     def from_json(data):
-        comps = {int(a): {int(d): SignedPermModule.from_json(m) for d, m in by_deg.items()}
-                 for a, by_deg in data["components"].items()}
-        return SymSeq.create(int(data["truncation"]), comps)
+        """Inverse of to_json; a malformed document raises ValueError."""
+        try:
+            comps = {int(a): {int(d): SignedPermModule.from_json(m) for d, m in by_deg.items()}
+                     for a, by_deg in data["components"].items()}
+            truncation = int(data["truncation"])
+        except KeyError as exc:
+            raise ValueError(f"sequence JSON lacks the key {exc}") from exc
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed sequence JSON: {exc}") from exc
+        return SymSeq.create(truncation, comps)
 
 
 def unit_seq(truncation: int = 1) -> SymSeq:
@@ -196,99 +210,145 @@ def compose(a_seq: SymSeq, b_seq: SymSeq, truncation: int,
     if truncation > max_arity:
         raise ValueError(f"arity {truncation} exceeds the materialization cap {max_arity}")
 
+    a_labels, b_labels = _LabelActions(a_seq), _LabelActions(b_seq)
+    signs: dict[tuple, int] = {}
     out: dict[int, dict[int, SignedPermModule]] = {}
     for n in range(1, truncation + 1):
-        built = _compose_arity(a_seq, b_seq, n)
+        built = _compose_arity(a_labels, b_labels, signs, n)
         if built:
             out[n] = built
     return SymSeq.create(truncation, out)
 
 
-def _compose_arity(a_seq: SymSeq, b_seq: SymSeq, n: int) -> dict:
-    gens_by_degree: dict[int, list] = {}
-    basis_by_degree: dict[int, list] = {}
-    index_by_degree: dict[int, dict] = {}
+class _LabelActions:
+    """The labels of one sequence's arity-m piece, (degree, index) in degree
+    order and numbered 0, 1, ..., with each permutation's signed action on
+    them built once per call from `act_signed`."""
+
+    def __init__(self, seq: SymSeq):
+        self.seq = seq
+        self._degrees: dict[int, list] = {}
+        self._maps: dict[tuple, list] = {}
+
+    def label_degrees(self, arity: int) -> list:
+        """Degree of each label."""
+        got = self._degrees.get(arity)
+        if got is None:
+            got = [d for d in self.seq.degrees(arity)
+                   for _ in range(self.seq.dimension(arity, d))]
+            self._degrees[arity] = got
+        return got
+
+    def action(self, arity: int, perm: tuple) -> list:
+        """Per label, (image label, sign) under perm."""
+        key = (arity, perm)
+        got = self._maps.get(key)
+        if got is None:
+            got = []
+            for d in self.seq.degrees(arity):
+                offset = len(got)
+                got += [(offset + j, s) for j, s in self.seq.module(arity, d).act_signed(perm)]
+            self._maps[key] = got
+        return got
+
+
+def _compose_arity(a_labels: _LabelActions, b_labels: _LabelActions, signs: dict,
+                   n: int) -> dict:
+    """Arity-n piece of A o B.  Basis elements are numbered orbit by orbit,
+    then coset, A-label and tensor label, so (coset c, A-label a, tensor x)
+    of an orbit is element base + (c * |A-labels| + a) * |tensors| + x; the
+    position of an element within its total degree keeps that order."""
+    by_degree: dict[int, list] = {}  # total degree -> element numbers in basis order
+    position: list[int] = []  # element number -> position within its total degree
+    images = [[] for _ in range(n - 1)]  # per generator, element -> (position, sign)
 
     for orbit in partition_orbits(n):
         k = len(orbit.block_sizes)
-        a_degrees = a_seq.degrees(k)
-        if not a_degrees:
+        a_deg = a_labels.label_degrees(k)
+        block_deg = [b_labels.label_degrees(size) for size in orbit.block_sizes]
+        if not a_deg or not all(block_deg):
             continue
-        if any(not b_seq.degrees(size) for size in orbit.block_sizes):
-            continue
-        rep = orbit.representative
-        cosets = orbit_partitions(n, orbit.block_sizes)
-        sigmas = {blocks: transversal_map(rep, blocks) for blocks in cosets}
-        sigma_invs = {blocks: perms.inverse(s) for blocks, s in sigmas.items()}
+        moves = _coset_moves(orbit.representative)
 
-        # basis of the G_E-module: a-label and one (degree, index) label per block
-        block_labels = []
-        for size in orbit.block_sizes:
-            labels = [(d, j) for d in b_seq.degrees(size)
-                      for j in range(b_seq.dimension(size, d))]
-            block_labels.append(labels)
+        # tensor labels: one label per block, the first block most significant
+        stride = [1] * k
+        for i in range(k - 2, -1, -1):
+            stride[i] = stride[i + 1] * len(block_deg[i + 1])
+        tensor_deg = [0]
+        parities = [()]
+        for degs in block_deg:
+            tensor_deg = [t + d for t in tensor_deg for d in degs]
+            parities = [p + (d % 2,) for p in parities for d in degs]
+        n_a, n_t = len(a_deg), len(tensor_deg)
 
-        def tensor_labels(pos=0):
-            if pos == len(block_labels):
-                yield ()
-                return
-            for lab in block_labels[pos]:
-                for rest in tensor_labels(pos + 1):
-                    yield (lab,) + rest
+        base = len(position)
+        for _ in range(orbit.orbit_size):
+            for da in a_deg:
+                for total in tensor_deg:
+                    elems = by_degree.setdefault(da + total, [])
+                    position.append(len(elems))
+                    elems.append(len(position) - 1)
 
-        all_tensors = list(tensor_labels())
-        for blocks in cosets:
-            for da in a_degrees:
-                dim_a = a_seq.dimension(k, da)
-                for ja in range(dim_a):
-                    for labels in all_tensors:
-                        total = da + sum(d for d, _ in labels)
-                        elem = (blocks, (da, ja), labels)
-                        idx = index_by_degree.setdefault(total, {})
-                        idx[elem] = len(idx)
-                        basis_by_degree.setdefault(total, []).append(elem)
+        def tensor_action(pi, within):
+            """Per tensor label, (image tensor label, sign): blockwise B-signs
+            times the Koszul sign of moving block i to slot pi[i]."""
+            out = [(0, 1)]
+            for i, size in enumerate(orbit.block_sizes):
+                step = stride[pi[i]]
+                out = [(x + y * step, s * sy)
+                       for x, s in out for y, sy in b_labels.action(size, within[i])]
+            kos = {}
+            for p in set(parities):
+                sign = signs.get((pi, p))
+                if sign is None:
+                    sign = signs[(pi, p)] = koszul_sign(pi, p)
+                kos[p] = sign
+            return [(x, s * kos[p]) for (x, s), p in zip(out, parities)]
 
-        # generator actions: g . (sigma_F (x) v) = sigma_{gF} (x) (h . v)
-        for t in range(n - 1):
-            g = perms.adjacent(n, t)
-            for blocks in cosets:
-                new_blocks = apply_perm_to_partition(g, blocks)
-                h = perms.compose(sigma_invs[new_blocks], perms.compose(g, sigmas[blocks]))
-                if apply_perm_to_partition(h, rep) != rep:
-                    raise AssertionError("transversal error: h does not stabilize E")
-                pi = _block_permutation(h, rep)
-                within = _within_block_maps(h, rep, pi)
-                a_maps = {da: a_seq.module(k, da).act_signed(pi) for da in a_degrees}
-                b_maps = {}
-                for i, size in enumerate(orbit.block_sizes):
-                    for d in b_seq.degrees(size):
-                        b_maps[(i, d)] = b_seq.module(size, d).act_signed(within[i])
-                for da in a_degrees:
-                    amap = a_maps[da]
-                    for ja in range(a_seq.dimension(k, da)):
-                        ja2, sa = amap[ja]
-                        for labels in all_tensors:
-                            sign = sa
-                            new_labels = [None] * k
-                            for i, (d, j) in enumerate(labels):
-                                j2, s = b_maps[(i, d)][j]
-                                new_labels[pi[i]] = (d, j2)
-                                sign *= s
-                            sign *= koszul_sign(pi, tuple(d for d, _ in labels))
-                            total = da + sum(d for d, _ in labels)
-                            src = (blocks, (da, ja), labels)
-                            dst = (new_blocks, (da, ja2), tuple(new_labels))
-                            gens_by_degree.setdefault(total, {}).setdefault(t, {})[src] = (dst, sign)
+        tensor_actions: dict[tuple, list] = {}  # one per distinct h in G_E
+        for image, moves_t in zip(images, moves):
+            image += [None] * (len(position) - len(image))
+            for c, (c2, pi, within) in enumerate(moves_t):
+                tensor_image = tensor_actions.get((pi, within))
+                if tensor_image is None:
+                    tensor_image = tensor_actions[(pi, within)] = tensor_action(pi, within)
+                for a, (a2, sa) in enumerate(a_labels.action(k, pi)):
+                    src = base + (c * n_a + a) * n_t
+                    dst = base + (c2 * n_a + a2) * n_t
+                    dst_pos = position[dst:dst + n_t]
+                    image[src:src + n_t] = [(dst_pos[x], s * sa) for x, s in tensor_image]
 
     result = {}
-    for total, basis in basis_by_degree.items():
-        index = index_by_degree[total]
-        gens = []
-        for t in range(n - 1):
-            table = gens_by_degree.get(total, {}).get(t, {})
-            gens.append(tuple((index[table[e][0]], table[e][1]) for e in basis))
-        result[total] = SignedPermModule(n, len(basis), gens_perm=tuple(gens))
+    for total, elems in by_degree.items():
+        gens = tuple(tuple(image[e] for e in elems) for image in images)
+        result[total] = SignedPermModule(n, len(elems), gens_perm=gens)
     return result
+
+
+@lru_cache(maxsize=None)
+def _coset_moves(rep: tuple) -> tuple:
+    """Per adjacent transposition g = s_t and per coset sigma_F G_E of the
+    orbit of the partition E = rep: (index of the coset of gF, block
+    permutation pi, within-block maps) of h = sigma_{gF}^-1 g sigma_F in G_E,
+    so that g . (sigma_F (x) v) = sigma_{gF} (x) (h . v)."""
+    n = sum(len(b) for b in rep)
+    cosets = orbit_partitions(n, tuple(len(b) for b in rep))
+    coset_index = {blocks: c for c, blocks in enumerate(cosets)}
+    sigmas = [transversal_map(rep, blocks) for blocks in cosets]
+    sigma_invs = [perms.inverse(s) for s in sigmas]
+    moves = []
+    for t in range(n - 1):
+        g = perms.adjacent(n, t)
+        row = []
+        for c, blocks in enumerate(cosets):
+            c2 = coset_index[apply_perm_to_partition(g, blocks)]
+            h = perms.compose(sigma_invs[c2], perms.compose(g, sigmas[c]))
+            if apply_perm_to_partition(h, rep) != rep:
+                raise AssertionError("transversal error: h does not stabilize E")
+            pi = _block_permutation(h, rep)
+            row.append((c2, pi, tuple(_within_block_maps(h, rep, pi))))
+        moves.append(tuple(row))
+    return tuple(moves)
 
 
 def _block_permutation(h: tuple, rep_blocks: tuple) -> tuple:

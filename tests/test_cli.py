@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -37,6 +38,27 @@ class TestParse:
         with pytest.raises(UsageError):
             parse(["theta", "--n", "2", "--prime", "6"])
 
+
+    def test_usage_error_then_valid_parse(self):
+        with pytest.raises(UsageError):
+            parse(["theta", "--n", "2"])
+        cmd = parse(["theta", "--n", "2", "--prime", "5"])
+        assert cmd.verb == "theta" and cmd.params == {"n": 2, "prime": 5}
+
+    def test_parses_do_not_share_params(self):
+        first = parse(["transfer", "--prime", "3"])
+        second = parse(["transfer", "--prime", "3"])
+        assert first.params is not second.params
+        first.params["prime"] = 7
+        assert second.params["prime"] == 3
+        assert parse(["transfer", "--prime", "3"]).params == {"prime": 3, "window": (-2, 40)}
+
+    def test_large_prime_is_fast(self, capsys):
+        start = time.perf_counter()
+        assert main(["theta", "--n", "2", "--prime", "1000000007"]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert json.loads(capsys.readouterr().out)["payload"]["value"] == 1000000007
+        assert main(["theta", "--n", "2", "--prime", "3215031751"]) == 2
 
 class TestRun:
     def test_ses_report(self):
@@ -124,6 +146,30 @@ class TestBatch:
                      "--out", str(tmp_path / "o.json")]) == 1
         out = json.loads((tmp_path / "o.json").read_text())
         assert out["payload"]["failed_indices"] == [0]
+
+    def test_sequence_without_components_is_a_structured_failure(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"truncation": 3}))
+        pair = str(ROOT / "manifests/inputs/pair_a.json")
+        assert main(["suspend", "--input", str(bad), "--k", "1"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["claim"] == "structured failure"
+        assert "components" in report["payload"]["error"]
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([
+            {"argv": ["compose", "--input", str(bad), pair, "--truncate", "2"]},
+            {"argv": ["theta", "--n", "2", "--prime", "3"]},
+            {"argv": ["suspend", "--input", pair, "--k", "1"]}]))
+        assert main(["batch", "--manifest", str(manifest)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["payload"]["commands"] == 3
+        assert out["payload"]["failed_indices"] == [0]
+        assert [r["pass"] for r in out["payload"]["reports"]] == [False, True, True]
+
+    def test_entry_without_argv_is_a_usage_error(self, tmp_path):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([{"args": ["theta"]}]))
+        assert main(["batch", "--manifest", str(manifest)]) == 2
 
     def test_seed_inheritance(self, tmp_path):
         manifest = tmp_path / "m.json"

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entriv.cli import parse, run
 from entriv.core_algebra import (ChainComplex, GradedAbelianGroup, IntMatrix,
                                  formality_splitting, homology, invariant_factors,
-                                 random_chain_complex, random_unimodular,
-                                 smith_normal_form)
+                                 is_prime, random_chain_complex, random_unimodular,
+                                 ring_prime, smith_normal_form)
 from entriv.rng import CounterRng
 
 small_matrices = st.integers(1, 4).flatmap(
@@ -162,6 +163,58 @@ class TestSnfCache:
         assert list(tmp_path.glob("snf_*.json"))
         second = smith_normal_form(m)
         assert first == second and second.verify(m)
+
+    def test_unreadable_entries_are_misses(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ENTRIV_CACHE_DIR", str(tmp_path))
+        m = IntMatrix.from_rows([[6, 4], [2, 8]])
+        want = smith_normal_form(m)
+        (entry,) = tmp_path.glob("snf_*.json")
+        for junk in ("", '{"diagonal": [2, 1', '{"diagonal": [1]}', "[1, 2]",
+                     '{"diagonal": [2, 10], "left": [[1]], "right": [[1]]}'):
+            entry.write_text(junk)
+            assert smith_normal_form(m) == want
+            assert json.loads(entry.read_text())["diagonal"] == list(want.diagonal)
+        assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+
+    def test_unwritable_cache_is_skipped(self, tmp_path, monkeypatch):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        monkeypatch.setenv("ENTRIV_CACHE_DIR", str(not_a_dir))
+        assert smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]])).diagonal == (2, 4)
+
+    def test_truncated_entry_keeps_ku_ses_passing(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ENTRIV_CACHE_DIR", str(tmp_path))
+        argv = ["ku-ses", "--prime", "3", "--n", "4"]
+        first = run(parse(argv))
+        assert first.passed
+        entries = list(tmp_path.glob("snf_*.json"))
+        assert entries
+        for entry in entries:
+            entry.write_text(entry.read_text()[:20])
+        again = run(parse(argv))
+        assert again.passed and again.render("json") == first.render("json")
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+        assert [n for n in range(10 ** 4) if is_prime(n)] == \
+            [n for n in range(10 ** 4) if trial(n)]
+
+    def test_pseudoprimes_rejected(self):
+        # a Carmichael number, and a strong pseudoprime to bases 2, 3, 5 and 7
+        assert not is_prime(561)
+        assert not is_prime(3215031751)
+
+    def test_ring_labels_need_a_prime(self):
+        assert ring_prime("F3") == 3 and ring_prime("Q") is None
+        with pytest.raises(ValueError):
+            ring_prime("F4")
+
+    def test_large_primes(self):
+        assert is_prime(1000000007) and is_prime(2 ** 61 - 1) and is_prime(2 ** 64 - 59)
+        assert not is_prime((2 ** 31 - 1) * (2 ** 61 - 1))
 
 
 class TestTorsionNormalization:

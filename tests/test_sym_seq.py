@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -79,6 +80,56 @@ class TestCompose:
             right = compose(a, compose(b, c, 4), 4)
             for n in range(1, 5):
                 assert graded_characters(left, n) == graded_characters(right, n)
+
+
+def _digest(seq: SymSeq) -> str:
+    text = json.dumps(seq.to_json(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _seeded_pair(seed: int, truncation: int):
+    rng = CounterRng(seed)
+    return random_symseq(rng, truncation=truncation), random_symseq(rng, truncation=truncation)
+
+
+class TestComposeGolden:
+    """Pinned sha256 of compose(...).to_json(): the basis order and the
+    generator tables are part of the output and must not move.  Each product
+    has at most 5k basis elements."""
+
+    @pytest.mark.parametrize("seed, truncation, digest", [
+        (3, 5, "fc90f4c01e15071ee2b705d7f27968cda97d5f101aa392d8d6bf61c06240f450"),
+        (12, 5, "2406731692c0c75c109ceb74c1656b3940eeba79af166174c5d376d6f8590bfc"),
+        (19, 5, "6c9d1a67458b4abc73c93c128b462d0583fcce86ddf86d4a03e55ddb1a902024"),
+        (1, 6, "b829db9ee26df7cf31f4ed8ce00823d2f35284b4066ae9d6892b125ec6a83ccc"),
+        (14, 6, "d136b866248251c69c4e39a4d34103f5576665f7d5addfa3c92f2e7fd64911ed"),
+        (26, 6, "4691a31ed2d92dbec0b33a65537fadd1781f1576a275553bfaa63c4b1770a2c7"),
+    ])
+    def test_random_pairs(self, seed, truncation, digest):
+        a, b = _seeded_pair(seed, truncation)
+        assert _digest(compose(a, b, truncation)) == digest
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "357451037c10dc0fc5f32ceaa7fdc3af1fe547681f7529fc50e08c53849de981"),
+        (5, "60c1821ff01cc5f510f09c00782f2a3a8510f76225db70cbcd70b74504450e89"),
+    ])
+    def test_arity_one_products_have_no_generators(self, seed, digest):
+        a, b = _seeded_pair(seed, 4)
+        ab = compose(a, b, 1)
+        assert ab.arities() == [1]
+        assert all(m.gens_perm == () for _, m in ab.components[0][1])
+        assert _digest(ab) == digest
+
+    def test_empty_product(self):
+        ab = compose(trivial_seq(2, truncation=3), trivial_seq(2, truncation=3), 3)
+        assert ab.components == ()
+        assert _digest(ab) == "42163d2e39d270c3d2c61a9ea0b5d94a6e9f9f46ce62e26e46238b6739aecdd6"
+
+    def test_odd_degrees(self):
+        odd = SymSeq.create(4, {1: {1: SignedPermModule.trivial(1)},
+                                2: {1: SignedPermModule.sign_rep(2)}})
+        assert _digest(compose(odd, odd, 4)) == \
+            "3fad63055e412e7220c340caea1db447099f646da2c4d77dbcab9e791a730cc9"
 
 
 class TestSuspend:
