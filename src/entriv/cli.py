@@ -54,7 +54,16 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _window(text: str) -> tuple:
+# Declared size caps, checked at parse time.  Degree windows are walked
+# degree by degree; Sq^1 Sq^1 on a cell range is a cubic matrix product.
+MAX_WINDOW_WIDTH = 100_000  # hi - lo of a degree window, given or default
+MAX_CELL_RANGE = 128  # b - a of a stunted cell range
+MAX_N = 64
+MAX_SMAX = 64
+MAX_SAMPLES = 100_000
+
+
+def _window(text: str, cap: int = MAX_WINDOW_WIDTH) -> tuple:
     try:
         lo, hi = text.split(":")
         lo, hi = int(lo), int(hi)
@@ -62,12 +71,13 @@ def _window(text: str) -> tuple:
         raise UsageError(f"bad window {text!r}, expected LO:HI") from exc
     if lo > hi:
         raise UsageError("window bounds inverted")
+    if hi - lo > cap:
+        raise UsageError(f"range {text!r} is wider than the cap of {cap}")
     return (lo, hi)
 
 
 def _cell_range(text: str) -> tuple:
-    win = _window(text)
-    return win
+    return _window(text, MAX_CELL_RANGE)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -199,10 +209,18 @@ def _validate(verb: str, params: dict):
     prime = params.get("prime")
     if prime is not None and not is_prime(prime):
         raise UsageError(f"--prime {prime} is not a prime")
+    for key, cap in (("n", MAX_N), ("smax", MAX_SMAX), ("samples", MAX_SAMPLES)):
+        if params.get(key) is not None and params[key] > cap:
+            raise UsageError(f"--{key} {params[key]} exceeds the cap of {cap}")
     if verb == "ku-ses" and params["n"] < 2:
         raise UsageError("ku-ses requires --n >= 2")
     if verb in ("ses", "pushout") and params["n"] < 1:
         raise UsageError(f"{verb} requires --n >= 1")
+    if verb in ("ses", "pushout") and params["window"] is None:
+        lo, hi = extended_powers.default_window(prime, params["n"])
+        if hi - lo > MAX_WINDOW_WIDTH:
+            raise UsageError(f"the default window of {verb} at --prime {prime} is wider "
+                             f"than the cap of {MAX_WINDOW_WIDTH}; pass --window")
     if verb == "extpow" and params["n"] < 0:
         raise UsageError("extpow requires --n >= 0")
     if verb == "witness" and params["n"] < 1:
@@ -453,8 +471,11 @@ def run_batch(cmd: Command) -> Report:
         if cmd.params.get("seed") is not None and "--seed" not in argv \
                 and argv[:1] == ["euler"]:
             argv += ["--seed", str(cmd.params["seed"])]
-        sub = parse(argv)
-        rpt = run(sub)
+        try:
+            rpt = run(parse(argv))
+        except UsageError as exc:  # a bad entry fails alone; the others still run
+            rpt = Report(argv[0] if argv else "", {"argv": argv}, False, "usage error",
+                         {"error": str(exc)})
         reports.append(rpt.to_json())
         if not rpt.passed:
             failures.append(idx)

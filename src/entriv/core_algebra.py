@@ -16,7 +16,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from math import gcd
+from functools import cached_property
 
 Ring = str  # "Z", "Q" or "F<p>" for a prime p
 
@@ -108,11 +108,6 @@ class IntMatrix:
 
     def is_zero(self) -> bool:
         return all(e == 0 for row in self.entries for e in row)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                               for j in range(self.cols)))
 
     def det(self) -> int:
         """Fraction-free (Bareiss) determinant; square matrices only."""
@@ -401,20 +396,6 @@ class GradedAbelianGroup:
         return GradedAbelianGroup.create(
             {int(deg): (v["free"], tuple(v["torsion"])) for deg, v in data.items()})
 
-    def describe(self) -> str:
-        if not self.components:
-            return "0"
-        parts = []
-        for deg, free, torsion in self.components:
-            terms = []
-            if free == 1:
-                terms.append("Z")
-            elif free > 1:
-                terms.append(f"Z^{free}")
-            terms.extend(f"Z/{d}" for d in torsion)
-            parts.append(f"[{deg}] " + " + ".join(terms))
-        return ", ".join(parts)
-
 
 # ---------------------------------------------------------------------------
 # chain complexes and homology
@@ -445,17 +426,20 @@ class ChainComplex:
                 raise ValueError(f"d_{n} o d_{n + 1} is nonzero")
         return ChainComplex(tuple(sorted(ranks.items())), tuple(sorted(diffs.items())))
 
+    @cached_property
+    def _rank_at(self) -> dict:
+        return dict(self.ranks)
+
+    @cached_property
+    def _differential_at(self) -> dict:
+        return dict(self.differentials)
+
     def rank(self, n: int) -> int:
-        for deg, r in self.ranks:
-            if deg == n:
-                return r
-        return 0
+        return self._rank_at.get(n, 0)
 
     def differential(self, n: int) -> IntMatrix:
-        for deg, mat in self.differentials:
-            if deg == n:
-                return mat
-        return IntMatrix.zero(self.rank(n - 1), self.rank(n))
+        mat = self._differential_at.get(n)
+        return mat if mat is not None else IntMatrix.zero(self.rank(n - 1), self.rank(n))
 
     def degrees(self):
         return [deg for deg, _ in self.ranks]
@@ -470,25 +454,25 @@ class ChainComplex:
 
 
 def homology(c: ChainComplex, coefficients: Ring = "Z") -> GradedAbelianGroup:
-    """H_n = ker d_n / im d_{n+1}, via Smith form over Z, ranks over Q / F_p."""
+    """H_n = ker d_n / im d_{n+1}.
+
+    Each nonzero differential is reduced once, by Smith form over Z and Q
+    (rank and torsion orders) or by elimination over F_p (rank); an absent
+    differential has rank 0.
+    """
     p = ring_prime(coefficients)
+    reduced = {}  # n -> (rank of d_n, torsion of coker d_n over Z)
+    for n, mat in c.differentials:
+        if p is not None:
+            reduced[n] = (rank_mod_p(mat, p), ())
+            continue
+        diag = [d for d in smith_normal_form(mat).diagonal if d != 0]
+        reduced[n] = (len(diag), tuple(d for d in diag if d > 1) if coefficients == "Z" else ())
     data = {}
-    for n in c.degrees():
-        dim = c.rank(n)
-        d_in = c.differential(n + 1)
-        d_out = c.differential(n)
-        if coefficients == "Z":
-            snf_in = smith_normal_form(d_in)
-            r_in = sum(1 for d in snf_in.diagonal if d != 0)
-            r_out = rank_z(d_out)
-            free = dim - r_out - r_in
-            torsion = tuple(d for d in snf_in.diagonal if d > 1)
-        elif coefficients == "Q":
-            free = dim - rank_z(d_out) - rank_z(d_in)
-            torsion = ()
-        else:
-            free = dim - rank_mod_p(d_out, p) - rank_mod_p(d_in, p)
-            torsion = ()
+    for n, dim in c.ranks:
+        r_out = reduced.get(n, (0, ()))[0]
+        r_in, torsion = reduced.get(n + 1, (0, ()))
+        free = dim - r_out - r_in
         if free < 0:
             raise AssertionError("negative homology rank: complex invalid")
         data[n] = (free, torsion)

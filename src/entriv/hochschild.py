@@ -16,11 +16,8 @@ degrees; the resolution generator in homological degree s sits in -n*s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 
-from .core_algebra import (ChainComplex, GradedAbelianGroup, IntMatrix, homology,
-                           rank_mod_p, rank_z, ring_prime)
+from .core_algebra import ChainComplex, GradedAbelianGroup, homology, ring_prime
 
 BAR_BASIS_CAP = 200_000
 
@@ -169,9 +166,6 @@ class BigradedGroup:
                 return val
         return (0, ())
 
-    def restrict(self, smax: int) -> "BigradedGroup":
-        return BigradedGroup(tuple(e for e in self.entries if e[0][0] <= smax))
-
     def to_json(self):
         return {f"{s},{t}": {"free": free, "torsion": list(torsion)}
                 for (s, t), (free, torsion) in self.entries}
@@ -183,46 +177,6 @@ class BigradedGroup:
             s, t = (int(part) for part in key.split(","))
             out[(s, t)] = (val["free"], tuple(val["torsion"]))
         return BigradedGroup.create(out)
-
-
-def _homology_of_columns(ring: str, ranks: dict, mats: dict, smax: int) -> dict:
-    """Homology of a complex of (possibly Fraction-entried) matrices indexed by
-    homological degree s; returns {s: (free, torsion)} for 0 <= s <= smax."""
-    p = ring_prime(ring)
-    out = {}
-
-    def as_int_matrix(rows, ncols, nrows):
-        if rows is None:
-            return IntMatrix.zero(nrows, ncols)
-        scale = 1
-        for row in rows:
-            for e in row:
-                if isinstance(e, Fraction):
-                    scale = scale * e.denominator // gcd(scale, e.denominator)
-        ints = [[int(e * scale) if isinstance(e, Fraction) else int(e) * scale
-                 for e in row] for row in rows]
-        return IntMatrix.from_rows(ints) if ints else IntMatrix.zero(nrows, ncols)
-
-    if ring == "Z":
-        cx = ChainComplex.create(dict(ranks), {s: m for s, m in mats.items() if m})
-        h = homology(cx, "Z")
-        for s in range(0, smax + 1):
-            if ranks.get(s, 0):
-                out[s] = h.component(s)
-        return out
-
-    for s in range(0, smax + 1):
-        dim = ranks.get(s, 0)
-        if dim == 0:
-            continue
-        d_out = as_int_matrix(mats.get(s), dim, ranks.get(s - 1, 0))
-        d_in = as_int_matrix(mats.get(s + 1), ranks.get(s + 1, 0), dim)
-        if p is None:  # Q
-            free = dim - rank_z(d_out) - rank_z(d_in)
-        else:
-            free = dim - rank_mod_p(d_out, p) - rank_mod_p(d_in, p)
-        out[s] = (free, ())
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +244,10 @@ def bar_hochschild(algebra: GradedUnitalAlgebra, smax: int,
                 if r in rowpos and c in colpos:
                     rows[rowpos[r]][colpos[c]] = val
             mats[s] = rows
-        for s, group in _homology_of_columns(algebra.ring, ranks, mats, smax).items():
-            result[(s, t)] = group
+        h = homology(ChainComplex.create(ranks, mats), algebra.ring)
+        for s, free, torsion in h.components:
+            if s <= smax:
+                result[(s, t)] = (free, torsion)
     return BigradedGroup.create(result)
 
 
@@ -380,8 +336,10 @@ def small_resolution_hh(ring: str, n: int, smax: int) -> BigradedGroup:
                     if k in idx[s - 1]:
                         rows[idx[s - 1].index(k)][b] = c
             mats[s] = rows
-        for s, group in _homology_of_columns(ring, ranks, mats, smax).items():
-            result[(s, t)] = group
+        h = homology(ChainComplex.create(ranks, mats), ring)
+        for s, free, torsion in h.components:
+            if s <= smax:
+                result[(s, t)] = (free, torsion)
     return BigradedGroup.create(result)
 
 

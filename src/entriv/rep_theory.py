@@ -102,17 +102,6 @@ class SignedPermModule:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_perms(n, gens):
-        gens = tuple(tuple((int(j), int(s)) for j, s in g) for g in gens)
-        dim = len(gens[0]) if gens else 0
-        return SignedPermModule(n, dim, gens_perm=gens)
-
-    @staticmethod
-    def from_matrices(n, dim, gens):
-        gens = tuple(tuple(tuple(Fraction(e) for e in row) for row in m) for m in gens)
-        return SignedPermModule(n, dim, gens_mat=gens)
-
-    @staticmethod
     def trivial(n, dim=1):
         return SignedPermModule(n, dim,
                                 gens_perm=tuple(tuple((j, 1) for j in range(dim))

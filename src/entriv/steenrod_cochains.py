@@ -111,10 +111,6 @@ class SimplicialSet:
     def top_dimension(self) -> int:
         return max(d for d, _ in self.simplices)
 
-    def simplex_dim(self, ns: NormalSimplex) -> int:
-        word, base = ns
-        return self._dim_of[base] + len(word)
-
     # -- normal-form operators ---------------------------------------------
 
     def face(self, ns: NormalSimplex, i: int) -> NormalSimplex:

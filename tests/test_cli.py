@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from entriv.cli import Command, UsageError, main, parse, run
+from entriv.cli import (MAX_CELL_RANGE, MAX_N, MAX_SAMPLES, MAX_SMAX, MAX_WINDOW_WIDTH,
+                        Command, UsageError, main, parse, run)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -59,6 +60,41 @@ class TestParse:
         assert time.perf_counter() - start < 1.0
         assert json.loads(capsys.readouterr().out)["payload"]["value"] == 1000000007
         assert main(["theta", "--n", "2", "--prime", "3215031751"]) == 2
+
+class TestCaps:
+    OVERSIZED = [
+        ["transfer", "--prime", "3", "--window=-10000000:10000000"],
+        ["ses", "--prime", "3", "--n", "2", "--which", "first",
+         f"--window=0:{MAX_WINDOW_WIDTH + 1}"],
+        ["ses", "--prime", "1000000007", "--n", "2", "--which", "first"],
+        ["pushout", "--prime", "1000000007", "--n", "2"],
+        ["stunted", "homology", f"--range=0:{MAX_CELL_RANGE + 1}"],
+        ["stunted", "sq", "--range=-100000:100000"],
+        ["theta", "--n", str(MAX_N + 1), "--prime", "3"],
+        ["ku-ses", "--prime", "3", "--n", "1000000"],
+        ["steenrod", "witness", "--n", "1000000"],
+        ["hh", "--ring", "Z", "--n", "2", "--smax", str(MAX_SMAX + 1)],
+        ["euler", "--m", "2", "--t", "3", "--samples", str(MAX_SAMPLES + 1)],
+    ]
+
+    @pytest.mark.parametrize("argv", OVERSIZED, ids=lambda a: " ".join(a[:2]))
+    def test_oversized_value_exits_two_fast(self, argv, capsys):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 0.5
+        assert "cap" in capsys.readouterr().err
+
+    def test_caps_admit_their_bounds(self):
+        parse(["transfer", "--prime", "3", f"--window=0:{MAX_WINDOW_WIDTH}"])
+        parse(["stunted", "homology", f"--range=-1:{MAX_CELL_RANGE - 1}"])
+        parse(["theta", "--n", str(MAX_N), "--prime", "3"])
+        parse(["hh", "--ring", "Z", "--n", "2", "--smax", str(MAX_SMAX)])
+        parse(["euler", "--m", "2", "--t", "3", "--samples", str(MAX_SAMPLES)])
+
+    def test_caps_admit_the_acceptance_manifest(self):
+        for entry in json.loads((ROOT / "manifests/acceptance.json").read_text()):
+            parse(entry["argv"])
+
 
 class TestRun:
     def test_ses_report(self):
@@ -165,6 +201,20 @@ class TestBatch:
         assert out["payload"]["commands"] == 3
         assert out["payload"]["failed_indices"] == [0]
         assert [r["pass"] for r in out["payload"]["reports"]] == [False, True, True]
+
+    def test_usage_error_entry_fails_alone(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([
+            {"argv": ["theta", "--n", "2", "--prime", "4"]},
+            {"argv": ["theta", "--n", "2", "--prime", "3"]}]))
+        assert main(["batch", "--manifest", str(manifest)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["payload"]["commands"] == 2
+        assert out["payload"]["failed_indices"] == [0]
+        bad, good = out["payload"]["reports"]
+        assert bad["pass"] is False and bad["claim"] == "usage error"
+        assert "not a prime" in bad["payload"]["error"]
+        assert good["pass"] is True and good["payload"]["value"] == 3
 
     def test_entry_without_argv_is_a_usage_error(self, tmp_path):
         manifest = tmp_path / "m.json"

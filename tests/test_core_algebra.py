@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entriv import core_algebra
 from entriv.cli import parse, run
 from entriv.core_algebra import (ChainComplex, GradedAbelianGroup, IntMatrix,
                                  formality_splitting, homology, invariant_factors,
                                  is_prime, random_chain_complex, random_unimodular,
                                  ring_prime, smith_normal_form)
 from entriv.rng import CounterRng
+from entriv.stunted_ktheory import StuntedCellComplex, stunted_integral_homology
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
@@ -59,6 +61,21 @@ class TestSmithNormalForm:
         snf = smith_normal_form(m)
         assert snf.verify(m)
         assert snf.diagonal == minor_gcd_diagonal(m)
+
+    def test_sympy_smith_diagonal_oracle(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+        rng = CounterRng(29)
+        checked = 0
+        for _ in range(40):
+            cx = random_chain_complex(rng, max_degree=4)
+            for _, m in cx.differentials:
+                got = sympy_snf(sympy.Matrix(m.to_lists()), domain=sympy.ZZ)
+                want = tuple(abs(int(got[i, i])) for i in range(min(m.rows, m.cols)))
+                assert smith_normal_form(m).diagonal == want
+                checked += 1
+        assert checked > 20
 
 
 class TestHomology:
@@ -112,6 +129,56 @@ class TestHomology:
                     expected = (free + sum(1 for t in torsion if t % p == 0)
                                 + sum(1 for t in torsion_below if t % p == 0))
                     assert hp.component(d)[0] == expected
+
+
+    def test_stunted_closed_form(self):
+        for a in (-400, -201, -3, 0, 7):
+            b = a + 400
+            want = {}
+            for j in range(a, b + 1):
+                if j % 2 == 1 and j < b:
+                    want[j] = (0, (2,))
+            if a % 2 == 0:
+                want[a] = (1, ())
+            if b % 2 == 1:
+                want[b] = (1, ())
+            h = stunted_integral_homology(a, b)
+            assert h == GradedAbelianGroup.create(want)
+
+    def test_gaps_and_zero_differentials(self):
+        cx = ChainComplex.create({-3: 2, 0: 1, 1: 2, 2: 1, 5: 3},
+                                 {1: [[0, 0]], 2: [[2], [4]], 5: []})
+        assert [n for n, _ in cx.differentials] == [2]
+        assert cx.rank(4) == 0 and cx.rank(1) == 2
+        assert cx.differential(1) == IntMatrix.zero(1, 2)
+        assert cx.differential(3) == IntMatrix.zero(1, 0)
+        assert cx.differential(2).to_lists() == [[2], [4]]
+        assert homology(cx, "Z") == GradedAbelianGroup.create(
+            {-3: (2, ()), 0: (1, ()), 1: (1, (2,)), 5: (3, ())})
+        assert homology(cx, "Q") == GradedAbelianGroup.create(
+            {-3: (2, ()), 0: (1, ()), 1: (1, ()), 5: (3, ())})
+        assert homology(cx, "F2") == GradedAbelianGroup.create(
+            {-3: (2, ()), 0: (1, ()), 1: (2, ()), 2: (1, ()), 5: (3, ())})
+
+    def test_one_smith_form_per_nonzero_differential(self, monkeypatch):
+        calls = []
+        real = core_algebra.smith_normal_form
+
+        def counting(m):
+            calls.append(m)
+            return real(m)
+
+        rng = CounterRng(31)
+        complexes = [random_chain_complex(rng, max_degree=5) for _ in range(20)]
+        complexes.append(StuntedCellComplex(-50, 50).chain_complex())
+        monkeypatch.setattr(core_algebra, "smith_normal_form", counting)
+        for cx in complexes:
+            nonzero = [m for _, m in cx.differentials]
+            for ring, most in (("Z", len(nonzero)), ("Q", len(nonzero)), ("F3", 0)):
+                calls.clear()
+                homology(cx, ring)
+                assert len(calls) <= most
+                assert all(not m.is_zero() for m in calls)
 
 
 class TestFormality:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entriv import euler_section
 from entriv.euler_section import (Configuration, equivariance_test,
                                   nullhomotopy_certificate, random_configuration,
                                   section_eval)
@@ -100,3 +101,13 @@ class TestCertificate:
     def test_float_mode(self):
         cert = nullhomotopy_certificate(2, 3, samples=100, seed=2, exact=False)
         assert cert.passed
+
+    def test_vanishing_sample_is_counted(self, monkeypatch):
+        # distinct beyond the float tolerance, yet mean-centred to within it
+        degenerate = Configuration(((0.0,), (1.5e-12,)), exact=False)
+        assert section_eval(degenerate).is_zero()
+        monkeypatch.setattr(euler_section, "random_configuration",
+                            lambda rng, m, t_size, exact=True: degenerate)
+        cert = nullhomotopy_certificate(1, 2, samples=3, seed=0, exact=False)
+        assert cert.failures == 3 and not cert.passed
+        assert cert.to_json()["pass"] is False
