@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -320,37 +321,18 @@ def rank_mod_p(m: IntMatrix, p: int) -> int:
 
 
 def invariant_factors(orders) -> tuple:
-    """Normalise a multiset of cyclic orders (>= 2) to the chain d_1 | d_2 | ..."""
-    primes: dict[int, list[int]] = {}
-    for d in orders:
-        if d < 2:
-            raise ValueError("torsion orders must be >= 2")
-        rest = d
-        q = 2
-        while q * q <= rest:
-            if rest % q == 0:
-                e = 0
-                while rest % q == 0:
-                    rest //= q
-                    e += 1
-                primes.setdefault(q, []).append(e)
-            q += 1
-        if rest > 1:
-            primes.setdefault(rest, []).append(1)
-    if not primes:
-        return ()
-    for exps in primes.values():
-        exps.sort(reverse=True)
-    length = max(len(e) for e in primes.values())
-    chain = []
-    for k in range(length):
-        f = 1
-        for q, exps in primes.items():
-            if k < len(exps):
-                f *= q ** exps[k]
-        chain.append(f)
-    chain.reverse()
-    return tuple(chain)
+    """Normalise a multiset of cyclic orders (>= 2) to the chain d_1 | d_2 | ...,
+    using Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b) on every pair (no factoring)."""
+    chain = list(orders)
+    if chain and min(chain) < 2:
+        raise ValueError("torsion orders must be >= 2")
+    if len(chain) < 2:  # the common case in homology: no pairs to normalise
+        return tuple(chain)
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = math.gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] // g * chain[j]
+    return tuple(d for d in chain if d > 1)
 
 
 @dataclass(frozen=True)

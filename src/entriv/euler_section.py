@@ -12,12 +12,35 @@ sweeps and carries an explicit 1e-12 tolerance contract.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .rng import CounterRng
 
 FLOAT_EPS = 1e-12
+# configurations drawn before random_configuration gives up; float points lie
+# on a grid of 2001 values per axis, so many points on one axis always clash
+MAX_DRAWS = 100
+
+
+def _first_equal_pair(points) -> tuple:
+    """The first (i, j), i < j, of equal points in the order of a pairwise scan."""
+    first: dict = {}
+    pairs = []
+    for j, pt in enumerate(map(tuple, points)):
+        i = first.setdefault(pt, j)
+        if i != j:
+            pairs.append((i, j))
+    return min(pairs)
+
+
+def _common_numerators(values) -> tuple:
+    """Integers a_i and L with values[i] = a_i / L, L the lcm of the denominators."""
+    ratios = [x.as_integer_ratio() for x in values]
+    den = math.lcm(*[d for _, d in ratios])
+    return [a * (den // d) for a, d in ratios], den
 
 
 @dataclass(frozen=True)
@@ -31,6 +54,11 @@ class Configuration:
         m = len(self.points[0])
         if any(len(pt) != m for pt in self.points):
             raise ValueError("points of mixed dimension")
+        if self.exact:  # exact coincidence is equality, found by hashing in O(|T|)
+            if len(set(map(tuple, self.points))) < len(self.points):
+                i, j = _first_equal_pair(self.points)
+                raise ValueError(f"points {i} and {j} coincide")
+            return
         for i in range(len(self.points)):
             for j in range(i + 1, len(self.points)):
                 if self._coincide(self.points[i], self.points[j]):
@@ -44,6 +72,11 @@ class Configuration:
     @property
     def m(self) -> int:
         return len(self.points[0])
+
+    @cached_property
+    def section(self) -> "SectionValue":
+        """section_eval of this configuration, computed once."""
+        return section_eval(self)
 
     @property
     def size(self) -> int:
@@ -69,11 +102,10 @@ class SectionValue:
     def __post_init__(self):
         t = len(self.components[0]) if self.components else 0
         for comp in self.components:
-            total = sum(comp)
             if self.exact:
-                if total != 0:
+                if sum(_common_numerators(comp)[0]) != 0:
                     raise ValueError("component does not sum to zero")
-            elif abs(total) > FLOAT_EPS * max(t, 1):
+            elif abs(sum(comp)) > FLOAT_EPS * max(t, 1):
                 raise ValueError("component sum exceeds the float tolerance")
 
     def is_zero(self) -> bool:
@@ -82,6 +114,9 @@ class SectionValue:
         return all(abs(x) <= FLOAT_EPS for comp in self.components for x in comp)
 
     def norm_squared(self):
+        if self.exact:
+            nums, den = _common_numerators([x for comp in self.components for x in comp])
+            return Fraction(sum(a * a for a in nums), den * den)
         return sum(x * x for comp in self.components for x in comp)
 
     def permuted(self, sigma: tuple) -> "SectionValue":
@@ -104,8 +139,13 @@ def section_eval(c: Configuration) -> SectionValue:
     comps = []
     for axis in range(c.m):
         coords = [pt[axis] for pt in c.points]
-        mean = sum(coords) / t if not c.exact else Fraction(sum(coords), t)
-        comps.append(tuple(x - mean for x in coords))
+        if c.exact:  # x_i - mean = (t a_i - sum a) / (t L) with x_i = a_i / L
+            nums, den = _common_numerators(coords)
+            total = sum(nums)
+            comps.append(tuple(Fraction(t * a - total, t * den) for a in nums))
+        else:
+            mean = sum(coords) / t
+            comps.append(tuple(x - mean for x in coords))
     return SectionValue(tuple(comps), exact=c.exact)
 
 
@@ -123,7 +163,7 @@ class EquivarianceReport:
 def equivariance_test(c: Configuration, sigma: tuple) -> EquivarianceReport:
     """section(sigma . c) == sigma . section(c), exact in rational mode."""
     lhs = section_eval(c.permuted(sigma))
-    rhs = section_eval(c).permuted(sigma)
+    rhs = c.section.permuted(sigma)
     if c.exact:
         equal = lhs.components == rhs.components
     else:
@@ -161,7 +201,7 @@ class SectionCertificate:
 
 def random_configuration(rng: CounterRng, m: int, t_size: int,
                          exact: bool = True) -> Configuration:
-    while True:
+    for _ in range(MAX_DRAWS):
         if exact:
             pts = tuple(tuple(rng.fraction(10 ** 6, 1000) for _ in range(m))
                         for _ in range(t_size))
@@ -172,7 +212,8 @@ def random_configuration(rng: CounterRng, m: int, t_size: int,
         try:
             return Configuration(pts, exact=exact)
         except ValueError:
-            continue  # coincidence; with 64-bit draws this is essentially unreachable
+            continue  # a coincidence: rare, unless the float grid is small beside t_size
+    raise ValueError(f"no {t_size} distinct points in {MAX_DRAWS} draws")
 
 
 def nullhomotopy_certificate(m: int, t_size: int = 2, samples: int = 1000,

@@ -17,6 +17,7 @@ exact cochain-level outputs so a formula change cannot slip through.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .core_algebra import ChainComplex, GradedAbelianGroup, homology
@@ -240,8 +241,7 @@ def coboundary(sset: SimplicialSet, x: Cochain) -> Cochain:
     support = set()
     for name in sset.names(x.degree + 1):
         total = 0
-        for i in range(x.degree + 2):
-            word, target = sset.face(((), name), i)
+        for target, word in sset._faces_of[name]:  # d_0 ... d_(|x|+1) of name
             if not word and target in x.support:
                 total ^= 1
         if total:
@@ -256,15 +256,35 @@ def cup_i(sset: SimplicialSet, x: Cochain, y: Cochain, i: int) -> Cochain:
     if i > min(x.degree, y.degree):
         raise ValueError("i exceeds a cochain degree")
     n = x.degree + y.degree - i
+    names = sset.names(n)
+    blocks = _cut_blocks(n, i, x.degree, y.degree) if names else ()
     support = set()
-    for name in sset.names(n):
-        if _cup_i_value(sset, name, x, y, i, n):
+    for name in names:
+        if _cup_i_value(sset, name, x, y, blocks):
             support.add(name)
     return Cochain(n, frozenset(support))
 
 
+@lru_cache(maxsize=1024)
+def _cut_blocks(n: int, i: int, p: int, q: int) -> tuple:
+    """(even vertices, odd vertices) of every cut sequence 0 <= a_0 < ... <
+    a_i <= n whose even intervals span p + 1 vertices and odd ones q + 1."""
+    blocks = []
+    for cuts in combinations(range(n + 1), i + 1):
+        evens, odds = set(), set()
+        prev = 0
+        for idx, a in enumerate(cuts):
+            block = range(prev, a + 1)
+            (evens if idx % 2 == 0 else odds).update(block)
+            prev = a
+        (evens if (i + 1) % 2 == 0 else odds).update(range(prev, n + 1))
+        if len(evens) == p + 1 and len(odds) == q + 1:
+            blocks.append((tuple(sorted(evens)), tuple(sorted(odds))))
+    return tuple(blocks)
+
+
 def _cup_i_value(sset: SimplicialSet, name: str, x: Cochain, y: Cochain,
-                 i: int, n: int) -> int:
+                 blocks: tuple) -> int:
     total = 0
     cache: dict[tuple, NormalSimplex] = {}
 
@@ -276,17 +296,9 @@ def _cup_i_value(sset: SimplicialSet, name: str, x: Cochain, y: Cochain,
         word, base = ns
         return 0 if word else cochain(base)
 
-    for cuts in combinations(range(n + 1), i + 1):
-        evens, odds = set(), set()
-        prev = 0
-        for idx, a in enumerate(cuts):
-            block = range(prev, a + 1)
-            (evens if idx % 2 == 0 else odds).update(block)
-            prev = a
-        (evens if (i + 1) % 2 == 0 else odds).update(range(prev, n + 1))
-        if len(evens) != x.degree + 1 or len(odds) != y.degree + 1:
-            continue
-        total ^= evaluate(x, tuple(sorted(evens))) & evaluate(y, tuple(sorted(odds)))
+    for evens, odds in blocks:
+        if evaluate(x, evens) and evaluate(y, odds):
+            total ^= 1
     return total
 
 

@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
 import pathlib
+import re
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from entriv.cli import (MAX_CELL_RANGE, MAX_N, MAX_SAMPLES, MAX_SMAX, MAX_WINDOW_WIDTH,
-                        Command, UsageError, main, parse, run)
+from entriv.cli import (MAX_CELL_RANGE, MAX_K, MAX_M, MAX_N, MAX_PRIME, MAX_SAMPLES,
+                        MAX_SMAX, MAX_SPHERE, MAX_T, MAX_WINDOW_WIDTH, Command, UsageError,
+                        _square_is_zero, main, parse, run)
+from entriv.core_algebra import IntMatrix
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -75,6 +82,15 @@ class TestCaps:
         ["steenrod", "witness", "--n", "1000000"],
         ["hh", "--ring", "Z", "--n", "2", "--smax", str(MAX_SMAX + 1)],
         ["euler", "--m", "2", "--t", "3", "--samples", str(MAX_SAMPLES + 1)],
+        # the --flag=value forms keep these ids apart from the ones above
+        ["theta", "--n=64", "--prime", str(10 ** 80 + 129)],  # an 80-digit prime
+        ["theta", "--n=2", "--prime", str(MAX_PRIME + 14)],  # the first prime past 2^64
+        ["euler", f"--m={MAX_M + 1}", "--t", "3", "--samples", "1"],
+        ["euler", f"--t={MAX_T + 1}", "--m", "2", "--samples", "1"],
+        ["euler", "--t=20000", "--m", "2", "--samples", "1"],
+        ["steenrod", f"--sphere={MAX_SPHERE + 1}", "sq"],
+        ["steenrod", "--sphere=200", "sq", "--k", "0"],
+        ["steenrod", f"--k={MAX_K + 1}", "sq", "--sphere", "2"],
     ]
 
     @pytest.mark.parametrize("argv", OVERSIZED, ids=lambda a: " ".join(a[:2]))
@@ -90,10 +106,22 @@ class TestCaps:
         parse(["theta", "--n", str(MAX_N), "--prime", "3"])
         parse(["hh", "--ring", "Z", "--n", "2", "--smax", str(MAX_SMAX)])
         parse(["euler", "--m", "2", "--t", "3", "--samples", str(MAX_SAMPLES)])
+        parse(["theta", "--n", "2", "--prime", str(MAX_PRIME - 58)])  # largest below 2^64
+        parse(["euler", "--m", str(MAX_M), "--t", str(MAX_T), "--samples", "1"])
+        parse(["steenrod", "sq", "--sphere", str(MAX_SPHERE), "--k", str(MAX_K)])
+        # --k is capped for steenrod only
+        parse(["stunted", "sq", "--range=0:4", "--k", str(MAX_K + 1)])
 
     def test_caps_admit_the_acceptance_manifest(self):
         for entry in json.loads((ROOT / "manifests/acceptance.json").read_text()):
             parse(entry["argv"])
+
+    def test_caps_admit_the_readme_examples(self):
+        readme = (ROOT / "README.md").read_text()
+        examples = re.findall(r"^entriv (.+)$", readme, flags=re.MULTILINE)
+        assert len(examples) >= 15
+        for line in examples:
+            parse(re.sub(r"\[.*?\]", "", line).split())
 
 
 class TestRun:
@@ -137,6 +165,28 @@ class TestRun:
         a = run(parse(argv)).render("json")
         b = run(parse(argv)).render("json")
         assert a == b
+
+    def test_sq1_square_check_is_a_real_product(self):
+        assert run(parse(["stunted", "sq", f"--range=0:{MAX_CELL_RANGE}", "--k", "2"])).passed
+        assert _square_is_zero(IntMatrix.from_rows([[0, 1], [0, 0]]))
+        assert not _square_is_zero(IntMatrix.from_rows([[0, 1], [1, 0]]))
+        assert not _square_is_zero(IntMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
+        # entries that cancel over Z, as the dense product would see them
+        assert _square_is_zero(IntMatrix.from_rows([[1, 1], [-1, -1]]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=4, max_size=4),
+                    min_size=4, max_size=4))
+    def test_sparse_square_check_matches_the_dense_product(self, rows):
+        mat = IntMatrix.from_rows(rows)
+        assert _square_is_zero(mat) == mat.mul(mat).is_zero()
+
+    def test_euler_config_names_the_coincident_pair(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps([[1, "1/2"], [3, 4], [3, 4], [1, "1/2"]]))
+        report = run(parse(["euler", "--config", str(config)]))
+        assert not report.passed and report.claim == "structured failure"
+        assert report.payload == {"error": "points 0 and 3 coincide"}
 
     def test_markdown_rendering(self):
         report = run(parse(["theta", "--n", "2", "--prime", "2"]))
@@ -231,3 +281,65 @@ class TestBatch:
         assert a.render("json") == b.render("json")
         assert a.payload["reports"][0]["parameters"]["seed"] == 4
         assert c.payload["reports"][0]["parameters"]["seed"] == 5
+
+
+def _sized(cap, small=8):
+    """Integers below, at, around and far beyond a cap."""
+    return st.one_of(st.integers(-2, small), st.integers(cap - 2, cap + 2),
+                     st.integers(cap + 1, 10 ** 30), st.integers(-10 ** 30, -3))
+
+
+_PRIMES = st.one_of(st.sampled_from([2, 3, 5, 7, 1000000007, 2 ** 61 - 1, MAX_PRIME - 58]),
+                    _sized(MAX_PRIME, 40))
+
+
+def _window(cap):
+    return st.tuples(_sized(cap, 40), st.integers(-40, 40)).map(
+        lambda w: f"--window={-abs(w[0]) + w[1]}:{w[1]}")
+
+
+_ARGV = st.one_of(
+    st.tuples(st.just("theta"), st.just("--n"), _sized(MAX_N), st.just("--prime"), _PRIMES),
+    st.tuples(st.sampled_from(["witness", "ku-ses"]), st.just("--prime"), _PRIMES,
+              st.just("--n"), _sized(MAX_N)),
+    st.tuples(st.just("moore"), st.just("--prime"), _PRIMES),
+    st.tuples(st.just("transfer"), st.just("--prime"), _PRIMES, _window(MAX_WINDOW_WIDTH)),
+    st.tuples(st.just("extpow"), st.just("--prime"), _PRIMES, st.just("--n"), _sized(MAX_N),
+              st.just("--family"), st.sampled_from(["einf", "en+1", "e2"]),
+              _window(MAX_WINDOW_WIDTH)),
+    st.tuples(st.just("ses"), st.just("--prime"), _PRIMES, st.just("--n"), _sized(MAX_N),
+              st.just("--which"), st.sampled_from(["first", "second"])),
+    st.tuples(st.just("pushout"), st.just("--prime"), _PRIMES, st.just("--n"), _sized(MAX_N)),
+    st.tuples(st.just("stunted"), st.sampled_from(["sq", "homology"]),
+              _window(MAX_CELL_RANGE).map(lambda w: w.replace("window", "range")),
+              st.just("--k"), _sized(MAX_K)),
+    st.tuples(st.just("steenrod"), st.just("sq"), st.just("--sphere"), _sized(MAX_SPHERE),
+              st.just("--k"), _sized(MAX_K)),
+    st.tuples(st.just("steenrod"), st.just("witness"), st.just("--n"), _sized(MAX_N)),
+    st.tuples(st.just("hh"), st.just("--ring"), st.sampled_from(["Z", "Q", "F2", "F3"]),
+              st.just("--n"), _sized(MAX_N), st.just("--smax"), _sized(MAX_SMAX)),
+    st.tuples(st.just("euler"), st.just("--m"), _sized(MAX_M), st.just("--t"), _sized(MAX_T),
+              # a sweep's time grows with samples * t * (m + t), which no single
+              # cap bounds, so in-cap sample counts stay small
+              st.just("--samples"),
+              st.one_of(st.integers(-2, 1), st.integers(MAX_SAMPLES + 1, 10 ** 30)),
+              st.just("--seed"),
+              st.integers(-10 ** 20, 10 ** 20), st.sampled_from(["--float", "--format=md"])),
+    st.tuples(st.just("suspend"), st.just("--input"),
+              st.just(str(ROOT / "manifests/inputs/pair_a.json")), st.just("--k"),
+              _sized(MAX_N)),
+).map(lambda parts: [str(part) for part in parts])
+
+
+class TestFuzz:
+    """Verbs with integer parameters inside and outside the caps: main exits
+    0, 1 or 2 and never raises; settings' deadline bounds every example."""
+
+    @settings(max_examples=100, deadline=5000,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_ARGV)
+    def test_main_exits_cleanly(self, argv):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        assert code in (0, 1, 2), err.getvalue()

@@ -1,4 +1,5 @@
 import json
+import time
 from itertools import combinations
 from math import gcd
 
@@ -303,6 +304,36 @@ class TestTorsionNormalization:
             got *= t
         assert got == total
         assert all(chain[i + 1] % chain[i] == 0 for i in range(len(chain) - 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(2, 2000), max_size=6))
+    def test_chain_matches_prime_power_grouping(self, orders):
+        # the chain read off prime by prime from the factored orders
+        powers: dict = {}
+        for d in orders:
+            q = 2
+            while d > 1:
+                e = 0
+                while d % q == 0:
+                    d //= q
+                    e += 1
+                if e:
+                    powers.setdefault(q, []).append(q ** e)
+                q += 1
+        chain = []
+        for k in range(max((len(v) for v in powers.values()), default=0)):
+            f = 1
+            for v in powers.values():
+                v.sort(reverse=True)
+                f *= v[k] if k < len(v) else 1
+            chain.append(f)
+        assert invariant_factors(tuple(orders)) == tuple(reversed(chain))
+
+    def test_large_prime_orders_are_fast(self):
+        p, q = 2 ** 61 - 1, 2 ** 64 - 59
+        start = time.perf_counter()
+        assert invariant_factors((p, q, p * p)) == (p, p * p * q)
+        assert time.perf_counter() - start < 0.1
 
     def test_direct_sum_merges(self):
         a = GradedAbelianGroup.create({0: (1, (2,))})

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -50,6 +53,27 @@ class TestSectionEval:
         b = section_eval(shifted)
         assert a.components == b.components
 
+    def test_coincidence_among_many_points_is_found_fast(self):
+        points = [[Fraction(k, 7), Fraction(-k, 3)] for k in range(2999)]
+        points.append(points[0])
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="points 0 and 2999 coincide"):
+            Configuration.from_rational(points)
+        assert time.perf_counter() - start < 1.0
+
+    def test_late_coincidence_and_many_distinct_points_are_fast(self):
+        points = [[Fraction(k, 7), Fraction(-k, 3)] for k in range(3000)]
+        start = time.perf_counter()
+        assert Configuration.from_rational(points).size == 3000
+        with pytest.raises(ValueError, match="points 2998 and 2999 coincide"):
+            Configuration.from_rational(points[:-1] + [points[-2]])
+        assert time.perf_counter() - start < 1.0
+
+    def test_coincidence_names_the_first_pair(self):
+        a, b = [1, 2], [3, 4]
+        with pytest.raises(ValueError, match="points 0 and 3 coincide"):
+            Configuration.from_rational([a, b, b, a])
+
     def test_near_coincident_exact(self):
         eps = Fraction(1, 10 ** 12)
         c = Configuration.from_rational([[0, 0], [eps, 0]])
@@ -98,6 +122,12 @@ class TestCertificate:
         b = nullhomotopy_certificate(2, 4, samples=50, seed=33)
         assert a == b
 
+    def test_draws_give_up_on_a_crowded_float_grid(self):
+        # 300 float points on one axis of 2001 grid values all but surely clash
+        with pytest.raises(ValueError, match="no 300 distinct points in 100 draws"):
+            random_configuration(CounterRng(0), 1, 300, exact=False)
+        assert random_configuration(CounterRng(0), 2, 300, exact=False).size == 300
+
     def test_float_mode(self):
         cert = nullhomotopy_certificate(2, 3, samples=100, seed=2, exact=False)
         assert cert.passed
@@ -111,3 +141,42 @@ class TestCertificate:
         cert = nullhomotopy_certificate(1, 2, samples=3, seed=0, exact=False)
         assert cert.failures == 3 and not cert.passed
         assert cert.to_json()["pass"] is False
+
+
+def _section_digest(m, t, seed, exact):
+    """sha256 of seeded section values, their norms and a certificate."""
+    rng = CounterRng(seed)
+    text = str if exact else repr
+    rows = []
+    for _ in range(5):
+        value = section_eval(random_configuration(rng, m, t, exact=exact))
+        rows.append([[text(x) for x in comp] for comp in value.components])
+        rows.append(text(value.norm_squared()))
+    rows.append(nullhomotopy_certificate(m, t, samples=20, seed=seed, exact=exact).to_json())
+    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+
+
+class TestSectionGolden:
+    """Pinned exact and float section values: the exact kernel must give the
+    same Fractions, and float mode must not move at all."""
+
+    @pytest.mark.parametrize("m, t, seed, exact, digest", [
+        (1, 2, 0, True,
+         "b1c8c91a323fbe3acb27928d7c92716ac62514206cfbeb065d301a291b1a8bf8"),
+        (2, 3, 5, True,
+         "2a580b29021813fb15d07defb60affd7b04f0e14fa4cb6f389c8cb72bdbffbbc"),
+        (3, 4, 11, True,
+         "be1e8231cf1398817e43a1416aa0dcd9a848fcf11565400390d88ec5fe86abd7"),
+        (2, 7, 3, True,
+         "bb280f41edefcfa3f33c827e0d7c8d06d438c8550eda9f0dcffc98cdff2a5d58"),
+        (1, 2, 0, False,
+         "17e97d85f85f31097a9495621ec45f93181df5bf5a02ee48dd5be19c535d72e3"),
+        (2, 3, 5, False,
+         "234bd7f098ef062318c0e5558da5f5c7b595c85629073e46d3a7274392350beb"),
+        (3, 4, 11, False,
+         "dcb1aff85b0d6e12d39a4ddda96043cce1370343530dd97c459254bd74882952"),
+        (2, 7, 3, False,
+         "5718cadb0ad5cceeb908d3d769a4e27265ff9c9ca34cf0353e135ccaef71b5e1"),
+    ])
+    def test_values(self, m, t, seed, exact, digest):
+        assert _section_digest(m, t, seed, exact) == digest

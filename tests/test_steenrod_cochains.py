@@ -1,3 +1,7 @@
+import hashlib
+import json
+from itertools import combinations
+
 import pytest
 
 from entriv.rng import CounterRng
@@ -102,6 +106,63 @@ class TestCupI:
         assert left.degree == 3 and left.is_zero()
 
 
+def _boundary_of_simplex(n):
+    """The boundary of the n-simplex on vertices 0..n; d_i drops vertex i."""
+    verts = "0123456789"[: n + 1]
+    simplices, faces = {}, {}
+    for k in range(n):
+        names = ["".join(c) for c in combinations(verts, k + 1)]
+        simplices[k] = names
+        if k:
+            for nm in names:
+                faces[nm] = [(nm[:i] + nm[i + 1:], ()) for i in range(k + 1)]
+    return SimplicialSet.create(simplices, faces)
+
+
+def _kernel_digest(model, seed):
+    """sha256 of seeded coboundary and cup-i supports in every degree pair."""
+    rng = CounterRng(seed)
+    top = model.top_dimension()
+    rows = []
+    for p in range(top + 1):
+        x = random_cochain(model, p, rng)
+        rows.append(["d", p, sorted(coboundary(model, x).support)])
+        for q in range(top + 1):
+            y = random_cochain(model, q, rng)
+            for i in range(min(p, q) + 1):
+                rows.append(["cup", p, q, i, sorted(cup_i(model, x, y, i).support)])
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+class TestKernelGolden:
+    """Pinned cochain-level outputs of cup_i and coboundary: the interval
+    formula fixes cochains, not just classes, so these must not move."""
+
+    @pytest.mark.parametrize("model_name, seed, digest", [
+        ("rp2", 0,
+         "7218a951d4a4518dbde986a1210a1d10464bbf6e76306c4ac993e9163eb89118"),
+        ("rp2", 7,
+         "7c391b0d214029d27a10a211aed703f164ce0144c5fadb014455ff86fba990f0"),
+        ("s3", 0,
+         "9440ae768cc8adbc655008db2643c1e0b66934994b737eb9a4ee37df7635e449"),
+        ("s3", 7,
+         "1a574cd4e22f2ec62ee94c31a8d856cdc6e2a86da401ac15216c9b6215656856"),
+        ("d5", 0,
+         "b55f4e21d9fe358eed24d040d41419a98dc4bb9061b8341877ff1208a196a8c5"),
+        ("d5", 7,
+         "c2bdd6fc5538f12bf6700d72ef2886c8a6ca77be2c0ad6ca33fe8015987340a0"),
+    ])
+    def test_supports(self, model_name, seed, digest):
+        model = {"rp2": rp2_model, "s3": lambda: sphere_model(3),
+                 "d5": lambda: _boundary_of_simplex(5)}[model_name]()
+        assert _kernel_digest(model, seed) == digest
+
+    def test_boundary_of_simplex_is_a_sphere(self):
+        model = _boundary_of_simplex(5)
+        assert [len(model.names(k)) for k in range(5)] == [6, 15, 20, 15, 6]
+        assert model.homology("F2").component(4) == (1, ())
+
+
 class TestSq:
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_sq0_is_identity(self, n):
@@ -117,6 +178,12 @@ class TestSq:
         gen = Cochain.create(n, ["t"])
         assert sq(m, n, gen).is_zero()
         assert h_dim(m, 2 * n) == 0
+
+    def test_square_into_an_empty_degree_builds_no_cuts(self):
+        # x cup_57 x on S^63 lives in degree 69, which has no simplices;
+        # its C(70, 58) cut sequences must not be enumerated
+        m = sphere_model(63)
+        assert sq(m, 6, Cochain.create(63, ["t"])).is_zero()
 
     def test_sq1_on_circle_class(self):
         m = sphere_model(1)
