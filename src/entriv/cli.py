@@ -66,6 +66,9 @@ MAX_M = 16  # euler: ambient dimension
 MAX_T = 1000  # euler: points per configuration (float mode scans pairs)
 MAX_SPHERE = 64  # steenrod sq: sphere dimension
 MAX_K = 64  # steenrod: Sq^k, which vanishes above the degree
+# euler: samples * t * m in exact mode (draws and centring), samples * t * t in
+# float mode (the pairwise scan); one float sample at the largest t fits
+MAX_EULER_WORK = 1_000_000
 
 
 def _window(text: str, cap: int = MAX_WINDOW_WIDTH) -> tuple:
@@ -244,6 +247,11 @@ def _validate(verb: str, params: dict):
                 raise UsageError("euler requires --m and --t (or --config FILE)")
             if params["m"] < 1 or params["t"] < 2 or params["samples"] < 1:
                 raise UsageError("euler requires --m >= 1, --t >= 2, --samples >= 1")
+            per_point = "t" if params["float_mode"] else "m"
+            work = params["samples"] * params["t"] * params[per_point]
+            if work > MAX_EULER_WORK:
+                raise UsageError(f"euler work samples * t * {per_point} = {work} exceeds "
+                                 f"the cap of {MAX_EULER_WORK}")
     if verb == "steenrod":
         if params["mode"] == "sq" and (params.get("sphere") is None or params["sphere"] < 1):
             raise UsageError("steenrod sq requires --sphere >= 1")

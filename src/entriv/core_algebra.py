@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import os
 import tempfile
 from dataclasses import dataclass
@@ -108,7 +109,7 @@ class IntMatrix:
         return IntMatrix(self.rows, other.cols, tuple(out))
 
     def is_zero(self) -> bool:
-        return all(e == 0 for row in self.entries for e in row)
+        return not any(map(any, self.entries))
 
     def det(self) -> int:
         """Fraction-free (Bareiss) determinant; square matrices only."""
@@ -178,83 +179,104 @@ def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
         snf = _snf_cache_load(path, m)
         if snf is not None:
             return snf
-
-    a = [list(row) for row in m.entries]
-    nrows, ncols = m.rows, m.cols
-    left = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    right = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in right:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):  # row_dst += q * row_src
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        left[dst] = [x + q * y for x, y in zip(left[dst], left[src])]
-
-    def add_col(dst, src, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in right:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        left[i] = [-x for x in left[i]]
-
-    t = 0
-    while t < min(nrows, ncols):
-        pivot = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            dirty = False
-            for i in range(t + 1, nrows):
-                if a[i][t]:
-                    add_row(i, t, -(a[i][t] // a[t][t]))
-                    if a[i][t]:  # remainder strictly smaller: promote it
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, ncols):
-                if a[t][j]:
-                    add_col(j, t, -(a[t][j] // a[t][t]))
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            offender = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(t, offender, 1)
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    diag = tuple(a[i][i] for i in range(min(nrows, ncols)))
+    left = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
+    right = [[1 if i == j else 0 for j in range(m.cols)] for i in range(m.cols)]
+    diag = _smith_reduce([list(row) for row in m.entries], m.rows, m.cols, left, right)
     snf = SmithNormalForm(diag, IntMatrix.from_rows(left), IntMatrix.from_rows(right))
     if path:
         _snf_cache_store(path, snf)
     return snf
+
+
+def smith_diagonal(m: IntMatrix) -> tuple:
+    """The diagonal of smith_normal_form(m), without building L and R."""
+    return _smith_reduce([list(row) for row in m.entries], m.rows, m.cols)
+
+
+def _smith_reduce(a: list, nrows: int, ncols: int, left: list | None = None,
+                  right: list | None = None) -> tuple:
+    """Reduce a (row lists, changed in place) to Smith form; return its diagonal.
+
+    Each row operation is also applied to `left` and each column operation to
+    `right` when they are given.  The pivot is the first nonzero entry of
+    least absolute value in row-major order; the pivot and reduction orders
+    fix L and R, so they must not change.
+    """
+    size = min(nrows, ncols)
+    for t in range(size):
+        pivot_i = pivot_j = best = 0
+        for i in range(t, nrows):
+            row = a[i]
+            for j in range(t, ncols):
+                e = row[j]
+                if e and (not best or abs(e) < best):
+                    pivot_i, pivot_j, best = i, j, abs(e)
+            if best == 1:  # nothing later is strictly smaller
+                break
+        if not best:
+            break
+        if pivot_i != t:
+            a[t], a[pivot_i] = a[pivot_i], a[t]
+            if left is not None:
+                left[t], left[pivot_i] = left[pivot_i], left[t]
+        if pivot_j != t:
+            for row in a:
+                row[t], row[pivot_j] = row[pivot_j], row[t]
+            if right is not None:
+                for row in right:
+                    row[t], row[pivot_j] = row[pivot_j], row[t]
+        while True:
+            dirty = False
+            for i in range(t + 1, nrows):
+                e = a[i][t]
+                if not e:
+                    continue
+                q = -(e // a[t][t])
+                if q:  # row_i += q * row_t
+                    a[i] = [x + q * y for x, y in zip(a[i], a[t])]
+                    if left is not None:
+                        left[i] = [x + q * y for x, y in zip(left[i], left[t])]
+                if a[i][t]:  # remainder strictly smaller: promote it
+                    a[t], a[i] = a[i], a[t]
+                    if left is not None:
+                        left[t], left[i] = left[i], left[t]
+                    dirty = True
+            for j in range(t + 1, ncols):
+                e = a[t][j]
+                if not e:
+                    continue
+                q = -(e // a[t][t])
+                if q:  # column_j += q * column_t; rows with a zero there are unchanged
+                    for row in a:
+                        if row[t]:
+                            row[j] += q * row[t]
+                    if right is not None:
+                        for row in right:
+                            if row[t]:
+                                row[j] += q * row[t]
+                if a[t][j]:
+                    for row in a:
+                        row[t], row[j] = row[j], row[t]
+                    if right is not None:
+                        for row in right:
+                            row[t], row[j] = row[j], row[t]
+                    dirty = True
+            if dirty:
+                continue
+            d = a[t][t]
+            for i in range(t + 1, nrows):  # row_t += the first row d does not divide
+                if any(x % d for x in a[i][t + 1:]):
+                    a[t] = [x + y for x, y in zip(a[t], a[i])]
+                    if left is not None:
+                        left[t] = [x + y for x, y in zip(left[t], left[i])]
+                    break
+            else:
+                break
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            if left is not None:
+                left[t] = [-x for x in left[t]]
+    return tuple([a[i][i] for i in range(size)])
 
 
 def _snf_cache_load(path: str, m: IntMatrix) -> SmithNormalForm | None:
@@ -294,7 +316,29 @@ def _snf_cache_store(path: str, snf: SmithNormalForm):
 
 
 def rank_z(m: IntMatrix) -> int:
-    return sum(1 for d in smith_normal_form(m).diagonal if d != 0)
+    return sum(1 for d in smith_diagonal(m) if d != 0)
+
+
+def rank_q(m: IntMatrix) -> int:
+    """Rank over Q by fraction-free (Bareiss) elimination: every division by
+    the previous pivot is exact, so entries stay minors of m."""
+    a = [list(row) for row in m.entries]
+    rank, prev = 0, 1
+    for col in range(m.cols):
+        pivot_row = next((i for i in range(rank, m.rows) if a[i][col]), None)
+        if pivot_row is None:
+            continue
+        a[rank], a[pivot_row] = a[pivot_row], a[rank]
+        top = a[rank]
+        pivot = top[col]
+        for i in range(rank + 1, m.rows):
+            f = a[i][col]
+            a[i] = [(x * pivot - f * y) // prev for x, y in zip(a[i], top)]
+        prev = pivot
+        rank += 1
+        if rank == m.rows:
+            break
+    return rank
 
 
 def rank_mod_p(m: IntMatrix, p: int) -> int:
@@ -404,7 +448,7 @@ class ChainComplex:
             diffs[n] = mat
         for n, mat in diffs.items():
             nxt = diffs.get(n + 1)
-            if nxt is not None and not mat.mul(nxt).is_zero():
+            if nxt is not None and not _product_is_zero(mat, nxt):
                 raise ValueError(f"d_{n} o d_{n + 1} is nonzero")
         return ChainComplex(tuple(sorted(ranks.items())), tuple(sorted(diffs.items())))
 
@@ -435,30 +479,43 @@ class ChainComplex:
         return ChainComplex.create(data["ranks"], data.get("differentials", {}))
 
 
+def _product_is_zero(a: IntMatrix, b: IntMatrix) -> bool:
+    """a * b == 0, row by column, stopping at the first nonzero entry."""
+    cols = [col for col in zip(*b.entries) if any(col)]
+    return not any(sum(map(operator.mul, row, col))
+                   for row in a.entries if any(row) for col in cols)
+
+
 def homology(c: ChainComplex, coefficients: Ring = "Z") -> GradedAbelianGroup:
     """H_n = ker d_n / im d_{n+1}.
 
-    Each nonzero differential is reduced once, by Smith form over Z and Q
-    (rank and torsion orders) or by elimination over F_p (rank); an absent
-    differential has rank 0.
+    Each nonzero differential is reduced once: to its Smith diagonal over Z
+    (rank and torsion orders), by fraction-free elimination over Q and by
+    elimination mod p over F_p (rank); an absent differential has rank 0.
     """
     p = ring_prime(coefficients)
     reduced = {}  # n -> (rank of d_n, torsion of coker d_n over Z)
     for n, mat in c.differentials:
         if p is not None:
             reduced[n] = (rank_mod_p(mat, p), ())
-            continue
-        diag = [d for d in smith_normal_form(mat).diagonal if d != 0]
-        reduced[n] = (len(diag), tuple(d for d in diag if d > 1) if coefficients == "Z" else ())
-    data = {}
+        elif coefficients == "Q":
+            reduced[n] = (rank_q(mat), ())
+        else:
+            diag = [d for d in smith_diagonal(mat) if d != 0]
+            reduced[n] = (len(diag), tuple(d for d in diag if d > 1))
+    components = []
+    absent = (0, ())
     for n, dim in c.ranks:
-        r_out = reduced.get(n, (0, ()))[0]
-        r_in, torsion = reduced.get(n + 1, (0, ()))
+        r_out = reduced.get(n, absent)[0]
+        r_in, torsion = reduced.get(n + 1, absent)
         free = dim - r_out - r_in
         if free < 0:
             raise AssertionError("negative homology rank: complex invalid")
-        data[n] = (free, torsion)
-    return GradedAbelianGroup.create(data)
+        if free or torsion:
+            components.append((n, free, torsion))
+    # c.ranks is sorted by degree, and the torsion orders read off a Smith
+    # diagonal already form a divisibility chain: nothing is left to normalise
+    return GradedAbelianGroup(tuple(components))
 
 
 def formality_splitting(c: ChainComplex):

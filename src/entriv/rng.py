@@ -15,14 +15,16 @@ from fractions import Fraction
 
 class CounterRng:
     def __init__(self, seed: int):
-        self._seed_bytes = (int(seed) % (1 << 64)).to_bytes(8, "little")
+        # the hash state after the constant prefix; each draw updates a copy
+        self._prefix = hashlib.sha256(
+            b"entriv" + (int(seed) % (1 << 64)).to_bytes(8, "little"))
         self._counter = 0
 
     def u64(self) -> int:
-        digest = hashlib.sha256(
-            b"entriv" + self._seed_bytes + self._counter.to_bytes(16, "little")).digest()
+        h = self._prefix.copy()
+        h.update(self._counter.to_bytes(16, "little"))
         self._counter += 1
-        return int.from_bytes(digest[:8], "little")
+        return int.from_bytes(h.digest()[:8], "little")
 
     def below(self, n: int) -> int:
         """Uniform in [0, n) by rejection."""

@@ -49,8 +49,8 @@ class StuntedCellComplex:
 
     def chain_complex(self) -> ChainComplex:
         ranks = {j: 1 for j in range(self.bottom, self.top + 1)}
-        diffs = {j: [[2 if j % 2 == 0 else 0]]
-                 for j in range(self.bottom + 1, self.top + 1)}
+        two = IntMatrix.from_rows([[2]])  # the odd differentials are zero: left out
+        diffs = {j: two for j in range(self.bottom + 1, self.top + 1) if j % 2 == 0}
         return ChainComplex.create(ranks, diffs)
 
 

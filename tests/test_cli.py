@@ -9,9 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from entriv.cli import (MAX_CELL_RANGE, MAX_K, MAX_M, MAX_N, MAX_PRIME, MAX_SAMPLES,
-                        MAX_SMAX, MAX_SPHERE, MAX_T, MAX_WINDOW_WIDTH, Command, UsageError,
-                        _square_is_zero, main, parse, run)
+from entriv.cli import (MAX_CELL_RANGE, MAX_EULER_WORK, MAX_K, MAX_M, MAX_N, MAX_PRIME,
+                        MAX_SAMPLES, MAX_SMAX, MAX_SPHERE, MAX_T, MAX_WINDOW_WIDTH, Command,
+                        UsageError, _square_is_zero, main, parse, run)
 from entriv.core_algebra import IntMatrix
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -122,6 +122,22 @@ class TestCaps:
         assert len(examples) >= 15
         for line in examples:
             parse(re.sub(r"\[.*?\]", "", line).split())
+
+    @pytest.mark.parametrize("argv", [
+        ["euler", "--m", "16", "--t", "1000", "--samples", "100000"],
+        ["euler", "--m", "1", "--t", "1000", "--samples", "2", "--float"],
+        ["euler", "--m", "10", "--t", "1000", "--samples", str(MAX_EULER_WORK // 10000 + 1)],
+    ])
+    def test_euler_work_over_the_cap_exits_two_fast(self, argv, capsys):
+        # each parameter is inside its own cap; their product is not
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "cap" in capsys.readouterr().err
+
+    def test_euler_work_cap_admits_its_bound(self):
+        parse(["euler", "--m", "10", "--t", "1000", "--samples", str(MAX_EULER_WORK // 10000)])
+        parse(["euler", "--m", "16", "--t", "1000", "--samples", "1", "--float"])
 
 
 class TestRun:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from itertools import combinations
@@ -12,7 +13,7 @@ from entriv.cli import parse, run
 from entriv.core_algebra import (ChainComplex, GradedAbelianGroup, IntMatrix,
                                  formality_splitting, homology, invariant_factors,
                                  is_prime, random_chain_complex, random_unimodular,
-                                 ring_prime, smith_normal_form)
+                                 rank_q, ring_prime, smith_diagonal, smith_normal_form)
 from entriv.rng import CounterRng
 from entriv.stunted_ktheory import StuntedCellComplex, stunted_integral_homology
 
@@ -79,6 +80,102 @@ class TestSmithNormalForm:
         assert checked > 20
 
 
+def pinned_matrices():
+    """1500 seeded matrices up to 6x6 (dense, some zeros, mostly zeros) and
+    the differentials of 30 random complexes."""
+    rng = CounterRng(2024)
+    mats = []
+    for _ in range(1500):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        zeros = rng.below(3)
+        mats.append(IntMatrix.from_rows(
+            [[0 if rng.below(4) < zeros + zeros // 2 else rng.randint(-5, 5)
+              for _ in range(c)] for _ in range(r)]))
+    rng = CounterRng(2025)
+    for _ in range(30):
+        mats.extend(m for _, m in random_chain_complex(rng, max_degree=5).differentials)
+    return mats
+
+
+# a dense 9x8 matrix (random.Random(0), entries in [-3, 12]) on which the
+# Smith kernel's entries grow without bound; its Smith diagonal is 1, ..., 1
+STALLING_9X8 = [[9, 10, -2, 5, 12, 9, 6, 12], [8, 3, 1, 6, 1, 0, 5, 1],
+                [6, 0, -1, 7, 12, 0, 8, 10], [7, 3, 12, 11, 5, -2, -3, -1],
+                [9, -3, 12, 7, 4, 7, -1, 3], [4, 4, 1, 11, -1, -1, 7, 12],
+                [0, 6, 6, 0, 7, 3, 6, 11], [-1, 9, 7, 4, 6, 2, 3, 2],
+                [-2, 5, 12, -1, -1, 1, 1, -2]]
+
+
+class TestSmithDiagonal:
+    def test_transforms_match_the_golden_pin(self):
+        # sha256 of every (diagonal, L, R), taken before the elimination
+        # kernel was shared with smith_diagonal; hex digits have no size limit
+        mats = pinned_matrices()
+        assert len(mats) == 1554
+        h = hashlib.sha256()
+        for m in mats:
+            snf = smith_normal_form(m)
+            h.update(repr([[[format(e, "x") for e in row] for row in mat] for mat in
+                           ((snf.diagonal,), snf.left.entries, snf.right.entries)]).encode())
+        assert h.hexdigest() == \
+            "52105c196a39d948818fb9d0ee3e7f3237e122a8dcca6f663fd2700a193d5f4a"
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_matrices)
+    def test_matches_smith_normal_form_and_rank_q(self, rows):
+        m = IntMatrix.from_rows(rows)
+        diag = smith_diagonal(m)
+        assert diag == smith_normal_form(m).diagonal
+        assert rank_q(m) == sum(1 for d in diag if d)
+
+    def test_sympy_oracle(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+        for m in pinned_matrices()[::15]:
+            got = sympy_snf(sympy.Matrix(m.to_lists()), domain=sympy.ZZ)
+            want = tuple(abs(int(got[i, i])) for i in range(min(m.rows, m.cols)))
+            assert smith_diagonal(m) == want
+
+    def test_rank_q_counts_the_nonzero_diagonal(self):
+        rng = CounterRng(37)
+        checked = 0
+        for _ in range(40):
+            for _, m in random_chain_complex(rng, max_degree=5).differentials:
+                assert rank_q(m) == sum(1 for d in smith_diagonal(m) if d)
+                checked += 1
+        assert checked > 40
+
+    def test_rational_homology_avoids_the_smith_stall(self):
+        cx = ChainComplex.create({0: 9, 1: 8}, {1: STALLING_9X8})
+        start = time.perf_counter()
+        h = homology(cx, "Q")
+        assert time.perf_counter() - start < 0.5
+        assert h == GradedAbelianGroup.create({0: (1, ())})
+
+    def test_homology_reads_only_smith_diagonals(self, monkeypatch):
+        rng = CounterRng(41)
+        complexes = [random_chain_complex(rng, max_degree=5) for _ in range(20)]
+        complexes.append(StuntedCellComplex(-50, 50).chain_complex())
+        full, diagonal = [], []
+        real = core_algebra.smith_diagonal
+        monkeypatch.setattr(core_algebra, "smith_normal_form",
+                            lambda m: full.append(m) or smith_normal_form(m))
+
+        def counting(m):
+            diagonal.append(m)
+            return real(m)
+
+        monkeypatch.setattr(core_algebra, "smith_diagonal", counting)
+        for cx in complexes:
+            for ring in ("Z", "Q", "F2", "F5"):
+                diagonal.clear()
+                homology(cx, ring)
+                expected = [m for _, m in cx.differentials] if ring == "Z" else []
+                assert diagonal == expected
+        assert full == []
+
+
 class TestHomology:
     def test_circle(self):
         c = ChainComplex.create({0: 1, 1: 1}, {1: [[0]]})
@@ -100,6 +197,20 @@ class TestHomology:
     def test_rejects_non_complex(self):
         with pytest.raises(ValueError):
             ChainComplex.create({0: 1, 1: 1, 2: 1}, {1: [[1]], 2: [[1]]})
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_matrices, st.integers(1, 4), st.data())
+    def test_square_zero_check_matches_the_product(self, rows, width, data):
+        a = IntMatrix.from_rows(rows)
+        b = IntMatrix.from_rows(data.draw(st.lists(
+            st.lists(st.integers(-2, 2), min_size=width, max_size=width),
+            min_size=a.cols, max_size=a.cols)))
+        assert core_algebra._product_is_zero(a, b) == a.mul(b).is_zero()
+
+    def test_square_zero_check_sees_cancellation(self):
+        a = IntMatrix.from_rows([[1, 1], [2, 2]])
+        assert core_algebra._product_is_zero(a, IntMatrix.from_rows([[1], [-1]]))
+        assert not core_algebra._product_is_zero(a, IntMatrix.from_rows([[1], [1]]))
 
     def test_empty_complex(self):
         assert homology(ChainComplex.create({}, {}), "Z") == GradedAbelianGroup.zero()
