@@ -269,8 +269,8 @@ def _run_extpow(p):
         window = p["window"] or (model.bottom, model.bottom + 12)
         payload = {"model": model.label(),
                    "cells": model.cells(window),
-                   "class_degrees": extended_powers.p2_class_degrees(
-                       p["n"], p["family"], window)}
+                   "class_degrees": [c.degree for c in extended_powers.dl_basis(
+                       2, p["n"], p["family"], window).classes]}
         ok = extended_powers.p2_cell_class_agreement(p["n"], p["family"], window)
         claim = "stunted cell model agrees with the degree-class encoding"
     else:

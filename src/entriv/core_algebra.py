@@ -11,12 +11,8 @@ overflows any fixed width already on small random matrices.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import operator
-import os
-import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -164,28 +160,12 @@ class SmithNormalForm:
         return abs(self.left.det()) == 1 and abs(self.right.det()) == 1
 
 
-def _snf_cache_path(m: IntMatrix) -> str | None:
-    cache_dir = os.environ.get("ENTRIV_CACHE_DIR")
-    if not cache_dir:
-        return None
-    key = hashlib.sha256(repr((m.rows, m.cols, m.entries)).encode()).hexdigest()
-    return os.path.join(cache_dir, f"snf_{key}.json")
-
-
 def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
     """L*m*R = diag(d_1, ..., d_k) with d_1 | d_2 | ..., d_i >= 0 and L, R unimodular."""
-    path = _snf_cache_path(m)
-    if path:
-        snf = _snf_cache_load(path, m)
-        if snf is not None:
-            return snf
     left = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
     right = [[1 if i == j else 0 for j in range(m.cols)] for i in range(m.cols)]
     diag = _smith_reduce([list(row) for row in m.entries], m.rows, m.cols, left, right)
-    snf = SmithNormalForm(diag, IntMatrix.from_rows(left), IntMatrix.from_rows(right))
-    if path:
-        _snf_cache_store(path, snf)
-    return snf
+    return SmithNormalForm(diag, IntMatrix.from_rows(left), IntMatrix.from_rows(right))
 
 
 def smith_diagonal(m: IntMatrix) -> tuple:
@@ -277,42 +257,6 @@ def _smith_reduce(a: list, nrows: int, ncols: int, left: list | None = None,
             if left is not None:
                 left[t] = [-x for x in left[t]]
     return tuple([a[i][i] for i in range(size)])
-
-
-def _snf_cache_load(path: str, m: IntMatrix) -> SmithNormalForm | None:
-    """The cached Smith form of m, or None (a miss) when the entry is absent,
-    unreadable, malformed or does not verify against m."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        snf = SmithNormalForm(tuple(data["diagonal"]),
-                              IntMatrix.from_rows(data["left"]),
-                              IntMatrix.from_rows(data["right"]))
-        return snf if snf.verify(m) else None
-    except (OSError, ValueError, KeyError, TypeError, IndexError):
-        return None
-
-
-def _snf_cache_store(path: str, snf: SmithNormalForm):
-    """Write through a temporary file and os.replace, so a reader never sees
-    a partly written entry; a cache that cannot be written is skipped."""
-    directory = os.path.dirname(path) or "."
-    try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".snf_", suffix=".tmp")
-    except OSError:
-        return
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump({"diagonal": list(snf.diagonal),
-                       "left": snf.left.to_lists(),
-                       "right": snf.right.to_lists()}, fh)
-        os.replace(tmp, path)
-    except OSError:
-        pass
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 def rank_z(m: IntMatrix) -> int:
@@ -562,9 +506,14 @@ def formality_splitting(c: ChainComplex):
 # randomized inputs for property tests and sweeps
 
 
-def random_unimodular(n: int, rng, ops: int = 6, bound: int = 2) -> IntMatrix:
-    """Product of elementary shears and swaps; determinant +-1 by construction."""
+def random_unimodular(n: int, rng, ops: int = 6, bound: int = 2) -> tuple:
+    """(u, u^-1) for u a product of elementary shears and swaps.
+
+    Each row operation on u is matched by the inverse column operation on
+    u^-1, so u * u^-1 = 1 stays true throughout and no draw is spent on it.
+    """
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in m]
     for _ in range(ops):
         i = rng.below(n)
         j = rng.below(n)
@@ -572,10 +521,14 @@ def random_unimodular(n: int, rng, ops: int = 6, bound: int = 2) -> IntMatrix:
             continue
         if rng.below(4) == 0:
             m[i], m[j] = m[j], m[i]
+            for row in inv:
+                row[i], row[j] = row[j], row[i]
         else:
             q = rng.sign() * rng.randint(1, bound)
             m[i] = [x + q * y for x, y in zip(m[i], m[j])]
-    return IntMatrix.from_rows(m)
+            for row in inv:
+                row[j] -= q * row[i]
+    return IntMatrix.from_rows(m), IntMatrix.from_rows(inv)
 
 
 def random_chain_complex(rng, max_degree: int = 3, max_rank: int = 6,
@@ -609,22 +562,11 @@ def random_chain_complex(rng, max_degree: int = 3, max_rank: int = 6,
         if any(r > max_rank for r in ranks.values()):
             continue
         # basis changes: d_n -> U_{n-1} d_n U_n^{-1}
-        us = {}
-        for deg in ranks:
-            u = random_unimodular(ranks[deg], rng, ops=3, bound=1)
-            inv = smith_normal_form(u)  # inverse via L, R: u^{-1} = R diag^{-1} L
-            us[deg] = (u, inv)
+        us = {deg: random_unimodular(ranks[deg], rng, ops=3, bound=1) for deg in ranks}
         new_diffs = {}
         ok = True
         for deg, mat in diffs.items():
-            m = IntMatrix.from_rows(mat)
-            u_below = us[deg - 1][0]
-            snf_u = us[deg][1]
-            if any(d != 1 for d in snf_u.diagonal):
-                ok = False
-                break
-            u_inv = snf_u.right.mul(snf_u.left)
-            m2 = u_below.mul(m).mul(u_inv)
+            m2 = us[deg - 1][0].mul(IntMatrix.from_rows(mat)).mul(us[deg][1])
             if any(abs(e) > entry_bound for row in m2.entries for e in row):
                 ok = False
                 break

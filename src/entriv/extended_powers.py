@@ -1,27 +1,34 @@
 """Mod-p homology of shifted extended powers of sphere spectra.
 
-Bases are indexed by single Dyer-Lashof operations on the fundamental class:
-after the n-fold shift, Q^s sits in degree 2s(p-1) and bQ^s (the Bockstein
-partner) in degree 2s(p-1)-1, with admissibility 2s >= -n resp. 2s > -n for
-the widest family on a (-n)-sphere.  The truncated families are the s <= 0
-and s <= -1 ranges.  At p = 2 the same objects are encoded by stunted real
-projective spectra with one cell per degree; the cell encoding is primary
-and the degree-s class encoding is kept as a cross-check.
+Bases are indexed by single Dyer-Lashof operations on the fundamental class,
+at every prime (Cohen-Lada-May, LNM 533): after the n-fold shift, Q^s sits in
+degree 2s(p-1) and bQ^s (the Bockstein partner) in degree 2s(p-1)-1, with
+admissibility 2s >= -n resp. 2s > -n for the widest family on a (-n)-sphere.
+The truncated families are the s <= 0 and s <= -1 ranges, so the admissible
+s of one kind always form an interval, and degrees are counted from it.
 
-Cofinite families are represented by admissibility predicates plus a
-reporting window.  All maps here are monomial (class-to-class); kernels,
-images and degreewise additivity are checked exactly.
+At p = 2 the two degree formulas give exactly one class per degree: the cells
+of a stunted real projective spectrum RP[a..b].  Classes are labelled by
+their cell there, `p2_stunted_model` is the RP range `extpow` prints, and
+`p2_cell_class_agreement` checks it against the classes and against the
+computed F_2 homology of the stunted cell complex.
+
+Cofinite families are represented by admissibility intervals plus a reporting
+window.  All maps here are monomial (class-to-class); kernels, images and
+degreewise additivity are checked exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .core_algebra import ChainComplex, GradedAbelianGroup, homology, is_prime
-from .stunted_ktheory import binom_mod2
+from .core_algebra import ChainComplex, homology, is_prime
+from .stunted_ktheory import StuntedCellComplex, binom_mod2
 
 FAMILIES = ("einf", "en+1", "en-1", "e2", "e1")
 FINITE_FAMILIES = ("en+1", "en-1", "e2", "e1")
+_TOP_S = {"einf": math.inf, "en+1": 0, "en-1": -1}  # the cut above each family
 
 
 @dataclass(frozen=True)
@@ -39,27 +46,73 @@ class DLClass:
         base = 2 * self.s * (self.prime - 1)
         return base if self.kind == "Q" else base - 1
 
+    @staticmethod
+    def of_degree(p: int, degree: int) -> "DLClass":
+        """The class in a degree that holds one: Q^s in 2s(p-1), bQ^s in 2s(p-1)-1."""
+        span = 2 * (p - 1)
+        return DLClass("Q" if degree % span == 0 else "bQ", -(-degree // span), p)
+
     def label(self) -> str:
+        if self.prime == 2:
+            return f"cell_{self.degree}"
         return f"{'b' if self.kind == 'bQ' else ''}Q^{self.s}"
 
 
-def _admissible(p: int, family: str, n: int, kind: str, s: int) -> bool:
+def _s_intervals(family: str, n: int) -> tuple:
+    """The admissible s of Q and of bQ as closed intervals (lo, hi), empty when
+    lo > hi: 2s >= -n for Q and 2s > -n for bQ, cut above per family."""
     if family == "e1":
-        return kind == "Q" and s == 0
+        return (0, 0), (1, 0)
     if family == "e2":
-        n = 1  # the two-cell family lives on the (-1)-sphere
-        family = "en+1"
-    if kind == "Q":
-        ok = 2 * s >= -n
-    else:
-        ok = 2 * s > -n
-    if family == "en+1":
-        ok = ok and s <= 0
-    elif family == "en-1":
-        ok = ok and s <= -1
-    elif family != "einf":
+        n, family = 1, "en+1"  # the two-cell family lives on the (-1)-sphere
+    if family not in _TOP_S:
         raise ValueError(f"unknown family {family!r}")
-    return ok
+    top = _TOP_S[family]
+    return (-(n // 2), top), (-((n - 1) // 2), top)
+
+
+def _admissible(family: str, n: int, kind: str, s: int) -> bool:
+    lo, hi = _s_intervals(family, n)[kind == "bQ"]
+    return lo <= s <= hi
+
+
+def _within(a: tuple, b: tuple) -> bool:
+    """Interval a lies inside interval b; an empty a lies inside every b."""
+    return a[0] > a[1] or (b[0] <= a[0] and a[1] <= b[1])
+
+
+def _low_range(intervals: tuple) -> list:
+    """The part s <= -1 of each interval: the classes the maps of the square kill."""
+    return [(lo, min(hi, -1)) for lo, hi in intervals]
+
+
+def _class_degrees(p: int, intervals: tuple, window: tuple) -> list:
+    """Sorted degrees in the window of the classes whose s lies in the
+    intervals: Q^s sits in degree span*s and bQ^s in span*s - 1, so the two
+    never share a degree."""
+    span = 2 * (p - 1)
+    lo, hi = window
+    out = []
+    for (s_lo, s_hi), drop in zip(intervals, (0, 1)):
+        first, last = -((-lo - drop) // span), (hi + drop) // span  # s in the window
+        if first < s_lo:
+            first = s_lo
+        if last > s_hi:
+            last = s_hi
+        out += range(span * first - drop, span * last - drop + 1, span)
+    out.sort()
+    return out
+
+
+def _validate(p: int, n: int, family: str, window: tuple):
+    if not is_prime(p):
+        raise ValueError("p must be a prime")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if n < 0 or (n < 1 and family in ("en+1", "en-1")):
+        raise ValueError("n must be >= 1 for the truncated families")
+    if window[0] > window[1]:
+        raise ValueError("window bounds inverted")
 
 
 @dataclass(frozen=True)
@@ -72,10 +125,7 @@ class DLBasis:
     cofinite: bool
 
     def degrees(self) -> dict:
-        out: dict[int, int] = {}
-        for c in self.classes:
-            out[c.degree] = out.get(c.degree, 0) + 1
-        return out
+        return {c.degree: 1 for c in self.classes}  # one class per degree
 
     def to_json(self):
         return {"prime": self.prime, "family": self.family, "n": self.n,
@@ -86,27 +136,10 @@ class DLBasis:
 
 def dl_basis(p: int, n: int, family: str, degree_window: tuple) -> DLBasis:
     """Basis classes of one family, restricted to a bounded degree window."""
-    if p == 2:
-        raise ValueError("p = 2 is handled by the stunted cell model, not dl_basis")
-    if p < 3 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    if n < 0 or (n < 1 and family in ("en+1", "en-1")):
-        raise ValueError("n must be >= 1 for the truncated families")
-    lo, hi = degree_window
-    if lo > hi:
-        raise ValueError("window bounds inverted")
-    span = 2 * (p - 1)
-    classes = []
-    for s in range(lo // span - 2, hi // span + 3):
-        for kind in ("Q", "bQ"):
-            if _admissible(p, family, n, kind, s):
-                c = DLClass(kind, s, p)
-                if lo <= c.degree <= hi:
-                    classes.append(c)
-    classes.sort(key=lambda c: (c.degree, c.kind))
-    return DLBasis(p, family, n, (lo, hi), tuple(classes), family == "einf")
+    _validate(p, n, family, degree_window)
+    degrees = _class_degrees(p, _s_intervals(family, n), degree_window)
+    classes = tuple(DLClass.of_degree(p, d) for d in degrees)
+    return DLBasis(p, family, n, tuple(degree_window), classes, family == "einf")
 
 
 def full_finite_basis(p: int, n: int, family: str) -> DLBasis:
@@ -117,8 +150,21 @@ def full_finite_basis(p: int, n: int, family: str) -> DLBasis:
     return dl_basis(p, n, family, (lo, 1))
 
 
+def family_degree_counts(p: int, n: int, family: str, window: tuple) -> dict:
+    """degree -> dimension of H_* over F_p for one family, in the window."""
+    _validate(p, n, family, window)
+    return dict.fromkeys(_class_degrees(p, _s_intervals(family, n), window), 1)
+
+
+def default_window(p: int, n: int) -> tuple:
+    span = 2 * (p - 1)
+    lo = -span * (n // 2 + 2) - 2
+    hi = span * 3 + 2
+    return (lo, hi)
+
+
 # ---------------------------------------------------------------------------
-# p = 2: stunted projective models
+# p = 2: stunted real projective ranges
 
 
 @dataclass(frozen=True)
@@ -129,9 +175,6 @@ class StuntedModel:
     def __post_init__(self):
         if self.top is not None and self.bottom > self.top:
             raise ValueError("empty stunted range")
-
-    def has_cell(self, d: int) -> bool:
-        return d >= self.bottom and (self.top is None or d <= self.top)
 
     def cells(self, window: tuple) -> list:
         lo, hi = window
@@ -166,48 +209,17 @@ def p2_stunted_model(n: int, family: str) -> StuntedModel:
     raise ValueError(f"no stunted model for family {family!r}")
 
 
-def _p2_model_or_empty(n: int, family: str) -> StuntedModel | None:
-    if family == "en-1" and n == 1:
-        return None
-    return p2_stunted_model(n, family)
-
-
-def p2_class_degrees(n: int, family: str, window: tuple) -> list:
-    """p = 2 cross-check: degree-s classes, one per admissible s (degree = s)."""
-    lo, hi = window
-    if family == "e1":
-        rng = (0, 0)
-    elif family == "e2":
-        rng = (-1, 0)
-    elif family == "einf":
-        rng = (-n, None)
-    elif family == "en+1":
-        rng = (-n, 0)
-    elif family == "en-1":
-        rng = (-n, -2)
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    bottom, top = rng
-    top = hi if top is None else min(top, hi)
-    return [s for s in range(max(bottom, lo), top + 1)]
-
-
-def family_degree_counts(p: int, n: int, family: str, window: tuple) -> dict:
-    """degree -> dimension of H_* over F_p for one family, in the window."""
-    if p == 2:
-        model = _p2_model_or_empty(n, family)
-        if model is None:
-            return {}
-        return {d: 1 for d in model.cells(window)}
-    basis = dl_basis(p, n, family, window)
-    return basis.degrees()
-
-
-def default_window(p: int, n: int) -> tuple:
-    span = 2 * (p - 1)
-    lo = -span * (n // 2 + 2) - 2
-    hi = span * 3 + 2
-    return (lo, hi)
+def p2_cell_class_agreement(n: int, family: str, window: tuple) -> bool:
+    """Three routes to the p = 2 basis in a window: the cells of the stunted
+    model, the degrees of the admissible classes, and the F_2 homology of the
+    stunted cell complex on those cells (one class in every cell's degree)."""
+    cells = p2_stunted_model(n, family).cells(window)
+    classes = [c.degree for c in dl_basis(2, n, family, window).classes]
+    computed = []
+    if cells:
+        h = homology(StuntedCellComplex(cells[0], cells[-1]).chain_complex(), "F2")
+        computed = [d for d, free, _ in h.components if free == 1]
+    return cells == classes == computed
 
 
 # ---------------------------------------------------------------------------
@@ -258,60 +270,24 @@ def verify_ses(p: int, n: int, which: str, window: tuple | None = None) -> SesRe
         window = default_window(p, n)
     middle_family = "en+1" if which == "first" else "einf"
     right_family = "e2" if which == "first" else "einf"
-    right_n = 1
+    _validate(p, n, "en-1", window)
+    left = _s_intervals("en-1", n)
+    middle = _s_intervals(middle_family, n)
+    right = _s_intervals(right_family, 1)
+    injective = kernel_ok = surjective = True
+    for a, (lo, hi), c, kernel in zip(left, middle, right, _low_range(middle)):  # Q, bQ
+        injective = injective and _within(a, (lo, hi))
+        kernel_ok = kernel_ok and _within(kernel, a) and _within(a, kernel)
+        # the classes with s >= 0 map one-to-one to the (-1)-sphere family
+        surjective = surjective and _within(c, (max(lo, 0), hi))
 
-    if p == 2:
-        left = _p2_model_or_empty(n, "en-1")
-        middle = p2_stunted_model(n, middle_family)
-        right = p2_stunted_model(right_n, right_family)
-        left_degrees = [] if left is None else left.cells((left.bottom, -2))
-        injective = all(middle.has_cell(d) for d in left_degrees)
-        kernel_top = -2 if middle.top is None else min(middle.top, -2)
-        kernel = list(range(middle.bottom, kernel_top + 1))
-        kernel_ok = kernel == left_degrees
-        # cells in degree >= -1 survive to the quotient; exactness on the right
-        # says those are exactly the right-hand cells
-        surjective = right.bottom == max(middle.bottom, -1) and right.top == middle.top
-    else:
-        left = full_finite_basis(p, n, "en-1")
-        injective = all(_admissible(p, middle_family, n, c.kind, c.s) for c in left.classes)
-        kernel = sorted((c.kind, c.s) for c in _low_range_classes(p, n, middle_family))
-        kernel_ok = kernel == sorted((c.kind, c.s) for c in left.classes)
-        # classes with s >= 0 map one-to-one to the (-1)-sphere family; both
-        # predicates are identically true for s >= 1, so a finite range decides
-        if right_family == "e2":
-            right_classes = [(c.kind, c.s) for c in full_finite_basis(p, right_n, "e2").classes]
-        else:
-            right_classes = [(kind, s) for s in range(0, n + 4) for kind in ("Q", "bQ")
-                             if _admissible(p, "einf", right_n, kind, s)]
-        surjective = all(s >= 0 and _admissible(p, middle_family, n, kind, s)
-                         for kind, s in right_classes)
-
-    counts_left = family_degree_counts(p, n, "en-1", window)
-    counts_middle = family_degree_counts(p, n, middle_family, window)
-    counts_right = family_degree_counts(p, right_n, right_family, window)
-    table = []
-    additive = True
-    for d in range(window[0], window[1] + 1):
-        a = counts_left.get(d, 0)
-        b = counts_middle.get(d, 0)
-        c = counts_right.get(d, 0)
-        if a or b or c:
-            table.append((d, a, b, c))
-        if b != a + c:
-            additive = False
+    # a degree holds at most one class of a family: every dimension is 0 or 1
+    in_a, in_b, in_c = (set(_class_degrees(p, iv, window)) for iv in (left, middle, right))
+    table = [(d, 1 if d in in_a else 0, 1 if d in in_b else 0, 1 if d in in_c else 0)
+             for d in sorted(in_a | in_b | in_c)]
+    additive = all(b == a + c for _, a, b, c in table)
     return SesReport(p, n, which, window, tuple(table),
                      injective, kernel_ok, surjective, additive)
-
-
-def _low_range_classes(p: int, n: int, family: str) -> list:
-    """The finitely many s <= -1 classes of a family (2s >= -n bounds s below)."""
-    out = []
-    for s in range(-(n // 2 + 2), 0):
-        for kind in ("Q", "bQ"):
-            if _admissible(p, family, n, kind, s):
-                out.append(DLClass(kind, s, p))
-    return out
 
 
 @dataclass(frozen=True)
@@ -343,20 +319,16 @@ def pushout_rank_check(p: int, n: int, window: tuple | None = None) -> PushoutRe
         raise ValueError("n must be >= 1")
     if window is None:
         window = default_window(p, n)
-    if p == 2:
-        ker1 = [d for d in p2_stunted_model(n, "en+1").cells(window) if d <= -2]
-        ker2 = [d for d in p2_stunted_model(n, "einf").cells(window) if d <= -2]
-    else:
-        wide = (min(window[0], -(n + 2) * 2 * (p - 1)), window[1])
-        ker1 = sorted(c.degree for c in dl_basis(p, n, "en+1", wide).classes if c.s <= -1)
-        ker2 = sorted(c.degree for c in dl_basis(p, n, "einf", wide).classes if c.s <= -1)
-    corners = [family_degree_counts(p, n, "en+1", window),
-               family_degree_counts(p, n, "einf", window),
-               family_degree_counts(p, 1, "e2", window),
-               family_degree_counts(p, 1, "einf", window)]
-    euler_zero = all(
-        corners[0].get(d, 0) - corners[1].get(d, 0) - corners[2].get(d, 0) + corners[3].get(d, 0) == 0
-        for d in range(window[0], window[1] + 1))
+    _validate(p, n, "en+1", window)
+    truncated, wide = _s_intervals("en+1", n), _s_intervals("einf", n)
+    corners = [_class_degrees(p, iv, window) for iv in
+               (truncated, wide, _s_intervals("e2", 1), _s_intervals("einf", 1))]
+    # the alternating sum of the corners vanishes in every degree exactly when
+    # the two diagonals of the square have the same degree multiset
+    euler_zero = sorted(corners[0] + corners[3]) == sorted(corners[1] + corners[2])
+    low = (min(window[0], -(n + 2) * 2 * (p - 1)), window[1])  # all of the low range
+    ker1 = _class_degrees(p, _low_range(truncated), low)
+    ker2 = _class_degrees(p, _low_range(wide), low)
     return PushoutReport(p, n, window, tuple(ker1), tuple(ker2),
                          euler_zero, tuple(ker1) == tuple(ker2))
 
@@ -398,17 +370,15 @@ def moore_identification(p: int) -> MooreReport:
     h_int = homology(cx, "Z")
     mod_p_degrees = tuple(h_mod_p.degrees())
 
+    b = full_finite_basis(p, 1, "e2")
+    basis = tuple((c.label(), c.degree) for c in b.classes)
+    ok = {(c.kind, c.s) for c in b.classes} == {("Q", 0), ("bQ", 0)}
     if p == 2:
-        model = p2_stunted_model(1, "e2")
-        basis = tuple((f"cell_{d}", d) for d in model.cells((-1, 0)))
-        sq1 = binom_mod2(-1, 1)  # Sq^1 links the two cells
+        sq1 = binom_mod2(-1, 1)  # the Bockstein is Sq^1, which links the two cells
         pairs = ((basis[0][0], basis[1][0]),) if sq1 == 1 else ()
-        ok = [model.bottom, model.top] == [-1, 0] and sq1 == 1
+        ok = ok and sq1 == 1
     else:
-        b = full_finite_basis(p, 1, "e2")
-        basis = tuple((c.label(), c.degree) for c in b.classes)
         pairs = (("Q^0", "bQ^0"),)
-        ok = {(c.kind, c.s) for c in b.classes} == {("Q", 0), ("bQ", 0)}
 
     top_map = tuple((lab, "1" if deg == 0 else "0") for lab, deg in basis)
     ok = ok and mod_p_degrees == (-1, 0)
@@ -437,41 +407,21 @@ class TransferReport:
 def transfer_cofiber_check(p: int, window: tuple) -> TransferReport:
     """The widest family on the (-1)-sphere and on the 0-sphere differ by one
     class in degree -1, the cofiber datum of the transfer sequence."""
-    if p == 2:
-        mid = {d: [f"cell_{d}"] for d in p2_stunted_model(1, "einf").cells(window)}
-        right = {d: [f"cell_{d}"] for d in p2_stunted_model(0, "einf").cells(window)}
-    else:
-        mid_basis = dl_basis(p, 1, "einf", window)
-        right_basis = dl_basis(p, 0, "einf", window)
-        mid, right = {}, {}
-        for c in mid_basis.classes:
-            mid.setdefault(c.degree, []).append(c.label())
-        for c in right_basis.classes:
-            right.setdefault(c.degree, []).append(c.label())
-    diff = []
-    degreewise_ok = True
-    for d in range(window[0], window[1] + 1):
-        m = mid.get(d, [])
-        r = right.get(d, [])
-        extra = [lab for lab in m if lab not in r]
-        missing = [lab for lab in r if lab not in m]
-        if missing:
-            degreewise_ok = False
-        diff.extend((lab, d) for lab in extra)
-        if len(m) != len(r) + (1 if d == -1 else 0):
-            degreewise_ok = False
+    mid = family_degree_counts(p, 1, "einf", window).keys()
+    right = family_degree_counts(p, 0, "einf", window).keys()
+    extra = sorted(mid - right)
+    diff = [(DLClass.of_degree(p, d).label(), d) for d in extra]
+    # one class per degree, so the labels agree wherever both families have one
+    degreewise_ok = right <= mid and extra == ([-1] if window[0] <= -1 <= window[1] else [])
     return TransferReport(p, window, tuple(diff), degreewise_ok)
 
 
 def bockstein_pairing_consistent(p: int, n: int, family: str) -> bool:
     """bQ^s is admissible exactly when the strict inequality 2s > -n holds
-    alongside Q^s's weak one (computed per family)."""
-    if p == 2:
-        return True  # cells carry the pairing through Sq^1 instead
-    span = 2 * (p - 1)
+    alongside Q^s's weak one (computed per family; the same at every p)."""
     for s in range(-(n + 3), 4):
-        q_ok = _admissible(p, family, n, "Q", s)
-        b_ok = _admissible(p, family, n, "bQ", s)
+        q_ok = _admissible(family, n, "Q", s)
+        b_ok = _admissible(family, n, "bQ", s)
         if family == "e1":
             if b_ok:
                 return False
@@ -484,10 +434,3 @@ def bockstein_pairing_consistent(p: int, n: int, family: str) -> bool:
         if b_ok and not q_ok:
             return False
     return True
-
-
-def p2_cell_class_agreement(n: int, family: str, window: tuple) -> bool:
-    """Two encodings, one answer: stunted cells vs degree-s classes at p = 2."""
-    model = _p2_model_or_empty(n, family)
-    cells = [] if model is None else model.cells(window)
-    return cells == p2_class_degrees(n, family, window)

@@ -179,6 +179,36 @@ class BigradedGroup:
         return BigradedGroup.create(out)
 
 
+def _homology_by_internal_degree(ring: str, smax: int, degrees: dict,
+                                 columns: dict) -> BigradedGroup:
+    """HH_(s, t) for s <= smax of a complex that preserves internal degree.
+
+    degrees[s][i] is the internal degree of basis element i of C_s, for
+    s = 0 .. smax + 1; columns[s][j] maps row -> coefficient of the
+    differential C_s -> C_(s-1) on basis element j.  Each internal degree t
+    is a separate chain complex.
+    """
+    result = {}
+    for t in sorted({t for s in range(smax + 1) for t in degrees[s]}):
+        idx = {s: [i for i, d in enumerate(degrees[s]) if d == t] for s in range(smax + 2)}
+        ranks = {s: len(basis) for s, basis in idx.items() if basis}
+        mats = {}
+        for s in range(1, smax + 2):
+            if not idx[s] or not idx[s - 1]:
+                continue
+            rowpos = {r: a for a, r in enumerate(idx[s - 1])}
+            rows = [[0] * len(idx[s]) for _ in idx[s - 1]]
+            for b, col in enumerate(idx[s]):
+                for r, c in columns[s][col].items():
+                    rows[rowpos[r]][b] = c
+            mats[s] = rows
+        h = homology(ChainComplex.create(ranks, mats), ring)
+        for s, free, torsion in h.components:
+            if s <= smax:
+                result[(s, t)] = (free, torsion)
+    return BigradedGroup.create(result)
+
+
 # ---------------------------------------------------------------------------
 # path one: the normalized bar complex
 
@@ -203,52 +233,30 @@ def bar_hochschild(algebra: GradedUnitalAlgebra, smax: int,
                for s in bases}
 
     def differential(s):
-        """Matrix of b: C_s -> C_{s-1} as a dict (row, col) -> coeff."""
+        """The columns of b: C_s -> C_{s-1}, each a dict row -> coeff."""
         rows = {w: r for r, w in enumerate(bases[s - 1])}
-        entries: dict[tuple, object] = {}
-        for col, word in enumerate(bases[s]):
+        columns = []
+        for word in bases[s]:
+            entries: dict[int, object] = {}
             degs = [algebra.degrees[i] for i in word]
             for i in range(s):
                 sign = -1 if i % 2 else 1
                 for k, c in algebra.mult[word[i]][word[i + 1]]:
                     if i > 0 and k == algebra.unit:
                         continue  # normalized: inner units vanish
-                    new = word[:i] + (k,) + word[i + 2:]
-                    r = rows[new]
-                    entries[(r, col)] = entries.get((r, col), 0) + sign * c
+                    r = rows[word[:i] + (k,) + word[i + 2:]]
+                    entries[r] = entries.get(r, 0) + sign * c
             # cyclic face: move the last letter to the front
             koszul = -1 if (degs[-1] * sum(degs[:-1])) % 2 else 1
             sign = (-1 if s % 2 else 1) * koszul
             for k, c in algebra.mult[word[-1]][word[0]]:
-                new = (k,) + word[1:-1]
-                r = rows[new]
-                entries[(r, col)] = entries.get((r, col), 0) + sign * c
-        return entries
+                r = rows[(k,) + word[1:-1]]
+                entries[r] = entries.get(r, 0) + sign * c
+            columns.append(entries)
+        return columns
 
-    diffs = {s: differential(s) for s in range(1, smax + 2)}
-
-    all_t = sorted({t for s in range(smax + 1) for t in degrees[s]})
-    result = {}
-    for t in all_t:
-        idx = {s: [i for i, d in enumerate(degrees[s]) if d == t]
-               for s in range(smax + 2)}
-        ranks = {s: len(idx[s]) for s in range(smax + 2) if idx[s]}
-        mats = {}
-        for s in range(1, smax + 2):
-            if not idx[s] or not idx.get(s - 1):
-                continue
-            rowpos = {r: a for a, r in enumerate(idx[s - 1])}
-            colpos = {c: b for b, c in enumerate(idx[s])}
-            rows = [[0] * len(idx[s]) for _ in idx[s - 1]]
-            for (r, c), val in diffs[s].items():
-                if r in rowpos and c in colpos:
-                    rows[rowpos[r]][colpos[c]] = val
-            mats[s] = rows
-        h = homology(ChainComplex.create(ranks, mats), algebra.ring)
-        for s, free, torsion in h.components:
-            if s <= smax:
-                result[(s, t)] = (free, torsion)
-    return BigradedGroup.create(result)
+    columns = {s: differential(s) for s in range(1, smax + 2)}
+    return _homology_by_internal_degree(algebra.ring, smax, degrees, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -267,29 +275,17 @@ def small_resolution_hh(ring: str, n: int, smax: int) -> BigradedGroup:
     y = {1 * dim + 0: 1}  # x (x) 1
     z = {0 * dim + 1: 1}  # 1 (x) x
 
-    def env_mul(a: dict, b: dict) -> dict:
-        return env.multiply(a, b)
-
-    def sub(a: dict, b: dict) -> dict:
-        out = dict(a)
-        for k, c in b.items():
-            out[k] = out.get(k, 0) - c
-        return env._normalize(out)
-
-    def add(a: dict, b: dict) -> dict:
-        out = dict(a)
-        for k, c in b.items():
-            out[k] = out.get(k, 0) + c
-        return env._normalize(out)
-
     def w_elem(s: int) -> dict:
-        if n % 2 == 1:
-            return sub(y, z)
-        return sub(y, z) if s % 2 == 1 else add(y, z)
+        """y - z at every step for odd n; y - z and y + z alternately for even n."""
+        sign = -1 if n % 2 == 1 or s % 2 == 1 else 1
+        out = dict(y)
+        for k, c in z.items():
+            out[k] = out.get(k, 0) + sign * c
+        return env._normalize(out)
 
     # consecutive differentials must compose to zero in the tensor square
     for s in range(1, smax + 3):
-        if env_mul(w_elem(s + 1), w_elem(s)):
+        if env.multiply(w_elem(s + 1), w_elem(s)):
             raise AssertionError("periodic resolution elements do not compose to zero")
 
     def action_matrix(w: dict):
@@ -319,28 +315,9 @@ def small_resolution_hh(ring: str, n: int, smax: int) -> BigradedGroup:
         if any(comp_cols):
             raise AssertionError("tensored-down differentials do not square to zero")
 
-    result = {}
-    all_t = sorted({algebra.degrees[i] - n * s
-                    for s in range(smax + 2) for i in range(dim)})
-    for t in all_t:
-        idx = {s: [i for i in range(dim) if algebra.degrees[i] - n * s == t]
-               for s in range(smax + 2)}
-        ranks = {s: len(idx[s]) for s in range(smax + 2) if idx[s]}
-        mats = {}
-        for s in range(1, smax + 2):
-            if not idx[s] or not idx.get(s - 1):
-                continue
-            rows = [[0] * len(idx[s]) for _ in idx[s - 1]]
-            for b, a_idx in enumerate(idx[s]):
-                for k, c in mats_by_s[s][a_idx].items():
-                    if k in idx[s - 1]:
-                        rows[idx[s - 1].index(k)][b] = c
-            mats[s] = rows
-        h = homology(ChainComplex.create(ranks, mats), ring)
-        for s, free, torsion in h.components:
-            if s <= smax:
-                result[(s, t)] = (free, torsion)
-    return BigradedGroup.create(result)
+    # the generator in homological degree s sits in internal degree -n*s
+    degrees = {s: [d - n * s for d in algebra.degrees] for s in range(smax + 2)}
+    return _homology_by_internal_degree(ring, smax, degrees, mats_by_s)
 
 
 # ---------------------------------------------------------------------------

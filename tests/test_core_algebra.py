@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entriv import core_algebra
-from entriv.cli import parse, run
 from entriv.core_algebra import (ChainComplex, GradedAbelianGroup, IntMatrix,
                                  formality_splitting, homology, invariant_factors,
                                  is_prime, random_chain_complex, random_unimodular,
@@ -215,6 +214,13 @@ class TestHomology:
     def test_empty_complex(self):
         assert homology(ChainComplex.create({}, {}), "Z") == GradedAbelianGroup.zero()
 
+    def test_unimodular_inverse(self):
+        rng = CounterRng(9)
+        for n in range(1, 7):
+            for _ in range(20):
+                u, inv = random_unimodular(n, rng, 8, 2)
+                assert u.mul(inv) == IntMatrix.identity(n) == inv.mul(u)
+
     def test_basis_change_invariance(self):
         rng = CounterRng(5)
         for _ in range(25):
@@ -222,9 +228,7 @@ class TestHomology:
             h = homology(cx, "Z")
             us, invs = {}, {}
             for d in cx.degrees():
-                u = random_unimodular(cx.rank(d), rng, 4, 1)
-                s = smith_normal_form(u)
-                us[d], invs[d] = u, s.right.mul(s.left)
+                us[d], invs[d] = random_unimodular(cx.rank(d), rng, 4, 1)
             diffs = {d: us[d - 1].mul(m).mul(invs[d]) for d, m in cx.differentials}
             assert homology(ChainComplex.create(dict(cx.ranks), diffs), "Z") == h
 
@@ -332,46 +336,6 @@ class TestSerialization:
         g = GradedAbelianGroup.create({0: (1, ()), 1: (0, (2,))})
         assert g.to_json() == {"0": {"free": 1, "torsion": []},
                                "1": {"free": 0, "torsion": [2]}}
-
-
-class TestSnfCache:
-    def test_cache_round_trip(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ENTRIV_CACHE_DIR", str(tmp_path))
-        m = IntMatrix.from_rows([[6, 4], [2, 8]])
-        first = smith_normal_form(m)
-        assert list(tmp_path.glob("snf_*.json"))
-        second = smith_normal_form(m)
-        assert first == second and second.verify(m)
-
-    def test_unreadable_entries_are_misses(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ENTRIV_CACHE_DIR", str(tmp_path))
-        m = IntMatrix.from_rows([[6, 4], [2, 8]])
-        want = smith_normal_form(m)
-        (entry,) = tmp_path.glob("snf_*.json")
-        for junk in ("", '{"diagonal": [2, 1', '{"diagonal": [1]}', "[1, 2]",
-                     '{"diagonal": [2, 10], "left": [[1]], "right": [[1]]}'):
-            entry.write_text(junk)
-            assert smith_normal_form(m) == want
-            assert json.loads(entry.read_text())["diagonal"] == list(want.diagonal)
-        assert [p.name for p in tmp_path.iterdir()] == [entry.name]
-
-    def test_unwritable_cache_is_skipped(self, tmp_path, monkeypatch):
-        not_a_dir = tmp_path / "file"
-        not_a_dir.write_text("")
-        monkeypatch.setenv("ENTRIV_CACHE_DIR", str(not_a_dir))
-        assert smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]])).diagonal == (2, 4)
-
-    def test_truncated_entry_keeps_ku_ses_passing(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ENTRIV_CACHE_DIR", str(tmp_path))
-        argv = ["ku-ses", "--prime", "3", "--n", "4"]
-        first = run(parse(argv))
-        assert first.passed
-        entries = list(tmp_path.glob("snf_*.json"))
-        assert entries
-        for entry in entries:
-            entry.write_text(entry.read_text()[:20])
-        again = run(parse(argv))
-        assert again.passed and again.render("json") == first.render("json")
 
 
 class TestIsPrime:

@@ -4,8 +4,7 @@ from entriv.core_algebra import homology
 from entriv.extended_powers import (DLClass, bockstein_pairing_consistent, dl_basis,
                                     family_degree_counts, full_finite_basis,
                                     moore_complex, moore_identification,
-                                    p2_cell_class_agreement, p2_class_degrees,
-                                    p2_stunted_model, pushout_rank_check,
+                                    p2_cell_class_agreement, p2_stunted_model, pushout_rank_check,
                                     transfer_cofiber_check, verify_ses)
 
 
@@ -34,16 +33,38 @@ class TestDLBasis:
         basis = full_finite_basis(7, 1, "e1")
         assert [(c.kind, c.s, c.degree) for c in basis.classes] == [("Q", 0, 0)]
 
-    def test_rejects_two(self):
-        with pytest.raises(ValueError):
-            dl_basis(2, 3, "einf", (-5, 5))
+    def test_rejects_composite_prime(self):
+        for q in (1, 4, 9):
+            with pytest.raises(ValueError):
+                dl_basis(q, 3, "einf", (-5, 5))
 
     def test_rejects_unknown_family(self):
         with pytest.raises(ValueError):
             dl_basis(3, 2, "e17", (-5, 5))
 
+    @pytest.mark.parametrize("p", (2, 3, 5, 7))
+    def test_counts_match_the_admissibility_inequalities(self, p):
+        """The interval counts against the raw inequalities, class by class."""
+        span = 2 * (p - 1)
+        for n in range(1, 9):
+            for family in ("einf", "en+1", "en-1", "e2", "e1"):
+                for window in ((-40, 40), (-3, 1), (0, 5), (-50, -20), (7, 7)):
+                    want = {}
+                    for s in range(-60, 60):
+                        for kind, degree in (("Q", span * s), ("bQ", span * s - 1)):
+                            m = 1 if family == "e2" else n
+                            ok = 2 * s >= -m if kind == "Q" else 2 * s > -m
+                            ok = ok and {"einf": True, "en+1": s <= 0, "en-1": s <= -1,
+                                         "e2": s <= 0, "e1": kind == "Q" and s == 0}[family]
+                            if ok and window[0] <= degree <= window[1]:
+                                want[degree] = want.get(degree, 0) + 1
+                    assert family_degree_counts(p, n, family, window) == want
+                    basis = dl_basis(p, n, family, window)
+                    assert basis.degrees() == want
+                    assert [c.degree for c in basis.classes] == sorted(want)
+
     def test_degree_formula(self):
-        for p in (3, 5):
+        for p in (2, 3, 5):
             for s in range(-3, 4):
                 assert DLClass("Q", s, p).degree == 2 * s * (p - 1)
                 assert DLClass("bQ", s, p).degree == 2 * s * (p - 1) - 1
@@ -69,7 +90,13 @@ class TestP2Models:
                 assert p2_cell_class_agreement(n, family, (-12, 12))
             if n >= 2:
                 assert p2_cell_class_agreement(n, "en-1", (-12, 12))
-        assert p2_class_degrees(4, "en-1", (-12, 12)) == [-4, -3, -2]
+        assert [c.degree for c in dl_basis(2, 4, "en-1", (-12, 12)).classes] == [-4, -3, -2]
+
+    def test_classes_are_labelled_by_cell(self):
+        basis = dl_basis(2, 3, "einf", (-5, 2))
+        assert [(c.kind, c.s, c.label()) for c in basis.classes] == [
+            ("bQ", -1, "cell_-3"), ("Q", -1, "cell_-2"), ("bQ", 0, "cell_-1"),
+            ("Q", 0, "cell_0"), ("bQ", 1, "cell_1"), ("Q", 1, "cell_2")]
 
 
 class TestSes:
@@ -115,6 +142,12 @@ class TestPushout:
         assert report.passed
         assert report.kernel_truncated == (-4, -3, -2)
 
+    @pytest.mark.parametrize("p", (2, 3))
+    def test_window_cutting_the_low_range_keeps_the_whole_kernel(self, p):
+        report = pushout_rank_check(p, 4, (-1, 1))
+        assert report.passed
+        assert report.kernel_truncated == pushout_rank_check(p, 4).kernel_truncated
+
     def test_n1_kernels_empty(self):
         for p in (2, 3, 5):
             report = pushout_rank_check(p, 1)
@@ -147,7 +180,7 @@ class TestMooreAndTransfer:
 
 class TestInvariants:
     def test_bockstein_pairing(self):
-        for p in (3, 5, 7):
+        for p in (2, 3, 5, 7):
             for n in range(1, 9):
                 for family in ("einf", "en+1", "en-1", "e2", "e1"):
                     assert bockstein_pairing_consistent(p, n, family)
