@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from . import euler_section, extended_powers, hochschild, steenrod_cochains, stunted_ktheory, sym_seq
-from .core_algebra import ChainComplex, formality_splitting, homology, is_prime
+from .core_algebra import ChainComplex, formality_splitting, homology, is_prime, product_is_zero
 
 
 class UsageError(Exception):
@@ -233,6 +233,8 @@ def _validate(verb: str, params: dict):
         if hi - lo > MAX_WINDOW_WIDTH:
             raise UsageError(f"the default window of {verb} at --prime {prime} is wider "
                              f"than the cap of {MAX_WINDOW_WIDTH}; pass --window")
+    if verb == "transfer" and not params["window"][0] <= -1 <= params["window"][1]:
+        raise UsageError("the transfer claim is about degree -1; --window must contain it")
     if verb == "extpow" and params["n"] < 0:
         raise UsageError("extpow requires --n >= 0")
     if verb == "witness" and params["n"] < 1:
@@ -333,7 +335,8 @@ def _run_stunted(p):
     a, b = p["cells"]
     if p["mode"] == "sq":
         mat = stunted_ktheory.stunted_sq(a, b, p["k"])
-        ok = _square_is_zero(stunted_ktheory.stunted_sq(a, b, 1))
+        sq1 = stunted_ktheory.stunted_sq(a, b, 1)
+        ok = product_is_zero(sq1, sq1)
         return ok, {"k": p["k"], "matrix": mat.to_lists()}, \
             "squares computed by the mod-2 binomial rule (Sq^1 Sq^1 = 0 spot check)"
     h = stunted_ktheory.stunted_integral_homology(a, b)
@@ -341,19 +344,6 @@ def _run_stunted(p):
     ok = all(mod2.component(d) == (1, ()) for d in range(a, b + 1))
     return ok, {"integral": h.to_json(), "mod2": mod2.to_json()}, \
         "integral homology of the alternating cell complex; mod-2 sees every cell"
-
-
-def _square_is_zero(mat) -> bool:
-    """mat * mat == 0 over Z, multiplying only the nonzero entries of each row."""
-    nonzero = [[(j, v) for j, v in enumerate(row) if v] for row in mat.entries]
-    for row in nonzero:
-        product: dict = {}
-        for k, v in row:
-            for j, w in nonzero[k]:
-                product[j] = product.get(j, 0) + v * w
-        if any(product.values()):
-            return False
-    return True
 
 
 def _run_steenrod(p):

@@ -12,9 +12,7 @@ overflows any fixed width already on small random matrices.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import cached_property
 
 Ring = str  # "Z", "Q" or "F<p>" for a prime p
 
@@ -111,29 +109,30 @@ class IntMatrix:
         """Fraction-free (Bareiss) determinant; square matrices only."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        rank, sign, last_pivot = _bareiss(self)
+        return sign * last_pivot if rank == self.rows else 0
 
     def to_lists(self):
         return [list(row) for row in self.entries]
+
+
+def product_is_zero(a: IntMatrix, b: IntMatrix) -> bool:
+    """a * b == 0 over Z, row by row, multiplying only nonzero entries and
+    stopping at the first nonzero row of the product."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch in product")
+    b_rows = [[(j, w) for j, w in enumerate(row) if w] for row in b.entries]
+    # a square (a is b) reuses the nonzero entries already read off b
+    a_rows = b_rows if a is b else ([(k, v) for k, v in enumerate(row) if v]
+                                    for row in a.entries)
+    for row in a_rows:
+        product: dict = {}
+        for k, v in row:
+            for j, w in b_rows[k]:
+                product[j] = product.get(j, 0) + v * w
+        if any(product.values()):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -264,25 +263,43 @@ def rank_z(m: IntMatrix) -> int:
 
 
 def rank_q(m: IntMatrix) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination: every division by
-    the previous pivot is exact, so entries stay minors of m."""
+    """Rank over Q by fraction-free (Bareiss) elimination."""
+    return _bareiss(m)[0]
+
+
+def _bareiss(m: IntMatrix) -> tuple:
+    """(rank, sign of the row swaps, last pivot) of fraction-free elimination.
+
+    Each column's pivot is its first nonzero entry at or below the current
+    row.  Every division by the previous pivot is exact, so entries stay
+    minors of m; on a square matrix of full rank the last pivot is
+    sign * det(m).  Only the entries right of the pivot column are updated:
+    no later step reads the others.
+    """
     a = [list(row) for row in m.entries]
-    rank, prev = 0, 1
-    for col in range(m.cols):
-        pivot_row = next((i for i in range(rank, m.rows) if a[i][col]), None)
-        if pivot_row is None:
+    nrows, ncols = m.rows, m.cols
+    rank, sign, prev = 0, 1, 1
+    for col in range(ncols):
+        for pivot_row in range(rank, nrows):
+            if a[pivot_row][col]:
+                break
+        else:
             continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
+        if pivot_row != rank:
+            a[rank], a[pivot_row] = a[pivot_row], a[rank]
+            sign = -sign
         top = a[rank]
         pivot = top[col]
-        for i in range(rank + 1, m.rows):
-            f = a[i][col]
-            a[i] = [(x * pivot - f * y) // prev for x, y in zip(a[i], top)]
+        for i in range(rank + 1, nrows):
+            row = a[i]
+            f = row[col]
+            for j in range(col + 1, ncols):
+                row[j] = (row[j] * pivot - f * top[j]) // prev
         prev = pivot
         rank += 1
-        if rank == m.rows:
+        if rank == nrows:
             break
-    return rank
+    return rank, sign, prev
 
 
 def rank_mod_p(m: IntMatrix, p: int) -> int:
@@ -392,24 +409,9 @@ class ChainComplex:
             diffs[n] = mat
         for n, mat in diffs.items():
             nxt = diffs.get(n + 1)
-            if nxt is not None and not _product_is_zero(mat, nxt):
+            if nxt is not None and not product_is_zero(mat, nxt):
                 raise ValueError(f"d_{n} o d_{n + 1} is nonzero")
         return ChainComplex(tuple(sorted(ranks.items())), tuple(sorted(diffs.items())))
-
-    @cached_property
-    def _rank_at(self) -> dict:
-        return dict(self.ranks)
-
-    @cached_property
-    def _differential_at(self) -> dict:
-        return dict(self.differentials)
-
-    def rank(self, n: int) -> int:
-        return self._rank_at.get(n, 0)
-
-    def differential(self, n: int) -> IntMatrix:
-        mat = self._differential_at.get(n)
-        return mat if mat is not None else IntMatrix.zero(self.rank(n - 1), self.rank(n))
 
     def degrees(self):
         return [deg for deg, _ in self.ranks]
@@ -421,13 +423,6 @@ class ChainComplex:
     @staticmethod
     def from_json(data: dict) -> "ChainComplex":
         return ChainComplex.create(data["ranks"], data.get("differentials", {}))
-
-
-def _product_is_zero(a: IntMatrix, b: IntMatrix) -> bool:
-    """a * b == 0, row by column, stopping at the first nonzero entry."""
-    cols = [col for col in zip(*b.entries) if any(col)]
-    return not any(sum(map(operator.mul, row, col))
-                   for row in a.entries if any(row) for col in cols)
 
 
 def homology(c: ChainComplex, coefficients: Ring = "Z") -> GradedAbelianGroup:

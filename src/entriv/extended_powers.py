@@ -173,8 +173,9 @@ class StuntedModel:
     top: int | None  # None encodes an infinite top
 
     def __post_init__(self):
-        if self.top is not None and self.bottom > self.top:
-            raise ValueError("empty stunted range")
+        # top = bottom - 1 is the empty range, as for en-1 at n = 1
+        if self.top is not None and self.top < self.bottom - 1:
+            raise ValueError("inverted stunted range")
 
     def cells(self, window: tuple) -> list:
         lo, hi = window
@@ -191,8 +192,6 @@ def p2_stunted_model(n: int, family: str) -> StuntedModel:
     if family == "en-1":
         if n < 1:
             raise ValueError("n must be >= 1")
-        if n == 1:
-            raise ValueError("the en-1 family is empty at n = 1 (no stunted model)")
         return StuntedModel(-n, -2)
     if family == "en+1":
         if n < 1:

@@ -32,23 +32,6 @@ def adjacent(n: int, i: int) -> tuple:
     return tuple(p)
 
 
-def sign(p: tuple) -> int:
-    seen = [False] * len(p)
-    s = 1
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            s = -s
-    return s
-
-
 def cycle_type(p: tuple) -> tuple:
     seen = [False] * len(p)
     lengths = []

@@ -306,38 +306,30 @@ def _cup_i_value(sset: SimplicialSet, name: str, x: Cochain, y: Cochain,
 # mod-2 cohomology and Steenrod squares
 
 
-def _gf2_echelon(vectors, basis_names):
-    """Reduced row echelon form over F_2 (rows as support sets); returns a
-    dict pivot-name -> row in which no row contains another row's pivot."""
-    pivots: dict[str, set] = {}
-    order = {name: k for k, name in enumerate(basis_names)}
-    for vec in vectors:
-        row = set(vec)
+def _gf2_echelon(rows, order: dict) -> tuple:
+    """Forward elimination over F_2 of (support set, tag set) pairs.
+
+    Each row in turn is cleared at its least element (by `order`) with the
+    pivot row kept there, until it is empty or its least element is new; the
+    tag set takes the same additions, so it names the input rows the result
+    sums.  Returns (pivots, kernel): least element -> (row, tag) for the rows
+    kept, and the tags of the rows that reduced to zero, in input order.
+    """
+    pivots: dict = {}
+    kernel = []
+    for vec, tag in rows:
+        row, tag = set(vec), set(tag)
         while row:
-            lead = min(row, key=lambda nm: order[nm])
-            if lead in pivots:
-                row ^= pivots[lead]
-            else:
-                pivots[lead] = row
+            lead = min(row, key=order.__getitem__)
+            if lead not in pivots:
+                pivots[lead] = (row, tag)
                 break
-    for lead in sorted(pivots, key=lambda nm: order[nm], reverse=True):
-        for other, row in pivots.items():
-            if other != lead and lead in row:
-                pivots[other] = row ^ pivots[lead]
-    return pivots
-
-
-def _reduce(row: set, pivots: dict, order: dict) -> set:
-    row = set(row)
-    changed = True
-    while changed:
-        changed = False
-        for lead in sorted(row, key=lambda nm: order[nm]):
-            if lead in pivots:
-                row ^= pivots[lead]
-                changed = True
-                break
-    return row
+            pivot_row, pivot_tag = pivots[lead]
+            row ^= pivot_row
+            tag ^= pivot_tag
+        else:
+            kernel.append(tag)
+    return pivots, kernel
 
 
 @dataclass(frozen=True)
@@ -353,13 +345,17 @@ def cohomology_class(sset: SimplicialSet, x: Cochain) -> CohomologyClass:
     """Reduce a cocycle modulo coboundaries to a canonical representative."""
     if not coboundary(sset, x).is_zero():
         raise ValueError("not a cocycle")
-    below = sset.names(x.degree - 1)
-    basis = sset.names(x.degree)
-    order = {name: k for k, name in enumerate(basis)}
-    cobs = [coboundary(sset, Cochain.create(x.degree - 1, [nm])).support for nm in below]
-    pivots = _gf2_echelon([c for c in cobs if c], basis)
-    reduced = _reduce(set(x.support), pivots, order)
-    return CohomologyClass(x.degree, tuple(sorted(reduced, key=lambda nm: order[nm])))
+    order = {name: k for k, name in enumerate(sset.names(x.degree))}
+    pivots, _ = _gf2_echelon(
+        ((coboundary(sset, Cochain.create(x.degree - 1, [nm])).support, ())
+         for nm in sset.names(x.degree - 1)), order)
+    # a pivot row holds only elements after its lead, so one pass in ascending
+    # lead order leaves the unique representative that meets no lead
+    row = set(x.support)
+    for lead in sorted(pivots, key=order.__getitem__):
+        if lead in row:
+            row ^= pivots[lead][0]
+    return CohomologyClass(x.degree, tuple(sorted(row, key=order.__getitem__)))
 
 
 def h_dim(sset: SimplicialSet, degree: int) -> int:
@@ -370,26 +366,11 @@ def h_dim(sset: SimplicialSet, degree: int) -> int:
 def cocycle_basis(sset: SimplicialSet, degree: int) -> list:
     """A basis of ker(delta) in degree d, as Cochains (kernel of the
     coboundary matrix over F_2)."""
-    basis = list(sset.names(degree))
-    images = [coboundary(sset, Cochain.create(degree, [nm])).support for nm in basis]
     above = {nm: k for k, nm in enumerate(sset.names(degree + 1))}
-    pivots: dict[int, tuple] = {}  # pivot row -> (image set, combination)
-    kernel = []
-    for col, nm in enumerate(basis):
-        img = set(images[col])
-        combo = {nm}
-        while img:
-            lead = min(above[x] for x in img)
-            if lead in pivots:
-                pimg, pcombo = pivots[lead]
-                img ^= pimg
-                combo ^= pcombo
-            else:
-                pivots[lead] = (img, combo)
-                break
-        else:
-            kernel.append(Cochain.create(degree, combo))
-    return kernel
+    _, kernel = _gf2_echelon(
+        ((coboundary(sset, Cochain.create(degree, [nm])).support, (nm,))
+         for nm in sset.names(degree)), above)
+    return [Cochain.create(degree, combo) for combo in kernel]
 
 
 def nontrivial_class_representative(sset: SimplicialSet, degree: int) -> Cochain | None:

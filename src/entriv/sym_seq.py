@@ -22,12 +22,11 @@ reused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from . import perms
-from .rep_theory import CharacterVector, SignedPermModule, character
+from .rep_theory import CharacterVector, SignedPermModule, character, trivial_multiplicity
 
 MAX_MATERIALIZED_ARITY = 6
 
@@ -200,15 +199,15 @@ def unit_seq(truncation: int = 1) -> SymSeq:
 # composition product
 
 
-def compose(a_seq: SymSeq, b_seq: SymSeq, truncation: int,
-            max_arity: int = MAX_MATERIALIZED_ARITY) -> SymSeq:
+def compose(a_seq: SymSeq, b_seq: SymSeq, truncation: int) -> SymSeq:
     """Composition product A o B up to the given arity truncation."""
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     if truncation > a_seq.truncation or truncation > b_seq.truncation:
         raise ValueError("truncation exceeds the inputs' stored arities")
-    if truncation > max_arity:
-        raise ValueError(f"arity {truncation} exceeds the materialization cap {max_arity}")
+    if truncation > MAX_MATERIALIZED_ARITY:
+        raise ValueError(f"arity {truncation} exceeds the materialization cap "
+                         f"{MAX_MATERIALIZED_ARITY}")
 
     a_labels, b_labels = _LabelActions(a_seq), _LabelActions(b_seq)
     signs: dict[tuple, int] = {}
@@ -421,20 +420,9 @@ def free_piece_rational(a_seq: SymSeq, generator_degree: int, arity: int) -> lis
     degree d: coinvariants multiplicities of A(n) twisted by the Koszul sign
     action on the n-th tensor power of a degree-d sphere class."""
     out = []
-    n = arity
-    for d_int in a_seq.degrees(n):
-        module = a_seq.module(n, d_int)
-        total = Fraction(0)
-        for part in perms.partitions(n):
-            rep = perms.class_representative(part)
-            chi = Fraction(module.trace(rep))
-            if generator_degree % 2 != 0:
-                chi *= perms.sign(rep)
-            total += perms.class_size(part) * chi
-        mult = total / factorial(n)
-        if mult.denominator != 1:
-            raise AssertionError("coinvariants multiplicity is not an integer")
-        out.append((d_int + n * generator_degree, int(mult)))
+    for d_int in a_seq.degrees(arity):
+        twisted = a_seq.module(arity, d_int).twist_by_sign(generator_degree)
+        out.append((d_int + arity * generator_degree, trivial_multiplicity(twisted)))
     return sorted(out)
 
 

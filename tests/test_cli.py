@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from entriv.cli import (MAX_CELL_RANGE, MAX_EULER_WORK, MAX_K, MAX_M, MAX_N, MAX_PRIME,
                         MAX_SAMPLES, MAX_SMAX, MAX_SPHERE, MAX_T, MAX_WINDOW_WIDTH, Command,
-                        UsageError, _square_is_zero, main, parse, run)
-from entriv.core_algebra import IntMatrix
+                        UsageError, main, parse, run)
+from entriv.core_algebra import IntMatrix, product_is_zero
 from entriv.extended_powers import FAMILIES
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -62,6 +62,13 @@ class TestParse:
         assert second.params["prime"] == 3
         assert parse(["transfer", "--prime", "3"]).params == {"prime": 3, "window": (-2, 40)}
 
+    @pytest.mark.parametrize("prime", (2, 3, 5, 7))
+    def test_transfer_window_must_contain_degree_minus_one(self, prime, capsys):
+        assert main(["transfer", "--prime", str(prime), "--window=0:5"]) == 2
+        assert "degree -1" in capsys.readouterr().err
+        assert main(["transfer", "--prime", str(prime), "--window=-1:-1"]) == 0
+        assert main(["transfer", "--prime", str(prime)]) == 0
+
     def test_large_prime_is_fast(self, capsys):
         start = time.perf_counter()
         assert main(["theta", "--n", "2", "--prime", "1000000007"]) == 0
@@ -102,7 +109,7 @@ class TestCaps:
         assert "cap" in capsys.readouterr().err
 
     def test_caps_admit_their_bounds(self):
-        parse(["transfer", "--prime", "3", f"--window=0:{MAX_WINDOW_WIDTH}"])
+        parse(["transfer", "--prime", "3", f"--window=-1:{MAX_WINDOW_WIDTH - 1}"])
         parse(["stunted", "homology", f"--range=-1:{MAX_CELL_RANGE - 1}"])
         parse(["theta", "--n", str(MAX_N), "--prime", "3"])
         parse(["hh", "--ring", "Z", "--n", "2", "--smax", str(MAX_SMAX)])
@@ -147,6 +154,16 @@ class TestRun:
         assert report.passed
         assert report.payload["degrees"]["-4"] == {"A": 1, "B": 1, "C": 0}
 
+    @pytest.mark.parametrize("prime", (2, 3, 5, 7))
+    def test_empty_low_family_at_n_one_passes(self, prime):
+        report = run(parse(["extpow", "--prime", str(prime), "--n", "1", "--family", "en-1"]))
+        assert report.passed
+        if prime == 2:
+            assert report.payload["model"] == "RP[-1..-2]"
+            assert report.payload["cells"] == report.payload["class_degrees"] == []
+        else:
+            assert report.payload["classes"] == []
+
     def test_witness_report(self):
         report = run(parse(["witness", "--prime", "2", "--n", "3"]))
         assert report.passed
@@ -185,18 +202,19 @@ class TestRun:
 
     def test_sq1_square_check_is_a_real_product(self):
         assert run(parse(["stunted", "sq", f"--range=0:{MAX_CELL_RANGE}", "--k", "2"])).passed
-        assert _square_is_zero(IntMatrix.from_rows([[0, 1], [0, 0]]))
-        assert not _square_is_zero(IntMatrix.from_rows([[0, 1], [1, 0]]))
-        assert not _square_is_zero(IntMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
-        # entries that cancel over Z, as the dense product would see them
-        assert _square_is_zero(IntMatrix.from_rows([[1, 1], [-1, -1]]))
+        for rows, zero in [([[0, 1], [0, 0]], True), ([[0, 1], [1, 0]], False),
+                           ([[0, 1, 0], [0, 0, 1], [0, 0, 0]], False),
+                           # entries that cancel over Z, as the dense product would see them
+                           ([[1, 1], [-1, -1]], True)]:
+            mat = IntMatrix.from_rows(rows)
+            assert product_is_zero(mat, mat) == zero
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=4, max_size=4),
                     min_size=4, max_size=4))
     def test_sparse_square_check_matches_the_dense_product(self, rows):
         mat = IntMatrix.from_rows(rows)
-        assert _square_is_zero(mat) == mat.mul(mat).is_zero()
+        assert product_is_zero(mat, mat) == mat.mul(mat).is_zero()
 
     def test_euler_config_names_the_coincident_pair(self, tmp_path):
         config = tmp_path / "c.json"
@@ -282,6 +300,18 @@ class TestBatch:
         assert bad["pass"] is False and bad["claim"] == "usage error"
         assert "not a prime" in bad["payload"]["error"]
         assert good["pass"] is True and good["payload"]["value"] == 3
+
+    def test_transfer_window_without_degree_minus_one_fails_alone(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([
+            {"argv": ["transfer", "--prime", "3", "--window=0:5"]},
+            {"argv": ["transfer", "--prime", "3", "--window=-1:-1"]}]))
+        assert main(["batch", "--manifest", str(manifest)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["payload"]["failed_indices"] == [0]
+        bad, good = out["payload"]["reports"]
+        assert bad["claim"] == "usage error" and "degree -1" in bad["payload"]["error"]
+        assert good["pass"] is True
 
     def test_entry_without_argv_is_a_usage_error(self, tmp_path):
         manifest = tmp_path / "m.json"

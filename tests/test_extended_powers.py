@@ -1,8 +1,8 @@
 import pytest
 
 from entriv.core_algebra import homology
-from entriv.extended_powers import (DLClass, bockstein_pairing_consistent, dl_basis,
-                                    family_degree_counts, full_finite_basis,
+from entriv.extended_powers import (DLClass, StuntedModel, bockstein_pairing_consistent,
+                                    dl_basis, family_degree_counts, full_finite_basis,
                                     moore_complex, moore_identification,
                                     p2_cell_class_agreement, p2_stunted_model, pushout_rank_check,
                                     transfer_cofiber_check, verify_ses)
@@ -81,15 +81,15 @@ class TestP2Models:
             p2_stunted_model(3, "e1x")
 
     def test_empty_low_family_at_one(self):
+        model = p2_stunted_model(1, "en-1")
+        assert model.label() == "RP[-1..-2]" and model.cells((-12, 12)) == []
         with pytest.raises(ValueError):
-            p2_stunted_model(1, "en-1")
+            StuntedModel(0, -2)
 
     def test_cell_class_agreement(self):
         for n in range(1, 9):
-            for family in ("einf", "en+1", "e2", "e1"):
+            for family in ("einf", "en+1", "en-1", "e2", "e1"):
                 assert p2_cell_class_agreement(n, family, (-12, 12))
-            if n >= 2:
-                assert p2_cell_class_agreement(n, "en-1", (-12, 12))
         assert [c.degree for c in dl_basis(2, 4, "en-1", (-12, 12)).classes] == [-4, -3, -2]
 
     def test_classes_are_labelled_by_cell(self):

@@ -4,8 +4,12 @@ from itertools import combinations
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from entriv.core_algebra import rank_mod_p
 from entriv.rng import CounterRng
-from entriv.steenrod_cochains import (Cochain, SimplicialSet, coboundary,
+from entriv.steenrod_cochains import (Cochain, SimplicialSet, coboundary, cocycle_basis,
                                       cohomology_class, cup_i, h_dim,
                                       nontrivial_class_representative, rp2_model,
                                       sphere_model, sq, triviality_witness,
@@ -161,6 +165,77 @@ class TestKernelGolden:
         model = _boundary_of_simplex(5)
         assert [len(model.names(k)) for k in range(5)] == [6, 15, 20, 15, 6]
         assert model.homology("F2").component(4) == (1, ())
+
+
+def _f2_digest(model, seed):
+    """sha256 of cocycle bases, class representatives of the basis and of
+    seeded cocycles, and every square of every basis cocycle."""
+    rng = CounterRng(seed)
+    rows = []
+    for d in range(model.top_dimension() + 1):
+        basis = cocycle_basis(model, d)
+        rows.append(["basis", d, [sorted(x.support) for x in basis]])
+        for x in basis:
+            rows.append(["class", d, list(cohomology_class(model, x).representative)])
+            for k in range(d + 1):
+                rows.append(["sq", d, k, list(sq(model, k, x).representative)])
+        for _ in range(4):
+            z = zero_cochain(d)
+            for x in basis:
+                if rng.below(2):
+                    z = z + x
+            if d:
+                z = z + coboundary(model, random_cochain(model, d - 1, rng))
+            rows.append(["seeded", d, list(cohomology_class(model, z).representative)])
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+_F2_MODELS = {"rp2": rp2_model, "d4": lambda: _boundary_of_simplex(4),
+              "d5": lambda: _boundary_of_simplex(5), "s1": lambda: sphere_model(1),
+              "s2": lambda: sphere_model(2), "s3": lambda: sphere_model(3)}
+
+
+class TestF2Golden:
+    """Pinned cocycle bases, class representatives and squares: the F_2
+    elimination fixes which cocycles and representatives come out."""
+
+    @pytest.mark.parametrize("model_name, digest", [
+        ("rp2",
+         "f5d3e69b6c115b6ea1dc03b6dcdbdfafa02dcf7547fc3b425f75501aab76d1f3"),
+        ("d4",
+         "d6c52914f9992aea37ed6303b02b1431d05646f80b41e8ead5b8f5de89b63ed9"),
+        ("d5",
+         "ee035d3916c4a5f397ef14b409c6fbf074962f2b8da9f5158df9f1bd8428f6c7"),
+        ("s1",
+         "48a9165ba3ca00aa8bfb4522ba3c4b9354fe78f62d4cd3db83c416bf4f57adcb"),
+        ("s2",
+         "9f0bae89083d254527ab7fefb53f2b07d0e8859129e941524150956f1762c9b4"),
+        ("s3",
+         "1b3a5b9c5b7e56b1914afc2c547ce280aa43dbeb9fbfff6a4222ea7392d3d588"),
+    ])
+    def test_outputs(self, model_name, digest):
+        assert _f2_digest(_F2_MODELS[model_name](), 3) == digest
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(_F2_MODELS)), st.integers(1, 4), st.data())
+    def test_class_ignores_coboundaries(self, model_name, degree, data):
+        model = _F2_MODELS[model_name]()
+        x = zero_cochain(degree)
+        for z in cocycle_basis(model, degree):
+            if data.draw(st.booleans()):
+                x = x + z
+        below = model.names(degree - 1)
+        y = Cochain.create(degree - 1, [nm for nm in below if data.draw(st.booleans())])
+        assert cohomology_class(model, x + coboundary(model, y)) == cohomology_class(model, x)
+
+    @pytest.mark.parametrize("model_name", sorted(_F2_MODELS))
+    def test_basis_size_is_the_kernel_dimension(self, model_name):
+        model = _F2_MODELS[model_name]()
+        boundary = dict(model.chain_complex().differentials)
+        for d in range(model.top_dimension() + 1):
+            above = boundary.get(d + 1)
+            rank = rank_mod_p(above, 2) if above is not None else 0
+            assert len(cocycle_basis(model, d)) == len(model.names(d)) - rank
 
 
 class TestSq:

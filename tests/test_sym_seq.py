@@ -57,8 +57,8 @@ class TestCompose:
         with pytest.raises(ValueError):
             compose(a, a, 4)
         with pytest.raises(ValueError):
-            compose(trivial_seq(2, truncation=8), trivial_seq(2, truncation=8), 8,
-                    max_arity=MAX_MATERIALIZED_ARITY)
+            over = MAX_MATERIALIZED_ARITY + 1
+            compose(trivial_seq(2, truncation=over), trivial_seq(2, truncation=over), over)
 
     def test_orbit_vs_raw_dimensions(self):
         rng = CounterRng(7)
