@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import euler_section, extended_powers, hochschild, steenrod_cochains, stunted_ktheory, sym_seq
 from .core_algebra import ChainComplex, formality_splitting, homology, is_prime, product_is_zero
@@ -63,11 +64,12 @@ MAX_SMAX = 64
 MAX_SAMPLES = 100_000
 MAX_PRIME = 2 ** 64 - 1  # below 2^64 the Miller-Rabin bases of is_prime are a proof
 MAX_M = 16  # euler: ambient dimension
-MAX_T = 1000  # euler: points per configuration (float mode scans pairs)
+MAX_T = 1000  # euler: points per configuration
 MAX_SPHERE = 64  # steenrod sq: sphere dimension
 MAX_K = 64  # steenrod: Sq^k, which vanishes above the degree
-# euler: samples * t * m in exact mode (draws and centring), samples * t * t in
-# float mode (the pairwise scan); one float sample at the largest t fits
+# euler: samples * t * m by default (draws and centring), samples * t * t under
+# --float, whose coarse grid makes redraws grow like t^2; one --float sample at
+# the largest t fits
 MAX_EULER_WORK = 1_000_000
 
 
@@ -180,9 +182,10 @@ def build_parser() -> _Parser:
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--float", dest="float_mode", action="store_true")
+    p.add_argument("--float", dest="float_mode", action="store_true",
+                   help="draw coordinates from the integers in [-1000, 1000]")
     p.add_argument("--config", default=None,
-                   help="JSON file: array of point arrays (numbers or 'a/b' strings)")
+                   help="JSON file: array of point arrays (integers or 'a/b' strings)")
     common(p)
 
     p = sub.add_parser("formality", help="minimal model of a chain complex file")
@@ -404,16 +407,26 @@ def _run_hh(p):
     return ok, payload, "bar complex and periodic resolution agree on every bidegree"
 
 
+def _coordinate(x) -> Fraction:
+    """One --config coordinate, read exactly: an integer or an 'a/b' string."""
+    if type(x) in (int, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"coordinate {x!r} is neither an integer nor an 'a/b' string")
+
+
 def _run_euler(p):
     if p.get("config"):
-        from fractions import Fraction
         from itertools import permutations
 
         with open(p["config"]) as fh:
             rows = json.load(fh)
+        if not isinstance(rows, list) or not all(isinstance(pt, list) for pt in rows):
+            raise ValueError("--config must hold a JSON array of point arrays")
         cfg = euler_section.Configuration.from_rational(
-            [[Fraction(x) if isinstance(x, str) else Fraction(int(x)) for x in pt]
-             for pt in rows])
+            [[_coordinate(x) for x in pt] for pt in rows])
         value = euler_section.section_eval(cfg)
         if cfg.size <= 5:
             sigmas = list(permutations(range(cfg.size)))
@@ -430,7 +443,7 @@ def _run_euler(p):
         return (not value.is_zero()) and equivariant, payload, \
             "the mean-centered coordinate section is nonzero and relabelling-equivariant"
     cert = euler_section.nullhomotopy_certificate(
-        p["m"], p["t"], p["samples"], p["seed"], exact=not p["float_mode"])
+        p["m"], p["t"], p["samples"], p["seed"], grid=p["float_mode"])
     return cert.passed, cert.to_json(), \
         "the mean-centered coordinate section never vanishes on sampled configurations"
 

@@ -74,12 +74,12 @@ class IntMatrix:
             if len(row) != self.cols:
                 raise ValueError("column count mismatch")
             for e in row:
-                if not isinstance(e, int):
-                    raise ValueError("entries must be integers")
+                if type(e) is not int:  # not isinstance: a bool is not read as 0 or 1
+                    raise ValueError(f"matrix entry {e!r} is not an integer")
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
-        rows = tuple(tuple(int(e) for e in row) for row in rows)
+        rows = tuple(map(tuple, rows))
         ncols = len(rows[0]) if rows else 0
         return IntMatrix(len(rows), ncols, rows)
 
@@ -331,8 +331,6 @@ def invariant_factors(orders) -> tuple:
     chain = list(orders)
     if chain and min(chain) < 2:
         raise ValueError("torsion orders must be >= 2")
-    if len(chain) < 2:  # the common case in homology: no pairs to normalise
-        return tuple(chain)
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
             g = math.gcd(chain[i], chain[j])
@@ -395,7 +393,10 @@ class ChainComplex:
 
     @staticmethod
     def create(ranks: dict, differentials: dict) -> "ChainComplex":
-        ranks = {int(n): int(r) for n, r in ranks.items() if int(r) > 0}
+        for n, r in ranks.items():
+            if type(r) is not int:
+                raise ValueError(f"rank {r!r} in degree {n} is not an integer")
+        ranks = {int(n): r for n, r in ranks.items() if r > 0}
         diffs = {}
         for n, mat in differentials.items():
             n = int(n)

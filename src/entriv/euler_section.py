@@ -6,8 +6,8 @@ the reduced standard representation (each sums to zero).  Distinct points
 cannot agree in every coordinate, so the concatenated value is never zero,
 and the construction visibly commutes with relabelling the points.
 
-Arithmetic is exact rational by default; a floating mode exists for large
-sweeps and carries an explicit 1e-12 tolerance contract.
+Arithmetic is exact rational throughout: coincidence is equality, and a
+value vanishes only when every component is exactly zero.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ from functools import cached_property
 
 from .rng import CounterRng
 
-FLOAT_EPS = 1e-12
-# configurations drawn before random_configuration gives up; float points lie
-# on a grid of 2001 values per axis, so many points on one axis always clash
+# configurations drawn before random_configuration gives up; grid=True points
+# lie on 2001 integers per axis, so many points on one axis always clash
 MAX_DRAWS = 100
 
 
 def _first_equal_pair(points) -> tuple:
-    """The first (i, j), i < j, of equal points in the order of a pairwise scan."""
+    """The lexicographically first (i, j), i < j, of equal points."""
     first: dict = {}
     pairs = []
     for j, pt in enumerate(map(tuple, points)):
@@ -45,8 +44,7 @@ def _common_numerators(values) -> tuple:
 
 @dataclass(frozen=True)
 class Configuration:
-    points: tuple  # |T| tuples of m coordinates (Fraction or float)
-    exact: bool = True
+    points: tuple  # |T| tuples of m Fraction coordinates
 
     def __post_init__(self):
         if len(self.points) < 1:
@@ -54,20 +52,10 @@ class Configuration:
         m = len(self.points[0])
         if any(len(pt) != m for pt in self.points):
             raise ValueError("points of mixed dimension")
-        if self.exact:  # exact coincidence is equality, found by hashing in O(|T|)
-            if len(set(map(tuple, self.points))) < len(self.points):
-                i, j = _first_equal_pair(self.points)
-                raise ValueError(f"points {i} and {j} coincide")
-            return
-        for i in range(len(self.points)):
-            for j in range(i + 1, len(self.points)):
-                if self._coincide(self.points[i], self.points[j]):
-                    raise ValueError(f"points {i} and {j} coincide")
-
-    def _coincide(self, a, b):
-        if self.exact:
-            return all(x == y for x, y in zip(a, b))
-        return all(abs(x - y) <= FLOAT_EPS for x, y in zip(a, b))
+        # coincidence is equality, found by hashing in O(|T|)
+        if len(set(map(tuple, self.points))) < len(self.points):
+            i, j = _first_equal_pair(self.points)
+            raise ValueError(f"points {i} and {j} coincide")
 
     @property
     def m(self) -> int:
@@ -84,40 +72,31 @@ class Configuration:
 
     @staticmethod
     def from_rational(rows) -> "Configuration":
-        return Configuration(tuple(tuple(Fraction(x) for x in pt) for pt in rows), exact=True)
+        return Configuration(tuple(tuple(Fraction(x) for x in pt) for pt in rows))
 
     def permuted(self, sigma: tuple) -> "Configuration":
         """Point i moves to slot sigma[i]."""
         pts = [None] * self.size
         for i, pt in enumerate(self.points):
             pts[sigma[i]] = pt
-        return Configuration(tuple(pts), exact=self.exact)
+        return Configuration(tuple(pts))
 
 
 @dataclass(frozen=True)
 class SectionValue:
     components: tuple  # m tuples, each of length |T|, each summing to zero
-    exact: bool = True
 
     def __post_init__(self):
-        t = len(self.components[0]) if self.components else 0
         for comp in self.components:
-            if self.exact:
-                if sum(_common_numerators(comp)[0]) != 0:
-                    raise ValueError("component does not sum to zero")
-            elif abs(sum(comp)) > FLOAT_EPS * max(t, 1):
-                raise ValueError("component sum exceeds the float tolerance")
+            if sum(_common_numerators(comp)[0]) != 0:
+                raise ValueError("component does not sum to zero")
 
     def is_zero(self) -> bool:
-        if self.exact:
-            return all(x == 0 for comp in self.components for x in comp)
-        return all(abs(x) <= FLOAT_EPS for comp in self.components for x in comp)
+        return all(x == 0 for comp in self.components for x in comp)
 
-    def norm_squared(self):
-        if self.exact:
-            nums, den = _common_numerators([x for comp in self.components for x in comp])
-            return Fraction(sum(a * a for a in nums), den * den)
-        return sum(x * x for comp in self.components for x in comp)
+    def norm_squared(self) -> Fraction:
+        nums, den = _common_numerators([x for comp in self.components for x in comp])
+        return Fraction(sum(a * a for a in nums), den * den)
 
     def permuted(self, sigma: tuple) -> "SectionValue":
         comps = []
@@ -126,7 +105,7 @@ class SectionValue:
             for i, x in enumerate(comp):
                 out[sigma[i]] = x
             comps.append(tuple(out))
-        return SectionValue(tuple(comps), exact=self.exact)
+        return SectionValue(tuple(comps))
 
 
 def section_eval(c: Configuration) -> SectionValue:
@@ -138,15 +117,11 @@ def section_eval(c: Configuration) -> SectionValue:
     t = c.size
     comps = []
     for axis in range(c.m):
-        coords = [pt[axis] for pt in c.points]
-        if c.exact:  # x_i - mean = (t a_i - sum a) / (t L) with x_i = a_i / L
-            nums, den = _common_numerators(coords)
-            total = sum(nums)
-            comps.append(tuple(Fraction(t * a - total, t * den) for a in nums))
-        else:
-            mean = sum(coords) / t
-            comps.append(tuple(x - mean for x in coords))
-    return SectionValue(tuple(comps), exact=c.exact)
+        # x_i - mean = (t a_i - sum a) / (t L) with x_i = a_i / L
+        nums, den = _common_numerators([pt[axis] for pt in c.points])
+        total = sum(nums)
+        comps.append(tuple(Fraction(t * a - total, t * den) for a in nums))
+    return SectionValue(tuple(comps))
 
 
 @dataclass(frozen=True)
@@ -161,16 +136,11 @@ class EquivarianceReport:
 
 
 def equivariance_test(c: Configuration, sigma: tuple) -> EquivarianceReport:
-    """section(sigma . c) == sigma . section(c), exact in rational mode."""
+    """section(sigma . c) == sigma . section(c), compared exactly."""
     lhs = section_eval(c.permuted(sigma))
     rhs = c.section.permuted(sigma)
-    if c.exact:
-        equal = lhs.components == rhs.components
-    else:
-        equal = all(abs(x - y) <= FLOAT_EPS
-                    for ca, cb in zip(lhs.components, rhs.components)
-                    for x, y in zip(ca, cb))
-    return EquivarianceReport(sigma, equal, lhs.components, rhs.components)
+    return EquivarianceReport(sigma, lhs.components == rhs.components,
+                              lhs.components, rhs.components)
 
 
 @dataclass(frozen=True)
@@ -200,24 +170,22 @@ class SectionCertificate:
 
 
 def random_configuration(rng: CounterRng, m: int, t_size: int,
-                         exact: bool = True) -> Configuration:
+                         grid: bool = False) -> Configuration:
+    """Points with coordinates a/b, |a| <= 10^6 and 1 <= b <= 1000, or on the
+    coarse grid of integers in [-1000, 1000] when grid is set."""
+    max_num, max_den = (1000, 1) if grid else (10 ** 6, 1000)
     for _ in range(MAX_DRAWS):
-        if exact:
-            pts = tuple(tuple(rng.fraction(10 ** 6, 1000) for _ in range(m))
-                        for _ in range(t_size))
-        else:
-            # order-one coordinates keep rounding inside the absolute tolerance
-            pts = tuple(tuple(float(rng.fraction(1000, 1)) / 1000.0 for _ in range(m))
-                        for _ in range(t_size))
+        pts = tuple(tuple(rng.fraction(max_num, max_den) for _ in range(m))
+                    for _ in range(t_size))
         try:
-            return Configuration(pts, exact=exact)
+            return Configuration(pts)
         except ValueError:
-            continue  # a coincidence: rare, unless the float grid is small beside t_size
+            continue  # a coincidence: rare, unless the grid is small beside t_size
     raise ValueError(f"no {t_size} distinct points in {MAX_DRAWS} draws")
 
 
 def nullhomotopy_certificate(m: int, t_size: int = 2, samples: int = 1000,
-                             seed: int = 0, exact: bool = True) -> SectionCertificate:
+                             seed: int = 0, grid: bool = False) -> SectionCertificate:
     """Sampled nonvanishing report: as many section copies as the ambient
     dimension suffice, the homotopy being scalar inflation of the section."""
     if m < 1:
@@ -228,7 +196,7 @@ def nullhomotopy_certificate(m: int, t_size: int = 2, samples: int = 1000,
     failures = 0
     min_norm = None
     for _ in range(samples):
-        cfg = random_configuration(rng, m, t_size, exact=exact)
+        cfg = random_configuration(rng, m, t_size, grid=grid)
         value = section_eval(cfg)
         if value.is_zero():
             failures += 1

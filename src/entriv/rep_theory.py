@@ -137,12 +137,7 @@ class SignedPermModule:
         return out
 
     def act_matrix(self, perm: tuple):
-        if self.monomial:
-            signed = self.act_signed(perm)
-            mat = [[0] * self.dim for _ in range(self.dim)]
-            for src, (dst, s) in enumerate(signed):
-                mat[dst][src] = s
-            return tuple(tuple(row) for row in mat)
+        """Matrix of an arbitrary permutation (matrix-action modules)."""
         out = _identity_mat(self.dim)
         for i in perms.adjacent_word(perm):
             out = _matmul(self.gens_mat[i], out)
@@ -174,9 +169,11 @@ class SignedPermModule:
 
     @staticmethod
     def from_json(data):
-        return SignedPermModule(int(data["n"]), int(data["dim"]),
-                                gens_perm=tuple(tuple((int(j), int(s)) for j, s in g)
-                                                for g in data["generators"]))
+        gens = tuple(tuple((j, s) for j, s in g) for g in data["generators"])
+        for value in (data["n"], data["dim"], *(x for g in gens for pair in g for x in pair)):
+            if type(value) is not int:
+                raise ValueError(f"module entry {value!r} is not an integer")
+        return SignedPermModule(data["n"], data["dim"], gens_perm=gens)
 
 
 @dataclass(frozen=True)
@@ -240,14 +237,11 @@ def rho(t_size: int) -> SignedPermModule:
 
 def trivial_multiplicity(m: SignedPermModule):
     """<chi_m, chi_triv> = (1/n!) sum_g chi_m(g), exactly over Q."""
-    total = Fraction(0)
-    for part in perms.partitions(m.n):
-        rep = perms.class_representative(part)
-        total += Fraction(perms.class_size(part)) * Fraction(m.trace(rep))
-    mult = total / factorial(m.n)
-    if mult.denominator != 1:
+    total = sum(perms.class_size(part) * v for part, v in character(m).values)
+    mult, rest = divmod(total, factorial(m.n))
+    if rest:
         raise AssertionError("trivial multiplicity is not an integer")
-    return int(mult)
+    return mult
 
 
 def is_sigma_free(m: SignedPermModule) -> bool:

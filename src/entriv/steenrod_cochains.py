@@ -100,9 +100,6 @@ class SimplicialSet:
                         if self.face(self.face(top, j), i) != self.face(self.face(top, i), j - 1):
                             raise ValueError(f"simplicial identity fails on {name} (i={i}, j={j})")
 
-    def dim(self, name: str) -> int:
-        return self._dim_of[name]
-
     def names(self, dim: int) -> tuple:
         for d, names in self.simplices:
             if d == dim:

@@ -182,11 +182,13 @@ class SymSeq:
         try:
             comps = {int(a): {int(d): SignedPermModule.from_json(m) for d, m in by_deg.items()}
                      for a, by_deg in data["components"].items()}
-            truncation = int(data["truncation"])
+            truncation = data["truncation"]
         except KeyError as exc:
             raise ValueError(f"sequence JSON lacks the key {exc}") from exc
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"malformed sequence JSON: {exc}") from exc
+        if type(truncation) is not int:
+            raise ValueError(f"truncation {truncation!r} is not an integer")
         return SymSeq.create(truncation, comps)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -223,10 +224,80 @@ class TestRun:
         assert not report.passed and report.claim == "structured failure"
         assert report.payload == {"error": "points 0 and 3 coincide"}
 
+    @staticmethod
+    def _fails_naming(argv, error, capsys):
+        """main exits 1 with a structured failure whose error is `error`."""
+        capsys.readouterr()
+        assert main(argv) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["claim"] == "structured failure"
+        assert report["payload"] == {"error": error}
+
+    @pytest.mark.parametrize("ranks, d1, error", [
+        ({"0": 1, "1": 1}, [[2.5]], "matrix entry 2.5 is not an integer"),
+        ({"0": 1, "1": 1}, [["2"]], "matrix entry '2' is not an integer"),
+        ({"0": 1, "1": 1}, [[True]], "matrix entry True is not an integer"),
+        ({"0": 1, "1": 1.0}, [[2]], "rank 1.0 in degree 1 is not an integer"),
+    ])
+    def test_complex_file_numbers_are_not_truncated(self, tmp_path, capsys, ranks, d1, error):
+        bad = tmp_path / "cx.json"
+        bad.write_text(json.dumps({"ranks": ranks, "differentials": {"1": d1}}))
+        self._fails_naming(["formality", "--input", str(bad)], error, capsys)
+
+    @pytest.mark.parametrize("rows, error", [
+        ([[0.5], [1.5]], "coordinate 0.5 is neither an integer nor an 'a/b' string"),
+        ([[True], [2]], "coordinate True is neither an integer nor an 'a/b' string"),
+        ([["1/0"], [2]], "coordinate '1/0' is neither an integer nor an 'a/b' string"),
+        ([1, 2], "--config must hold a JSON array of point arrays"),
+    ])
+    def test_config_numbers_are_not_truncated(self, tmp_path, capsys, rows, error):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(rows))
+        self._fails_naming(["euler", "--config", str(config)], error, capsys)
+
+    @pytest.mark.parametrize("key, value, error", [
+        ("truncation", 2.9, "truncation 2.9 is not an integer"),
+        ("n", "2", "module entry '2' is not an integer"),
+    ])
+    def test_sequence_file_numbers_are_not_truncated(self, tmp_path, capsys, key, value, error):
+        seq = json.loads((ROOT / "manifests/inputs/pair_a.json").read_text())
+        if key == "truncation":
+            seq["truncation"] = value
+        else:
+            seq["components"]["2"]["0"][key] = value
+        bad = tmp_path / "s.json"
+        bad.write_text(json.dumps(seq))
+        self._fails_naming(["suspend", "--input", str(bad), "--k", "1"], error, capsys)
+
     def test_markdown_rendering(self):
         report = run(parse(["theta", "--n", "2", "--prime", "2"]))
         text = report.render("md")
         assert text.startswith("# theta") and "pass: yes" in text
+
+
+# Seeded euler sweeps in both draw modes: t from 2 to 1000, passes and
+# crowded-grid give-ups (--m 1 at --t 200 and 300 under --float).
+_EULER_PIN = [
+    ("1", "2", "50", "0"), ("1", "2", "50", "9"), ("2", "3", "40", "5"),
+    ("3", "4", "30", "11"), ("16", "2", "20", "42"), ("5", "7", "20", "9"),
+    ("2", "30", "5", "1"), ("1", "300", "10", "0"), ("2", "300", "3", "42"),
+    ("1", "200", "2", "9"), ("4", "1000", "1", "0"), ("16", "3", "10", "3"),
+]
+
+
+class TestEulerGolden:
+    """Pinned euler reports, with and without --float, in json and md."""
+
+    def test_reports(self):
+        digest = hashlib.sha256()
+        for m, t, samples, seed in _EULER_PIN:
+            for extra in ([], ["--float"]):
+                argv = ["euler", "--m", m, "--t", t, "--samples", samples, "--seed", seed]
+                report = run(parse(argv + extra))
+                for fmt in ("json", "md"):
+                    digest.update(report.render(fmt).encode())
+        assert digest.hexdigest() == \
+            "d06ae58ceb96c5a1bfbc051f63b7d01b676d55b2a24d646057f1488d7785bccf"
 
 
 class TestMain:
@@ -346,10 +417,11 @@ def _window(cap):
 
 
 # In-cap euler sweeps are drawn up to this much work, samples * t * (m + t):
-# exact mode does about t * m per sample and --float scans t^2 pairs.  A sweep
-# at t near MAX_T keeps one sample.  The slowest example measured, --t 1000
-# --samples 1 --float, took 1.2 s in-process; --m 16 --t 2 --samples 1111 took
-# 0.55 s (Python 3.11, 2 vCPUs).
+# a sample costs about t * m, and --float draws from a coarse grid, where
+# redraws grow like t^2.  A sweep at t near MAX_T keeps one sample.  The
+# slowest example measured, --m 1 --t 1000 --samples 1 --float, gives up after
+# 100 draws in 0.64 s in-process; --m 16 --t 2 --samples 1111 took 0.34 s
+# (Python 3.11, 2 vCPUs).
 FUZZ_EULER_WORK = 40_000
 
 

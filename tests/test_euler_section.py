@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entriv import euler_section
-from entriv.euler_section import (Configuration, equivariance_test,
+from entriv.euler_section import (Configuration, SectionValue, equivariance_test,
                                   nullhomotopy_certificate, random_configuration,
                                   section_eval)
 from entriv.rng import CounterRng
@@ -123,44 +123,42 @@ class TestCertificate:
         assert a == b
 
     def test_draws_give_up_on_a_crowded_float_grid(self):
-        # 300 float points on one axis of 2001 grid values all but surely clash
+        # 300 points on one axis of 2001 grid values all but surely clash
         with pytest.raises(ValueError, match="no 300 distinct points in 100 draws"):
-            random_configuration(CounterRng(0), 1, 300, exact=False)
-        assert random_configuration(CounterRng(0), 2, 300, exact=False).size == 300
+            random_configuration(CounterRng(0), 1, 300, grid=True)
+        assert random_configuration(CounterRng(0), 2, 300, grid=True).size == 300
 
     def test_float_mode(self):
-        cert = nullhomotopy_certificate(2, 3, samples=100, seed=2, exact=False)
+        cert = nullhomotopy_certificate(2, 3, samples=100, seed=2, grid=True)
         assert cert.passed
 
     def test_vanishing_sample_is_counted(self, monkeypatch):
-        # distinct beyond the float tolerance, yet mean-centred to within it
-        degenerate = Configuration(((0.0,), (1.5e-12,)), exact=False)
-        assert section_eval(degenerate).is_zero()
-        monkeypatch.setattr(euler_section, "random_configuration",
-                            lambda rng, m, t_size, exact=True: degenerate)
-        cert = nullhomotopy_certificate(1, 2, samples=3, seed=0, exact=False)
+        zero = SectionValue(((Fraction(0), Fraction(0)),))
+        assert zero.is_zero() and zero.norm_squared() == 0
+        monkeypatch.setattr(euler_section, "section_eval", lambda cfg: zero)
+        cert = nullhomotopy_certificate(1, 2, samples=3, seed=0)
         assert cert.failures == 3 and not cert.passed
         assert cert.to_json()["pass"] is False
 
 
-def _section_digest(m, t, seed, exact):
-    """sha256 of seeded section values, their norms and a certificate."""
+def _section_digest(m, t, seed):
+    """sha256 of seeded section values, their norms and a certificate, and
+    whether that certificate passed."""
     rng = CounterRng(seed)
-    text = str if exact else repr
     rows = []
     for _ in range(5):
-        value = section_eval(random_configuration(rng, m, t, exact=exact))
-        rows.append([[text(x) for x in comp] for comp in value.components])
-        rows.append(text(value.norm_squared()))
-    rows.append(nullhomotopy_certificate(m, t, samples=20, seed=seed, exact=exact).to_json())
-    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+        value = section_eval(random_configuration(rng, m, t))
+        rows.append([[str(x) for x in comp] for comp in value.components])
+        rows.append(str(value.norm_squared()))
+    cert = nullhomotopy_certificate(m, t, samples=20, seed=seed)
+    rows.append(cert.to_json())
+    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest(), cert.passed
 
 
 class TestSectionGolden:
-    """Pinned exact and float section values: the exact kernel must give the
-    same Fractions, and float mode must not move at all."""
+    """Pinned section values: the exact kernel must give the same Fractions."""
 
-    @pytest.mark.parametrize("m, t, seed, exact, digest", [
+    @pytest.mark.parametrize("m, t, seed, passed, digest", [
         (1, 2, 0, True,
          "b1c8c91a323fbe3acb27928d7c92716ac62514206cfbeb065d301a291b1a8bf8"),
         (2, 3, 5, True,
@@ -169,14 +167,6 @@ class TestSectionGolden:
          "be1e8231cf1398817e43a1416aa0dcd9a848fcf11565400390d88ec5fe86abd7"),
         (2, 7, 3, True,
          "bb280f41edefcfa3f33c827e0d7c8d06d438c8550eda9f0dcffc98cdff2a5d58"),
-        (1, 2, 0, False,
-         "17e97d85f85f31097a9495621ec45f93181df5bf5a02ee48dd5be19c535d72e3"),
-        (2, 3, 5, False,
-         "234bd7f098ef062318c0e5558da5f5c7b595c85629073e46d3a7274392350beb"),
-        (3, 4, 11, False,
-         "dcb1aff85b0d6e12d39a4ddda96043cce1370343530dd97c459254bd74882952"),
-        (2, 7, 3, False,
-         "5718cadb0ad5cceeb908d3d769a4e27265ff9c9ca34cf0353e135ccaef71b5e1"),
     ])
-    def test_values(self, m, t, seed, exact, digest):
-        assert _section_digest(m, t, seed, exact) == digest
+    def test_values(self, m, t, seed, passed, digest):
+        assert _section_digest(m, t, seed) == (digest, passed)
