@@ -12,10 +12,9 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import euler_section, extended_powers, hochschild, steenrod_cochains, stunted_ktheory, sym_seq
-from .core_algebra import ChainComplex, formality_splitting, homology, is_prime, product_is_zero
+# Each verb imports its computation modules when it runs, so that a cold
+# start loads only what that verb needs.
 
 
 class UsageError(Exception):
@@ -67,6 +66,9 @@ MAX_M = 16  # euler: ambient dimension
 MAX_T = 1000  # euler: points per configuration
 MAX_SPHERE = 64  # steenrod sq: sphere dimension
 MAX_K = 64  # steenrod: Sq^k, which vanishes above the degree
+# compose: basis elements of the product over all arities, read from the input
+# files' dimensions (an arity-1 module's dimension is bound by no other data)
+MAX_COMPOSE_BASIS = 100_000
 # euler: samples * t * m by default (draws and centring), samples * t * t under
 # --float, whose coarse grid makes redraws grow like t^2; one --float sample at
 # the largest t fits
@@ -95,89 +97,93 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="entriv", description=__doc__)
+def build_parser(add_help: bool = True) -> _Parser:
+    parser = _Parser(prog="entriv", description=__doc__, add_help=add_help)
     sub = parser.add_subparsers(dest="verb", required=True)
+
+    def verb(name, text):
+        return sub.add_parser(name, help=text, add_help=add_help)
 
     def common(p):
         p.add_argument("--format", choices=("json", "md"), default="json")
         p.add_argument("--out", default=None)
 
-    p = sub.add_parser("extpow", help="list one extended-power homology basis")
+    p = verb("extpow", "list one extended-power homology basis")
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--family", choices=extended_powers.FAMILIES, required=True)
+    p.add_argument("--family", required=True,  # checked by _validate
+                   help="extended-power family; an unknown name lists them")
     p.add_argument("--window", type=_window, default=None)
     common(p)
 
-    p = sub.add_parser("ses", help="verify one of the two extended-power sequences")
+    p = verb("ses", "verify one of the two extended-power sequences")
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--which", choices=("first", "second"), required=True)
     p.add_argument("--window", type=_window, default=None)
     common(p)
 
-    p = sub.add_parser("pushout", help="kernel comparison for the square of families")
+    p = verb("pushout", "kernel comparison for the square of families")
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--window", type=_window, default=None)
     common(p)
 
-    p = sub.add_parser("moore", help="two-cell family vs the mod-p Moore spectrum")
+    p = verb("moore", "two-cell family vs the mod-p Moore spectrum")
     p.add_argument("--prime", type=int, required=True)
     common(p)
 
-    p = sub.add_parser("transfer", help="one-class difference of the widest families")
+    p = verb("transfer", "one-class difference of the widest families")
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--window", type=_window, default=(-2, 40))
     common(p)
 
-    p = sub.add_parser("ku-ses", help="certify the K-theory short exact sequence")
+    p = verb("ku-ses", "certify the K-theory short exact sequence")
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     common(p)
 
-    p = sub.add_parser("theta", help="eigenvalue of theta on a Bott power")
+    p = verb("theta", "eigenvalue of theta on a Bott power")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--prime", type=int, required=True)
     common(p)
 
-    p = sub.add_parser("witness", help="smash-nilpotence detection report")
+    p = verb("witness", "smash-nilpotence detection report")
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     common(p)
 
-    p = sub.add_parser("stunted", help="stunted projective computations")
+    p = verb("stunted", "stunted projective computations")
     p.add_argument("mode", choices=("sq", "homology"))
     p.add_argument("--range", dest="cells", type=_cell_range, required=True)
     p.add_argument("--k", type=int, default=1)
     common(p)
 
-    p = sub.add_parser("steenrod", help="Steenrod squares on sphere models")
+    p = verb("steenrod", "Steenrod squares on sphere models")
     p.add_argument("mode", choices=("sq", "witness"))
     p.add_argument("--sphere", type=int, default=None)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--n", type=int, default=None)
     common(p)
 
-    p = sub.add_parser("compose", help="composition product of two sequence files")
+    p = verb("compose", "composition product of two sequence files")
     p.add_argument("--input", nargs=2, required=True)
     p.add_argument("--truncate", type=int, required=True)
     common(p)
 
-    p = sub.add_parser("suspend", help="operadic suspension of a sequence file")
+    p = verb("suspend", "operadic suspension of a sequence file")
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=int, required=True)
     common(p)
 
-    p = sub.add_parser("hh", help="Hochschild homology of R[x]/x^2")
+    p = verb("hh", "Hochschild homology of R[x]/x^2")
     p.add_argument("--ring", choices=("Z", "Q", "F2", "F3"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--smax", type=int, required=True)
     p.add_argument("--golden", default=None)
     common(p)
 
-    p = sub.add_parser("euler", help="section nonvanishing: sampled sweep or one configuration")
+    p = verb("euler", "section nonvanishing: sampled sweep or one configuration")
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--samples", type=int, default=1000)
@@ -188,11 +194,11 @@ def build_parser() -> _Parser:
                    help="JSON file: array of point arrays (integers or 'a/b' strings)")
     common(p)
 
-    p = sub.add_parser("formality", help="minimal model of a chain complex file")
+    p = verb("formality", "minimal model of a chain complex file")
     p.add_argument("--input", required=True)
     common(p)
 
-    p = sub.add_parser("batch", help="run a JSON manifest of commands")
+    p = verb("batch", "run a JSON manifest of commands")
     p.add_argument("--manifest", required=True)
     p.add_argument("--seed", type=int, default=None)
     common(p)
@@ -200,17 +206,19 @@ def build_parser() -> _Parser:
     return parser
 
 
-_PARSER: _Parser | None = None
+_PARSERS: dict = {}  # add_help -> parser, built on first use, once per process
 
 
-def parse(argv) -> Command:
-    global _PARSER
+def parse(argv, add_help: bool = True) -> Command:
+    """Parse and validate one command.  Batch entries are parsed with
+    add_help False: -h would print help and exit the whole batch."""
     argv = list(argv)
     if argv[:1] == ["extpow"] and len(argv) > 1 and argv[1] in ("ses", "pushout"):
         argv = argv[1:]
-    if _PARSER is None:  # built on first use, once per process
-        _PARSER = build_parser()
-    ns = _PARSER.parse_args(argv)
+    parser = _PARSERS.get(add_help)
+    if parser is None:
+        parser = _PARSERS[add_help] = build_parser(add_help)
+    ns = parser.parse_args(argv)
     params = {k: v for k, v in vars(ns).items() if k not in ("verb", "format", "out")}
     _validate(ns.verb, params)
     return Command(ns.verb, params, ns.format, ns.out)
@@ -225,13 +233,21 @@ def _validate(verb: str, params: dict):
         if params.get(key) is not None and params[key] > cap:
             raise UsageError(f"--{key} {params[key]} exceeds the cap of {cap}")
     prime = params.get("prime")
-    if prime is not None and not is_prime(prime):
-        raise UsageError(f"--prime {prime} is not a prime")
+    if prime is not None:
+        from . import core_algebra
+        if not core_algebra.is_prime(prime):
+            raise UsageError(f"--prime {prime} is not a prime")
+    if verb == "extpow":
+        from . import extended_powers
+        if params["family"] not in extended_powers.FAMILIES:
+            raise UsageError(f"--family {params['family']!r} is not one of "
+                             f"{', '.join(extended_powers.FAMILIES)}")
     if verb == "ku-ses" and params["n"] < 2:
         raise UsageError("ku-ses requires --n >= 2")
     if verb in ("ses", "pushout") and params["n"] < 1:
         raise UsageError(f"{verb} requires --n >= 1")
     if verb in ("ses", "pushout") and params["window"] is None:
+        from . import extended_powers
         lo, hi = extended_powers.default_window(prime, params["n"])
         if hi - lo > MAX_WINDOW_WIDTH:
             raise UsageError(f"the default window of {verb} at --prime {prime} is wider "
@@ -269,6 +285,8 @@ def _validate(verb: str, params: dict):
 
 
 def _run_extpow(p):
+    from . import extended_powers
+
     if p["prime"] == 2:
         model = extended_powers.p2_stunted_model(p["n"], p["family"])
         window = p["window"] or (model.bottom, model.bottom + 12)
@@ -288,30 +306,40 @@ def _run_extpow(p):
 
 
 def _run_ses(p):
+    from . import extended_powers
+
     report = extended_powers.verify_ses(p["prime"], p["n"], p["which"], p["window"])
     return report.passed, report.to_json(), \
         "degreewise exactness of the extended-power sequence"
 
 
 def _run_pushout(p):
+    from . import extended_powers
+
     report = extended_powers.pushout_rank_check(p["prime"], p["n"], p["window"])
     return report.passed, report.to_json(), \
         "the two vertical maps of the family square have equal kernels"
 
 
 def _run_moore(p):
+    from . import extended_powers
+
     report = extended_powers.moore_identification(p["prime"])
     return report.passed, report.to_json(), \
         "the two-cell family is the shifted mod-p Moore spectrum with top-cell projection"
 
 
 def _run_transfer(p):
+    from . import extended_powers
+
     report = extended_powers.transfer_cofiber_check(p["prime"], p["window"])
     return report.passed, report.to_json(), \
         "the widest families differ by exactly one class in degree -1"
 
 
 def _run_ku_ses(p):
+    from . import stunted_ktheory
+
     triple, cert = stunted_ktheory.ku_ses(p["prime"], p["n"])
     payload = {"left": triple.left, "middle": triple.middle, "right": triple.right,
                "k": triple.k, "map_in": list(triple.map_in),
@@ -321,12 +349,16 @@ def _run_ku_ses(p):
 
 
 def _run_theta(p):
+    from . import stunted_ktheory
+
     value = stunted_ktheory.adams_theta(p["n"], p["prime"])
     ok = value * p["prime"] == p["prime"] ** p["n"]
     return ok, {"value": value}, "theta eigenvalue times p recovers the psi eigenvalue"
 
 
 def _run_witness(p):
+    from . import stunted_ktheory
+
     w = stunted_ktheory.nilpotence_witness(p["prime"], p["n"])
     consistent = (p["n"] >= 2 and w.detected == (stunted_ktheory.torsion_exponent(p["n"]) >= 1)) \
         or (p["n"] == 1 and not w.detected)
@@ -335,21 +367,25 @@ def _run_witness(p):
 
 
 def _run_stunted(p):
+    from . import core_algebra, stunted_ktheory
+
     a, b = p["cells"]
     if p["mode"] == "sq":
         mat = stunted_ktheory.stunted_sq(a, b, p["k"])
         sq1 = stunted_ktheory.stunted_sq(a, b, 1)
-        ok = product_is_zero(sq1, sq1)
+        ok = core_algebra.product_is_zero(sq1, sq1)
         return ok, {"k": p["k"], "matrix": mat.to_lists()}, \
             "squares computed by the mod-2 binomial rule (Sq^1 Sq^1 = 0 spot check)"
     h = stunted_ktheory.stunted_integral_homology(a, b)
-    mod2 = homology(stunted_ktheory.StuntedCellComplex(a, b).chain_complex(), "F2")
+    mod2 = core_algebra.homology(stunted_ktheory.StuntedCellComplex(a, b).chain_complex(), "F2")
     ok = all(mod2.component(d) == (1, ()) for d in range(a, b + 1))
     return ok, {"integral": h.to_json(), "mod2": mod2.to_json()}, \
         "integral homology of the alternating cell complex; mod-2 sees every cell"
 
 
 def _run_steenrod(p):
+    from . import steenrod_cochains
+
     if p["mode"] == "sq":
         n, k = p["sphere"], p["k"]
         model = steenrod_cochains.sphere_model(n)
@@ -366,25 +402,31 @@ def _run_steenrod(p):
 
 
 def _run_compose(p):
+    from . import sym_seq
+
     with open(p["input"][0]) as fh:
         a = sym_seq.SymSeq.from_json(json.load(fh))
     with open(p["input"][1]) as fh:
         b = sym_seq.SymSeq.from_json(json.load(fh))
+    # the raw sums are cheap, so they size the product before it is built;
+    # compose itself rejects a truncation over its materialization cap
+    arities = range(1, min(p["truncate"], sym_seq.MAX_MATERIALIZED_ARITY) + 1)
+    raw = {n: sym_seq.compose_dimensions_raw(a, b, n) for n in arities}
+    basis = sum(sum(dims.values()) for dims in raw.values())
+    if basis > MAX_COMPOSE_BASIS:
+        raise ValueError(f"the product has {basis} basis elements, over the cap of "
+                         f"{MAX_COMPOSE_BASIS}")
     result = sym_seq.compose(a, b, p["truncate"])
-    raw = {n: sym_seq.compose_dimensions_raw(a, b, n) for n in range(1, p["truncate"] + 1)}
-    ok = all({d: m.dim for d, m in dict_components(result, n).items()} == raw[n]
-             for n in range(1, p["truncate"] + 1))
+    ok = all({d: result.dimension(n, d) for d in result.degrees(n)} == raw[n] for n in raw)
     payload = {"result": result.to_json(),
                "raw_dimension_check": {str(n): {str(d): v for d, v in raw[n].items()}
                                        for n in raw}}
     return ok, payload, "orbit-induced dimensions equal the raw partition sum"
 
 
-def dict_components(seq: sym_seq.SymSeq, arity: int) -> dict:
-    return {d: seq.module(arity, d) for d in seq.degrees(arity)}
-
-
 def _run_suspend(p):
+    from . import sym_seq
+
     with open(p["input"]) as fh:
         a = sym_seq.SymSeq.from_json(json.load(fh))
     result = sym_seq.suspend(a, p["k"])
@@ -393,6 +435,8 @@ def _run_suspend(p):
 
 
 def _run_hh(p):
+    from . import hochschild
+
     bar = hochschild.bar_hochschild(
         hochschild.GradedUnitalAlgebra.square_zero(p["ring"], p["n"]), p["smax"])
     small = hochschild.small_resolution_hh(p["ring"], p["n"], p["smax"])
@@ -407,8 +451,10 @@ def _run_hh(p):
     return ok, payload, "bar complex and periodic resolution agree on every bidegree"
 
 
-def _coordinate(x) -> Fraction:
+def _coordinate(x):
     """One --config coordinate, read exactly: an integer or an 'a/b' string."""
+    from fractions import Fraction
+
     if type(x) in (int, str):
         try:
             return Fraction(x)
@@ -418,6 +464,8 @@ def _coordinate(x) -> Fraction:
 
 
 def _run_euler(p):
+    from . import euler_section
+
     if p.get("config"):
         from itertools import permutations
 
@@ -449,11 +497,13 @@ def _run_euler(p):
 
 
 def _run_formality(p):
+    from . import core_algebra
+
     with open(p["input"]) as fh:
-        cx = ChainComplex.from_json(json.load(fh))
-    minimal, certified = formality_splitting(cx)
+        cx = core_algebra.ChainComplex.from_json(json.load(fh))
+    minimal, certified = core_algebra.formality_splitting(cx)
     return certified, {"minimal": minimal.to_json(),
-                       "homology": homology(cx, "Z").to_json(),
+                       "homology": core_algebra.homology(cx, "Z").to_json(),
                        "certified": certified}, \
         "the split minimal model has the homology of the input"
 
@@ -504,7 +554,7 @@ def run_batch(cmd: Command) -> Report:
                 and argv[:1] == ["euler"]:
             argv += ["--seed", str(cmd.params["seed"])]
         try:
-            rpt = run(parse(argv))
+            rpt = run(parse(argv, add_help=False))
         except UsageError as exc:  # a bad entry fails alone; the others still run
             rpt = Report(argv[0] if argv else "", {"argv": argv}, False, "usage error",
                          {"error": str(exc)})

@@ -422,8 +422,16 @@ class ChainComplex:
                 "differentials": {str(n): m.to_lists() for n, m in self.differentials}}
 
     @staticmethod
-    def from_json(data: dict) -> "ChainComplex":
-        return ChainComplex.create(data["ranks"], data.get("differentials", {}))
+    def from_json(data) -> "ChainComplex":
+        """Inverse of to_json; a malformed document raises ValueError."""
+        ranks = data.get("ranks") if isinstance(data, dict) else None
+        diffs = data.get("differentials", {}) if isinstance(data, dict) else None
+        if not isinstance(ranks, dict) or not isinstance(diffs, dict) or not all(
+                isinstance(mat, list) and all(isinstance(row, list) for row in mat)
+                for mat in diffs.values()):
+            raise ValueError('a chain complex is a JSON object: "ranks" maps degrees to '
+                             'ranks and "differentials" maps degrees to lists of rows')
+        return ChainComplex.create(ranks, diffs)
 
 
 def homology(c: ChainComplex, coefficients: Ring = "Z") -> GradedAbelianGroup:

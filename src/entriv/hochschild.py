@@ -172,10 +172,21 @@ class BigradedGroup:
 
     @staticmethod
     def from_json(data) -> "BigradedGroup":
+        """Inverse of to_json; a malformed table raises ValueError, and every
+        number must be a JSON integer."""
+        if not isinstance(data, dict):
+            raise ValueError("a bigraded table is a JSON object keyed \"s,t\"")
         out = {}
         for key, val in data.items():
-            s, t = (int(part) for part in key.split(","))
-            out[(s, t)] = (val["free"], tuple(val["torsion"]))
+            try:
+                s, t = (int(part) for part in key.split(","))
+                free, torsion = val["free"], tuple(val["torsion"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"malformed bigraded entry {key!r}: {exc!r}") from exc
+            for value in (free, *torsion):
+                if type(value) is not int:  # not isinstance: a bool is not read as 0 or 1
+                    raise ValueError(f"table entry {value!r} at {key} is not an integer")
+            out[(s, t)] = (free, torsion)
         return BigradedGroup.create(out)
 
 

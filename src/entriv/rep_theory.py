@@ -72,15 +72,17 @@ class SignedPermModule:
                     raise ValueError("signed permutation is not a bijection")
                 if {s for _, s in g} - {1, -1}:
                     raise ValueError("signs must be +-1")
-            self._check_relations(self.gens_perm, _compose_signed,
-                                  tuple((j, 1) for j in range(self.dim)))
+            if ngen:  # at n = 1 no relation to check, and no data bounds dim
+                self._check_relations(self.gens_perm, _compose_signed,
+                                      tuple((j, 1) for j in range(self.dim)))
         if self.gens_mat is not None:
             if len(self.gens_mat) != ngen:
                 raise ValueError("one matrix per adjacent transposition")
             for m in self.gens_mat:
                 if len(m) != self.dim or any(len(row) != self.dim for row in m):
                     raise ValueError("matrix shape mismatch")
-            self._check_relations(self.gens_mat, _matmul, _identity_mat(self.dim))
+            if ngen:
+                self._check_relations(self.gens_mat, _matmul, _identity_mat(self.dim))
 
     def _check_relations(self, gens, mul, one):
         eq = _mat_eq if self.gens_mat is not None else (lambda a, b: a == b)
@@ -173,6 +175,8 @@ class SignedPermModule:
         for value in (data["n"], data["dim"], *(x for g in gens for pair in g for x in pair)):
             if type(value) is not int:
                 raise ValueError(f"module entry {value!r} is not an integer")
+        if data["dim"] < 0:
+            raise ValueError(f"module dimension {data['dim']} is negative")
         return SignedPermModule(data["n"], data["dim"], gens_perm=gens)
 
 

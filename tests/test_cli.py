@@ -10,9 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from entriv.cli import (MAX_CELL_RANGE, MAX_EULER_WORK, MAX_K, MAX_M, MAX_N, MAX_PRIME,
-                        MAX_SAMPLES, MAX_SMAX, MAX_SPHERE, MAX_T, MAX_WINDOW_WIDTH, Command,
-                        UsageError, main, parse, run)
+from entriv.cli import (MAX_CELL_RANGE, MAX_COMPOSE_BASIS, MAX_EULER_WORK, MAX_K, MAX_M, MAX_N,
+                        MAX_PRIME, MAX_SAMPLES, MAX_SMAX, MAX_SPHERE, MAX_T, MAX_WINDOW_WIDTH,
+                        Command, UsageError, main, parse, run)
 from entriv.core_algebra import IntMatrix, product_is_zero
 from entriv.extended_powers import FAMILIES
 
@@ -269,6 +269,73 @@ class TestRun:
         bad.write_text(json.dumps(seq))
         self._fails_naming(["suspend", "--input", str(bad), "--k", "1"], error, capsys)
 
+    @pytest.mark.parametrize("doc", [{}, {"ranks": 5}, {"ranks": {"0": 1}, "differentials": 7},
+                                     [1, 2], {"ranks": {"0": 1}, "differentials": {"1": 7}}])
+    def test_malformed_complex_file_is_a_structured_failure(self, tmp_path, capsys, doc):
+        bad = tmp_path / "cx.json"
+        bad.write_text(json.dumps(doc))
+        self._fails_naming(["formality", "--input", str(bad)],
+                           'a chain complex is a JSON object: "ranks" maps degrees to ranks '
+                           'and "differentials" maps degrees to lists of rows', capsys)
+
+    @pytest.mark.parametrize("field, error", [
+        ("free", "table entry 1.0 at 0,0 is not an integer"),
+        ("torsion", "table entry 2.0 at 1,-4 is not an integer"),
+    ])
+    def test_golden_table_numbers_are_not_truncated(self, tmp_path, capsys, field, error):
+        # the table of this very command, with one number written as a float
+        argv = ["hh", "--ring", "Z", "--n", "2", "--smax", "2"]
+        table = run(parse(argv)).payload["table"]
+        if field == "free":
+            table["0,0"]["free"] = 1.0
+        else:
+            table["1,-4"]["torsion"] = [2.0]
+        golden = tmp_path / "golden.json"
+        golden.write_text(json.dumps(table))
+        self._fails_naming(argv + ["--golden", str(golden)], error, capsys)
+
+    @pytest.mark.parametrize("doc, error", [
+        ([{"0,0": 1}], 'a bigraded table is a JSON object keyed "s,t"'),
+        ({"0,0": 1}, "malformed bigraded entry '0,0': TypeError"),
+        ({"0": {"free": 1, "torsion": []}}, "malformed bigraded entry '0': ValueError"),
+        ({"0,0": {"free": 1}}, "malformed bigraded entry '0,0': KeyError"),
+    ])
+    def test_malformed_golden_table_is_a_structured_failure(self, tmp_path, capsys, doc, error):
+        golden = tmp_path / "golden.json"
+        golden.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["hh", "--ring", "Z", "--n", "2", "--smax", "2", "--golden", str(golden)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["claim"] == "structured failure"
+        assert report["payload"]["error"].startswith(error)
+
+    def test_unknown_family_is_a_usage_error(self, capsys):
+        assert main(["extpow", "--prime", "3", "--n", "2", "--family", "e3"]) == 2
+        assert "e3" in capsys.readouterr().err
+
+    @staticmethod
+    def _arity_one_sequence(path, dim):
+        path.write_text(json.dumps({"truncation": 2, "components": {
+            "1": {"0": {"n": 1, "dim": dim, "generators": []}}}}))
+        return str(path)
+
+    def test_arity_one_dimension_is_not_materialized(self, tmp_path, capsys):
+        # an arity-1 module's dimension is bound by no other data in the file
+        seq = self._arity_one_sequence(tmp_path / "s.json", 10 ** 30)
+        start = time.perf_counter()
+        assert main(["suspend", "--input", seq, "--k", "1"]) == 0
+        self._fails_naming(["compose", "--input", seq, seq, "--truncate", "2"],
+                           f"the product has {10 ** 60} basis elements, "
+                           f"over the cap of {MAX_COMPOSE_BASIS}", capsys)
+        assert time.perf_counter() - start < 1.0
+        negative = self._arity_one_sequence(tmp_path / "n.json", -3)
+        self._fails_naming(["suspend", "--input", negative, "--k", "1"],
+                           "module dimension -3 is negative", capsys)
+
+    def test_compose_basis_cap_admits_its_bound(self, tmp_path):
+        seq = self._arity_one_sequence(tmp_path / "s.json", 316)  # 316^2 <= cap < 317^2
+        assert run(parse(["compose", "--input", seq, seq, "--truncate", "1"])).passed
+
     def test_markdown_rendering(self):
         report = run(parse(["theta", "--n", "2", "--prime", "2"]))
         text = report.render("md")
@@ -384,6 +451,17 @@ class TestBatch:
         assert bad["claim"] == "usage error" and "degree -1" in bad["payload"]["error"]
         assert good["pass"] is True
 
+    @pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+    def test_help_entry_fails_alone(self, tmp_path, capsys, flag):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([
+            {"argv": ["theta", "--n", "2", "--prime", "3", flag]},
+            {"argv": ["theta", "--n", "2", "--prime", "3"]}]))
+        assert main(["batch", "--manifest", str(manifest)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["payload"]["failed_indices"] == [0]
+        assert out["payload"]["reports"][0]["claim"] == "usage error"
+
     def test_entry_without_argv_is_a_usage_error(self, tmp_path):
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps([{"args": ["theta"]}]))
@@ -474,3 +552,38 @@ class TestFuzz:
                 contextlib.redirect_stderr(io.StringIO()) as err:
             code = main(argv)
         assert code in (0, 1, 2), err.getvalue()
+
+
+# Arbitrary JSON documents.  Keys are drawn partly from the file formats' own
+# names, so that documents also get past the top-level shape checks.
+_FORMAT_KEYS = ["ranks", "differentials", "truncation", "components", "n", "dim",
+                "generators", "free", "torsion", "argv", "0", "1", "2", "0,0", "1,-4"]
+_JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_FORMAT_KEYS) | st.text(max_size=4), inner, max_size=4),
+    max_leaves=24)
+
+
+class TestJsonFuzz:
+    """Every verb that reads a JSON file, given an arbitrary document: main
+    exits 0, 1 or 2 and never raises; settings' deadline bounds each document."""
+
+    @settings(max_examples=100, deadline=5000,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+    @given(_JSON_DOCS)
+    def test_file_inputs_exit_cleanly(self, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        doc_file = str(path)
+        for argv in (["formality", "--input", doc_file],
+                     ["compose", "--input", doc_file, doc_file, "--truncate", "2"],
+                     ["suspend", "--input", doc_file, "--k", "1"],
+                     ["euler", "--config", doc_file],
+                     ["hh", "--ring", "Z", "--n", "2", "--smax", "2", "--golden", doc_file],
+                     ["batch", "--manifest", doc_file]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(argv)
+            assert code in (0, 1, 2), (argv, err.getvalue())
