@@ -473,6 +473,12 @@ def _run_euler(p):
             rows = json.load(fh)
         if not isinstance(rows, list) or not all(isinstance(pt, list) for pt in rows):
             raise ValueError("--config must hold a JSON array of point arrays")
+        if len(rows) > MAX_T:
+            raise ValueError(f"--config holds {len(rows)} points, over the cap of {MAX_T}")
+        widest = max(map(len, rows), default=0)
+        if widest > MAX_M:
+            raise ValueError(f"--config has a point of {widest} coordinates, "
+                             f"over the cap of {MAX_M}")
         cfg = euler_section.Configuration.from_rational(
             [[_coordinate(x) for x in pt] for pt in rows])
         value = euler_section.section_eval(cfg)
@@ -554,7 +560,10 @@ def run_batch(cmd: Command) -> Report:
                 and argv[:1] == ["euler"]:
             argv += ["--seed", str(cmd.params["seed"])]
         try:
-            rpt = run(parse(argv, add_help=False))
+            entry_cmd = parse(argv, add_help=False)
+            if entry_cmd.verb == "batch":  # a manifest naming itself would recurse
+                raise UsageError("a manifest entry cannot itself be batch")
+            rpt = run(entry_cmd)
         except UsageError as exc:  # a bad entry fails alone; the others still run
             rpt = Report(argv[0] if argv else "", {"argv": argv}, False, "usage error",
                          {"error": str(exc)})

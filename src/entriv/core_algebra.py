@@ -364,22 +364,9 @@ class GradedAbelianGroup:
     def degrees(self):
         return [deg for deg, _, _ in self.components]
 
-    def direct_sum(self, other: "GradedAbelianGroup") -> "GradedAbelianGroup":
-        data: dict[int, list] = {}
-        for deg, free, torsion in self.components + other.components:
-            entry = data.setdefault(deg, [0, []])
-            entry[0] += free
-            entry[1].extend(torsion)
-        return GradedAbelianGroup.create({d: (f, t) for d, (f, t) in data.items()})
-
     def to_json(self) -> dict:
         return {str(deg): {"free": free, "torsion": list(torsion)}
                 for deg, free, torsion in self.components}
-
-    @staticmethod
-    def from_json(data: dict) -> "GradedAbelianGroup":
-        return GradedAbelianGroup.create(
-            {int(deg): (v["free"], tuple(v["torsion"])) for deg, v in data.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -131,9 +131,6 @@ class EquivarianceReport:
     lhs: tuple
     rhs: tuple
 
-    def to_json(self):
-        return {"sigma": list(self.sigma), "equal": self.equal}
-
 
 def equivariance_test(c: Configuration, sigma: tuple) -> EquivarianceReport:
     """section(sigma . c) == sigma . section(c), compared exactly."""

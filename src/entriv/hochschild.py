@@ -331,12 +331,6 @@ class LoopSpaceTable:
     complete_through: int  # cohomological degrees <= this are complete
     rows: tuple  # sorted ((cohomological degree, (free, torsion)), ...)
 
-    def to_json(self):
-        return {"n": self.n, "ring": self.ring, "smax": self.smax,
-                "complete_through_degree": self.complete_through,
-                "table": {str(d): {"free": f, "torsion": list(tor)}
-                          for d, (f, tor) in self.rows}}
-
     def markdown(self) -> str:
         lines = ["| degree | group |", "|---|---|"]
         for d, (free, torsion) in self.rows:
@@ -356,13 +350,10 @@ def loop_space_table(n: int, ring: str, smax: int) -> LoopSpaceTable:
     if n < 2:
         raise ValueError("the free-loop regrading requires n >= 2")
     hh = small_resolution_hh(ring, n, smax)
-    merged: dict[int, GradedAbelianGroup] = {}
+    sums: dict[int, tuple] = {}
     for (s, t), (free, torsion) in hh.entries:
-        d = -t - s
-        g = GradedAbelianGroup.create({d: (free, torsion)})
-        merged[d] = merged[d].direct_sum(g) if d in merged else g
-    rows = []
-    for d in sorted(merged):
-        free, torsion = merged[d].component(d)
-        rows.append((d, (free, torsion)))
-    return LoopSpaceTable(n, ring, smax, (n - 1) * smax, tuple(rows))
+        total, orders = sums.get(-t - s, (0, ()))
+        sums[-t - s] = (total + free, orders + tuple(torsion))
+    group = GradedAbelianGroup.create(sums)
+    rows = tuple((d, group.component(d)) for d in sorted(sums))
+    return LoopSpaceTable(n, ring, smax, (n - 1) * smax, rows)

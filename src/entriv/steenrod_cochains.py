@@ -56,22 +56,6 @@ class SimplicialSet:
                                  for nm in names]
         return {"simplices": out}
 
-    @staticmethod
-    def from_json(data: dict) -> "SimplicialSet":
-        simplices = {}
-        faces = {}
-        for dim, entries in data["simplices"].items():
-            dim = int(dim)
-            names = []
-            for entry in entries:
-                if isinstance(entry, str):
-                    names.append(entry)
-                else:
-                    names.append(entry["name"])
-                    faces[entry["name"]] = [(t, tuple(w)) for t, w in entry["faces"]]
-            simplices[dim] = names
-        return SimplicialSet.create(simplices, faces)
-
     def _validate(self):
         for dim, names in self.simplices:
             for name in names:

@@ -218,12 +218,6 @@ class UnitRelation:
     theta_not_smash_nilpotent: bool | None
     text: str
 
-    def to_json(self):
-        return {"prime": self.p, "n": self.n, "relation": self.text,
-                "has_f_term": self.has_f_term,
-                "f_hurewicz_trivial": self.f_hurewicz_trivial,
-                "theta_not_smash_nilpotent": self.theta_not_smash_nilpotent}
-
 
 def unit_relation(p: int, n: int) -> UnitRelation:
     """Symbolic consequence of assumed triviality: 1 = p*x + f*theta_n.

@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import factorial
 
 from . import perms
-from .rep_theory import CharacterVector, SignedPermModule, character, trivial_multiplicity
+from .rep_theory import SignedPermModule, character, trivial_multiplicity
 
 MAX_MATERIALIZED_ARITY = 6
 
@@ -433,13 +433,6 @@ class MonoidalityReport:
     truncation: int
     entries: tuple  # (arity, degree, dim_lhs, dim_rhs, chars_equal)
     passed: bool
-
-    def to_json(self):
-        return {"truncation": self.truncation,
-                "entries": [{"arity": a, "degree": d, "dim_suspend_after": dl,
-                             "dim_suspend_before": dr, "characters_equal": ce}
-                            for a, d, dl, dr, ce in self.entries],
-                "pass": self.passed}
 
 
 def monoidality_report(a_seq: SymSeq, b_seq: SymSeq, truncation: int) -> MonoidalityReport:

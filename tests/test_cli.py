@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -255,6 +256,25 @@ class TestRun:
         config.write_text(json.dumps(rows))
         self._fails_naming(["euler", "--config", str(config)], error, capsys)
 
+    @pytest.mark.parametrize("rows, error", [
+        ([[0.5]] * (MAX_T + 1), f"--config holds {MAX_T + 1} points, over the cap of {MAX_T}"),
+        ([[0.5] * (MAX_M + 1), [1]],
+         f"--config has a point of {MAX_M + 1} coordinates, over the cap of {MAX_M}"),
+    ])
+    def test_config_size_caps(self, tmp_path, capsys, rows, error):
+        # the float coordinates show that the caps are checked before any is read
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(rows))
+        self._fails_naming(["euler", "--config", str(config)], error, capsys)
+
+    @pytest.mark.parametrize("rows", [[[k] for k in range(MAX_T)],
+                                      [[0] * MAX_M, [1] * MAX_M]])
+    def test_config_caps_admit_their_bounds(self, tmp_path, rows):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(rows))
+        report = run(parse(["euler", "--config", str(config)]))
+        assert report.passed and report.payload["points"] == [[str(x) for x in pt] for pt in rows]
+
     @pytest.mark.parametrize("key, value, error", [
         ("truncation", 2.9, "truncation 2.9 is not an integer"),
         ("n", "2", "module entry '2' is not an integer"),
@@ -367,6 +387,33 @@ class TestEulerGolden:
             "d06ae58ceb96c5a1bfbc051f63b7d01b676d55b2a24d646057f1488d7785bccf"
 
 
+# One configuration checked under all 3! relabellings, one under 24 seeded ones.
+_CONFIG_PIN = [
+    ([[1, "1/2"], [3, 4], ["-2/3", 0]], "0"),
+    ([[0, 1, 2], [1, "1/2", -3], [2, "-5/7", 4], ["3/2", 0, 1], [-1, -1, "2/9"],
+      [5, "1/11", 0], ["-4/3", 2, 7]], "5"),
+]
+
+
+class TestEulerConfigGolden:
+    """Pinned `euler --config` reports in json and md; the file's path in the
+    parameters is replaced by a fixed name."""
+
+    def test_reports(self, tmp_path):
+        digest = hashlib.sha256()
+        for rows, seed in _CONFIG_PIN:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(rows))
+            report = run(parse(["euler", "--config", str(config), "--seed", seed]))
+            assert report.passed
+            report = dataclasses.replace(
+                report, parameters={**report.parameters, "config": "config.json"})
+            for fmt in ("json", "md"):
+                digest.update(report.render(fmt).encode())
+        assert digest.hexdigest() == \
+            "9d754b131ed316d01995d95e12a47e01eb6ed0a64711b42f47523aee39942715"
+
+
 class TestMain:
     def test_exit_codes(self, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -461,6 +508,22 @@ class TestBatch:
         out = json.loads(capsys.readouterr().out)
         assert out["payload"]["failed_indices"] == [0]
         assert out["payload"]["reports"][0]["claim"] == "usage error"
+
+    def test_batch_entry_fails_alone(self, tmp_path, capsys):
+        # the second entry names the manifest itself, which used to recurse
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([
+            {"argv": ["theta", "--n", "2", "--prime", "3"]},
+            {"argv": ["batch", "--manifest", str(manifest)]},
+            {"argv": ["theta", "--n", "2", "--prime", "5"]}]))
+        assert main(["batch", "--manifest", str(manifest)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["payload"]["commands"] == 3
+        assert out["payload"]["failed_indices"] == [1]
+        first, nested, last = out["payload"]["reports"]
+        assert nested["claim"] == "usage error" and nested["verb"] == "batch"
+        assert "cannot itself be batch" in nested["payload"]["error"]
+        assert first["pass"] is True and last["pass"] is True
 
     def test_entry_without_argv_is_a_usage_error(self, tmp_path):
         manifest = tmp_path / "m.json"

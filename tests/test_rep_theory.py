@@ -1,4 +1,3 @@
-from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -7,8 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import direct_sum_modules, perm_module, random_monomial_module
 from entriv import perms
-from entriv.rep_theory import (SignedPermModule, character, is_sigma_free, rho,
-                               trivial_multiplicity, wreath_decomposition_check)
+from entriv.rep_theory import (SignedPermModule, character, is_sigma_free, trivial_multiplicity,
+                               wreath_decomposition_check)
 from entriv.rng import CounterRng
 
 
@@ -32,36 +31,6 @@ class TestPermWords:
         assert sum(perms.class_size(part) for part in perms.partitions(5)) == factorial(5)
         rep = perms.class_representative((3, 1))
         assert perms.cycle_type(rep) == (3, 1)
-
-
-class TestRho:
-    def test_rho_one_is_zero(self):
-        assert rho(1).dim == 0
-
-    def test_rho_two_is_sign(self):
-        m = rho(2)
-        assert m.dim == 1 and m.monomial
-        assert m.gens_perm == (((0, -1),),)
-
-    def test_rho_three_character(self):
-        values = dict(character(rho(3)).values)
-        assert values[(1, 1, 1)] == 2
-        assert values[(2, 1)] == 0
-        assert values[(3,)] == -1
-
-    def test_rho_four_character_matches_fixed_point_oracle(self):
-        # oracle: chi_rho = (number of fixed points) - 1 on each class
-        values = dict(character(rho(4)).values)
-        for part in perms.partitions(4):
-            rep = perms.class_representative(part)
-            assert values[part] == perms.fixed_points(rep) - 1
-
-    def test_permutation_character_identity_up_to_eight(self):
-        for n in range(2, 9):
-            m = rho(n)
-            for part in perms.partitions(n):
-                rep = perms.class_representative(part)
-                assert m.trace(rep) + 1 == perms.fixed_points(rep)
 
 
 class TestCharacter:
@@ -120,10 +89,6 @@ class TestFreeness:
         assert is_sigma_free(SignedPermModule.regular(3))
         assert SignedPermModule.regular(3).dim == 6
 
-    def test_matrix_module_rejected(self):
-        with pytest.raises(ValueError):
-            is_sigma_free(rho(3))
-
     def test_free_multiplicity(self):
         for n in (2, 3):
             m = SignedPermModule.regular(n)
@@ -149,7 +114,3 @@ class TestSerialization:
     def test_round_trip(self):
         m = perm_module(3, sign_twist=True)
         assert SignedPermModule.from_json(m.to_json()) == m
-
-    def test_matrix_module_refuses_json(self):
-        with pytest.raises(ValueError):
-            rho(3).to_json()
