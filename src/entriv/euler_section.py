@@ -6,8 +6,13 @@ the reduced standard representation (each sums to zero).  Distinct points
 cannot agree in every coordinate, so the concatenated value is never zero,
 and the construction visibly commutes with relabelling the points.
 
-Arithmetic is exact rational throughout: coincidence is equality, and a
-value vanishes only when every component is exactly zero.
+Arithmetic is exact throughout: coincidence is equality, and a value
+vanishes only when every component is exactly zero.  Each axis is put over
+the lcm L of its denominators, and centring runs on the integer numerators
+a_i as t a_i - sum(a), which is t L times the centred coordinate.  The
+sampled certificate never leaves the integers: it draws the numerators,
+checks distinctness by hashing them, and reads its verdict from the centred
+numerators and their sum of squares.
 """
 
 from __future__ import annotations
@@ -40,6 +45,16 @@ def _common_numerators(values) -> tuple:
     ratios = [x.as_integer_ratio() for x in values]
     den = math.lcm(*[d for _, d in ratios])
     return [a * (den // d) for a, d in ratios], den
+
+
+def _centred(nums: list) -> list:
+    """t a_i - sum(a) for the numerators a_i / L of one axis: t L times the
+    mean-centred coordinates.  They sum to zero, which is checked."""
+    t, total = len(nums), sum(nums)
+    out = [t * a - total for a in nums]
+    if sum(out) != 0:
+        raise ValueError("component does not sum to zero")
+    return out
 
 
 @dataclass(frozen=True)
@@ -119,8 +134,7 @@ def section_eval(c: Configuration) -> SectionValue:
     for axis in range(c.m):
         # x_i - mean = (t a_i - sum a) / (t L) with x_i = a_i / L
         nums, den = _common_numerators([pt[axis] for pt in c.points])
-        total = sum(nums)
-        comps.append(tuple(Fraction(t * a - total, t * den) for a in nums))
+        comps.append(tuple(Fraction(x, t * den) for x in _centred(nums)))
     return SectionValue(tuple(comps))
 
 
@@ -166,43 +180,63 @@ class SectionCertificate:
                 "pass": self.passed}
 
 
+def _draw_axes(rng: CounterRng, m: int, t_size: int, grid: bool) -> tuple:
+    """t_size distinct points drawn as rng.fraction draws them (numerator, then
+    denominator; point by point, axis by axis), returned per axis over the lcm
+    L of that axis's denominators: (axes, dens), point i being
+    (axes[0][i] / dens[0], ..., axes[m-1][i] / dens[m-1]).  A coincidence
+    redraws the whole configuration, at most MAX_DRAWS times."""
+    max_num, max_den = (1000, 1) if grid else (10 ** 6, 1000)
+    randint = rng.randint
+    for _ in range(MAX_DRAWS):
+        draws = [[(randint(-max_num, max_num), randint(1, max_den)) for _ in range(m)]
+                 for _ in range(t_size)]
+        axes, dens = [], []
+        for column in zip(*draws):
+            den = math.lcm(*[b for _, b in column])
+            axes.append([a * (den // b) for a, b in column])
+            dens.append(den)
+        # over a common L per axis, points are equal iff their numerators are;
+        # a coincidence is rare, unless the grid is small beside t_size
+        if len(set(zip(*axes))) == t_size:
+            return axes, dens
+    raise ValueError(f"no {t_size} distinct points in {MAX_DRAWS} draws")
+
+
 def random_configuration(rng: CounterRng, m: int, t_size: int,
                          grid: bool = False) -> Configuration:
     """Points with coordinates a/b, |a| <= 10^6 and 1 <= b <= 1000, or on the
     coarse grid of integers in [-1000, 1000] when grid is set."""
-    max_num, max_den = (1000, 1) if grid else (10 ** 6, 1000)
-    for _ in range(MAX_DRAWS):
-        pts = tuple(tuple(rng.fraction(max_num, max_den) for _ in range(m))
-                    for _ in range(t_size))
-        try:
-            return Configuration(pts)
-        except ValueError:
-            continue  # a coincidence: rare, unless the grid is small beside t_size
-    raise ValueError(f"no {t_size} distinct points in {MAX_DRAWS} draws")
+    axes, dens = _draw_axes(rng, m, t_size, grid)
+    return Configuration(tuple(tuple(Fraction(a, den) for a, den in zip(pt, dens))
+                               for pt in zip(*axes)))
 
 
 def nullhomotopy_certificate(m: int, t_size: int = 2, samples: int = 1000,
                              seed: int = 0, grid: bool = False) -> SectionCertificate:
     """Sampled nonvanishing report: as many section copies as the ambient
-    dimension suffice, the homotopy being scalar inflation of the section."""
+    dimension suffice, the homotopy being scalar inflation of the section.
+
+    Each sample is the section of random_configuration's draw, kept as
+    integers: axis k's centred numerators c are t L_k times its components,
+    so the squared norm is the sum over axes of sum(c^2) / (t L_k)^2, and it
+    is positive iff the integer sum of all c^2 is."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if t_size < 2:
         raise ValueError("t_size must be >= 2")
     rng = CounterRng(seed)
     failures = 0
-    min_norm = None
+    norms_positive = samples > 0
     for _ in range(samples):
-        cfg = random_configuration(rng, m, t_size, grid=grid)
-        value = section_eval(cfg)
-        if value.is_zero():
+        axes, _ = _draw_axes(rng, m, t_size, grid)
+        centred = [x for nums in axes for x in _centred(nums)]
+        if not any(centred):
             failures += 1
-        nsq = value.norm_squared()
-        if min_norm is None or nsq < min_norm:
-            min_norm = nsq
+        if sum(x * x for x in centred) <= 0:
+            norms_positive = False
     return SectionCertificate(
-        m, t_size, samples, seed, failures,
-        min_norm is not None and min_norm > 0,
+        m, t_size, samples, seed, failures, norms_positive,
         copies_of_reduced_rep=m,
         scaling_family="t * f for t in [0, infinity]",
         forgetful_note="sections for subsets pull back along forgetting points")

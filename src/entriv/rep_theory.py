@@ -73,20 +73,6 @@ class SignedPermModule:
                                 gens_perm=tuple(tuple((j, 1) for j in range(dim))
                                                 for _ in range(n - 1)))
 
-    @staticmethod
-    def sign_rep(n):
-        return SignedPermModule(n, 1, gens_perm=tuple(((0, -1),) for _ in range(n - 1)))
-
-    @staticmethod
-    def regular(n):
-        basis = sorted(iter_permutations(range(n)))
-        index = {g: i for i, g in enumerate(basis)}
-        gens = []
-        for i in range(n - 1):
-            s = perms.adjacent(n, i)
-            gens.append(tuple((index[perms.compose(s, g)], 1) for g in basis))
-        return SignedPermModule(n, len(basis), gens_perm=tuple(gens))
-
     # -- action ------------------------------------------------------------
 
     def act_signed(self, perm: tuple):

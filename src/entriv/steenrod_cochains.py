@@ -45,17 +45,6 @@ class SimplicialSet:
                           for name, lst in faces.items()))
         return SimplicialSet(simp, fc)
 
-    def to_json(self) -> dict:
-        out = {}
-        for dim, names in self.simplices:
-            if dim == 0:
-                out[str(dim)] = list(names)
-            else:
-                out[str(dim)] = [{"name": nm,
-                                  "faces": [[t, list(w)] for t, w in self._faces_of[nm]]}
-                                 for nm in names]
-        return {"simplices": out}
-
     def _validate(self):
         for dim, names in self.simplices:
             for name in names:

@@ -3,8 +3,8 @@
 Cell structure and Steenrod action of stunted real projective spectra, their
 integral homology through Smith normal form, the short exact sequences of
 complex K-theory groups 0 -> Z -> Z + Z/p^k -> Z/p^(k+1) -> 0 certified by an
-explicit cokernel presentation, the eigenvalue of the theta operation on
-Bott classes, and the symbolic unit relation 1 = p*x + f*theta.
+explicit cokernel presentation, and the eigenvalue of the theta operation on
+Bott classes.
 
 The K-groups themselves are imported as known values (Adams' computation for
 projective spaces and its odd-primary analogue); what is certified here is
@@ -207,29 +207,3 @@ def adams_theta(n: int, p: int) -> int:
     if (psi_eigenvalue - power_term) % p != 0:
         raise AssertionError("theta eigenvalue is not integral")
     return (psi_eigenvalue - power_term) // p
-
-
-@dataclass(frozen=True)
-class UnitRelation:
-    p: int
-    n: int
-    has_f_term: bool
-    f_hurewicz_trivial: bool  # the f-domain is coconnected over Q and F_p
-    theta_not_smash_nilpotent: bool | None
-    text: str
-
-
-def unit_relation(p: int, n: int) -> UnitRelation:
-    """Symbolic consequence of assumed triviality: 1 = p*x + f*theta_n.
-
-    For n = 1 the f-term is absent (its domain is trivial); for n >= 2 the
-    record carries the nilpotence status of theta_n from the K-theory
-    detection.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        return UnitRelation(p, 1, False, True, None, "1 = p*x")
-    witness = nilpotence_witness(p, n)
-    return UnitRelation(p, n, True, True, witness.detected,
-                        f"1 = p*x + f*theta_{n}")

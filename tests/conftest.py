@@ -5,10 +5,28 @@ natural permutation action, regular) and direct sums, so every generated
 action satisfies the symmetric-group relations by construction.
 """
 
+from itertools import permutations
+
 from entriv import perms
 from entriv.rep_theory import SignedPermModule
 from entriv.rng import CounterRng
 from entriv.sym_seq import SymSeq
+
+
+def sign_rep(n: int) -> SignedPermModule:
+    """The sign character: every adjacent transposition acts by -1."""
+    return SignedPermModule(n, 1, gens_perm=tuple(((0, -1),) for _ in range(n - 1)))
+
+
+def regular(n: int) -> SignedPermModule:
+    """Left multiplication on the n! permutations of range(n)."""
+    basis = sorted(permutations(range(n)))
+    index = {g: i for i, g in enumerate(basis)}
+    gens = []
+    for i in range(n - 1):
+        s = perms.adjacent(n, i)
+        gens.append(tuple((index[perms.compose(s, g)], 1) for g in basis))
+    return SignedPermModule(n, len(basis), gens_perm=tuple(gens))
 
 
 def perm_module(n: int, sign_twist: bool = False) -> SignedPermModule:
@@ -36,12 +54,12 @@ def direct_sum_modules(mods) -> SignedPermModule:
 
 
 def random_monomial_module(rng: CounterRng, n: int, max_summands: int = 2) -> SignedPermModule:
-    choices = [SignedPermModule.trivial(n), SignedPermModule.sign_rep(n)]
+    choices = [SignedPermModule.trivial(n), sign_rep(n)]
     if n >= 2:
         choices.append(perm_module(n))
         choices.append(perm_module(n, sign_twist=True))
     if n <= 3:
-        choices.append(SignedPermModule.regular(n))
+        choices.append(regular(n))
     mods = [rng.choice(choices) for _ in range(rng.randint(1, max_summands))]
     return direct_sum_modules(mods)
 

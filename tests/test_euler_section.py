@@ -113,6 +113,11 @@ class TestCertificate:
         cert = nullhomotopy_certificate(1, 2, samples=100, seed=1)
         assert cert.passed and cert.copies_of_reduced_rep == 1
 
+    def test_no_samples_certify_nothing(self):
+        cert = nullhomotopy_certificate(2, 3, samples=0, seed=1)
+        assert cert.failures == 0 and not cert.min_norm_squared_positive
+        assert not cert.passed
+
     def test_examples(self):
         assert nullhomotopy_certificate(2, 3, samples=300, seed=5).passed
         assert nullhomotopy_certificate(3, 4, samples=300, seed=6).passed
@@ -135,10 +140,62 @@ class TestCertificate:
     def test_vanishing_sample_is_counted(self, monkeypatch):
         zero = SectionValue(((Fraction(0), Fraction(0)),))
         assert zero.is_zero() and zero.norm_squared() == 0
-        monkeypatch.setattr(euler_section, "section_eval", lambda cfg: zero)
+        # the certificate centres on integers; a centring that returns zeros
+        # must count every sample as a failure and make the norms non-positive
+        monkeypatch.setattr(euler_section, "_centred", lambda nums: [0] * len(nums))
         cert = nullhomotopy_certificate(1, 2, samples=3, seed=0)
-        assert cert.failures == 3 and not cert.passed
-        assert cert.to_json()["pass"] is False
+        assert cert.failures == 3 and not cert.min_norm_squared_positive
+        assert not cert.passed and cert.to_json()["pass"] is False
+
+
+def _fraction_oracle(m, t, samples, seed, grid):
+    """(failures, every norm positive, draws used) from plain Fraction means
+    x - sum(xs)/t of random_configuration's points."""
+    rng = CounterRng(seed)
+    failures, positive = 0, samples > 0
+    for _ in range(samples):
+        points = random_configuration(rng, m, t, grid=grid).points
+        values = [x - sum(xs) / t for xs in zip(*points) for x in xs]
+        if all(x == 0 for x in values):
+            failures += 1
+        if sum(x * x for x in values) <= 0:
+            positive = False
+    return failures, positive, rng._counter
+
+
+def _oracle_cases() -> list:
+    rng = CounterRng(2024)
+    cases = [(rng.randint(1, 4), rng.randint(2, 7), rng.randint(0, 999), bool(rng.below(2)))
+             for _ in range(12)]
+    # one axis of 2001 grid values: 40 or 80 points clash often, so whole
+    # configurations are redrawn
+    return cases + [(1, 40, seed, True) for seed in (0, 1)] + [(1, 80, 5, True)]
+
+
+class TestCertificateOracle:
+    @pytest.mark.parametrize("m, t, seed, grid", _oracle_cases())
+    def test_integer_kernel_matches_fraction_means(self, monkeypatch, m, t, seed, grid):
+        samples = 8
+        failures, positive, draws = _fraction_oracle(m, t, samples, seed, grid)
+        made = []
+
+        class Recording(CounterRng):  # keeps the certificate's generator
+            def __init__(self, seed):
+                super().__init__(seed)
+                made.append(self)
+
+        monkeypatch.setattr(euler_section, "CounterRng", Recording)
+        cert = nullhomotopy_certificate(m, t, samples=samples, seed=seed, grid=grid)
+        assert (cert.failures, cert.min_norm_squared_positive) == (failures, positive)
+        assert made[0]._counter == draws
+        if t >= 40:
+            assert draws > samples * t * m * 2  # a numerator and a denominator per coordinate
+
+    def test_both_routes_give_up_alike(self):
+        with pytest.raises(ValueError, match="no 300 distinct points in 100 draws"):
+            nullhomotopy_certificate(1, 300, samples=1, seed=0, grid=True)
+        with pytest.raises(ValueError, match="no 300 distinct points in 100 draws"):
+            _fraction_oracle(1, 300, 1, 0, True)
 
 
 def _section_digest(m, t, seed):

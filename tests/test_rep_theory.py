@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import direct_sum_modules, perm_module, random_monomial_module
+from conftest import direct_sum_modules, perm_module, random_monomial_module, regular, sign_rep
 from entriv import perms
 from entriv.rep_theory import (SignedPermModule, character, is_sigma_free, trivial_multiplicity,
                                wreath_decomposition_check)
@@ -39,7 +39,7 @@ class TestCharacter:
         assert all(v == 1 for _, v in values)
 
     def test_regular_sigma2(self):
-        values = dict(character(SignedPermModule.regular(2)).values)
+        values = dict(character(regular(2)).values)
         assert values[(1, 1)] == 2 and values[(2,)] == 0
 
     def test_identity_value_is_dimension(self):
@@ -79,27 +79,27 @@ class TestWreath:
 
 class TestFreeness:
     def test_regular_is_free(self):
-        assert is_sigma_free(SignedPermModule.regular(3))
+        assert is_sigma_free(regular(3))
 
     def test_trivial_is_not(self):
         assert not is_sigma_free(SignedPermModule.trivial(2))
 
     def test_associative_arity_component(self):
         # the orderings of three letters with the place-permutation action
-        assert is_sigma_free(SignedPermModule.regular(3))
-        assert SignedPermModule.regular(3).dim == 6
+        assert is_sigma_free(regular(3))
+        assert regular(3).dim == 6
 
     def test_free_multiplicity(self):
         for n in (2, 3):
-            m = SignedPermModule.regular(n)
+            m = regular(n)
             assert trivial_multiplicity(m) == m.dim // factorial(n)
 
 
 class TestTrivialMultiplicity:
     def test_values(self):
         assert trivial_multiplicity(SignedPermModule.trivial(3)) == 1
-        assert trivial_multiplicity(SignedPermModule.sign_rep(2)) == 0
-        assert trivial_multiplicity(SignedPermModule.regular(3)) == 1
+        assert trivial_multiplicity(sign_rep(2)) == 0
+        assert trivial_multiplicity(regular(3)) == 1
 
     def test_direct_sum_additive(self):
         rng = CounterRng(31)

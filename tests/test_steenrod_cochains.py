@@ -328,9 +328,3 @@ class TestWitness:
         assert report.square_zero_side_value == 0
         assert report.not_trivial
 
-
-class TestSerialization:
-    def test_spec_shape(self):
-        data = sphere_model(2).to_json()
-        assert data["simplices"]["0"] == ["v"]
-        assert data["simplices"]["2"] == [{"name": "t", "faces": [["v", [0]]] * 3}]

@@ -5,7 +5,7 @@ import pytest
 from entriv.core_algebra import homology
 from entriv.stunted_ktheory import (StuntedCellComplex, adams_theta, binom_mod2,
                                     ku_ses, nilpotence_witness, stunted_integral_homology,
-                                    stunted_sq, torsion_exponent, unit_relation)
+                                    stunted_sq, torsion_exponent)
 
 
 def binom_mod2_oracle(j, k):
@@ -137,17 +137,3 @@ class TestTheta:
         for p in (2, 3, 5):
             for n in range(1, 11):
                 assert adams_theta(n, p) * p == p ** n
-
-
-class TestUnitRelation:
-    def test_n1_degenerates(self):
-        rel = unit_relation(3, 1)
-        assert not rel.has_f_term and rel.text == "1 = p*x"
-
-    def test_n2_flags_nilpotent(self):
-        rel = unit_relation(3, 2)
-        assert rel.has_f_term and rel.theta_not_smash_nilpotent is False
-
-    def test_n3_flags_detected(self):
-        rel = unit_relation(3, 3)
-        assert rel.has_f_term and rel.theta_not_smash_nilpotent is True

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from conftest import random_symseq
+from conftest import random_symseq, sign_rep
 from entriv.rep_theory import SignedPermModule, character
 from entriv.rng import CounterRng
 from entriv.sym_seq import (MAX_MATERIALIZED_ARITY, SymSeq, compose,
@@ -127,7 +127,7 @@ class TestComposeGolden:
 
     def test_odd_degrees(self):
         odd = SymSeq.create(4, {1: {1: SignedPermModule.trivial(1)},
-                                2: {1: SignedPermModule.sign_rep(2)}})
+                                2: {1: sign_rep(2)}})
         assert _digest(compose(odd, odd, 4)) == \
             "3fad63055e412e7220c340caea1db447099f646da2c4d77dbcab9e791a730cc9"
 
