@@ -7,7 +7,8 @@
 Exports the parent commit (HEAD by default) with `git archive` and the
 working tree (tracked and untracked files that .gitignore does not name)
 into two fresh directories, compiles the bytecode of both, and runs
-`perfbench/run.py` in each as a black box, one process at a time.  For each
+`perfbench/run.py` in each as a black box, one process at a time, for the
+`run_seconds` that BENCHMARK.json sets (seeds 0-9 by default).  For each
 seed and workload the two sides run back to back; which side runs first
 alternates from pair to pair, and from seed to seed within a workload.  The
 output file holds, per workload and end-to-end metric, both sides' runs,
@@ -74,15 +75,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--parent", default="HEAD", help="commit to compare against")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(range(10)))
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
     if len(args.seeds) < 2:
         parser.error("quartiles need at least two seeds")
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        declared = {m["name"]: m for m in json.load(fh)["end_to_end"]}
+        benchmark = json.load(fh)
+    declared = {m["name"]: m for m in benchmark["end_to_end"]}
+    seconds = benchmark["run_seconds"]
     parent = _git("rev-parse", args.parent).decode().strip()
     runs = {w: {side: [] for side in SIDES} for w in args.workloads}
     correct = True
@@ -94,7 +96,7 @@ def main(argv=None) -> int:
             for j, workload in enumerate(args.workloads):
                 order = SIDES if (i + j) % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    line = run(trees[side], workload, seed, args.seconds)
+                    line = run(trees[side], workload, seed, seconds)
                     correct = correct and line["correct"]
                     runs[workload][side].append(line["metrics"])
                     print(f"bench_pair: seed {seed} {workload} {side}: wall_s "
@@ -112,7 +114,7 @@ def main(argv=None) -> int:
                 "unit": meta["unit"], "better": meta["better"], "bound": meta["bound"],
                 "parent": summary(values["parent"]), "change": summary(values["change"]),
                 "change_wins": wins, "pairs": len(values["parent"])}
-    doc = {"parent": parent, "seeds": args.seeds, "seconds": args.seconds,
+    doc = {"parent": parent, "seeds": args.seeds, "seconds": seconds,
            "correct": correct,
            "machine": {"python": platform.python_version(), "cpus": os.cpu_count(),
                        "platform": platform.platform()},

@@ -12,7 +12,7 @@ the lcm L of its denominators, and centring runs on the integer numerators
 a_i as t a_i - sum(a), which is t L times the centred coordinate.  The
 sampled certificate never leaves the integers: it draws the numerators,
 checks distinctness by hashing them, and reads its verdict from the centred
-numerators and their sum of squares.
+numerators.
 """
 
 from __future__ import annotations
@@ -219,24 +219,22 @@ def nullhomotopy_certificate(m: int, t_size: int = 2, samples: int = 1000,
 
     Each sample is the section of random_configuration's draw, kept as
     integers: axis k's centred numerators c are t L_k times its components,
-    so the squared norm is the sum over axes of sum(c^2) / (t L_k)^2, and it
-    is positive iff the integer sum of all c^2 is."""
+    so the squared norm is the sum over axes of sum(c^2) / (t L_k)^2.  That
+    is positive iff some c is nonzero, so the minimum norm is positive iff
+    no sample failed (and there was a sample)."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if t_size < 2:
         raise ValueError("t_size must be >= 2")
     rng = CounterRng(seed)
     failures = 0
-    norms_positive = samples > 0
     for _ in range(samples):
         axes, _ = _draw_axes(rng, m, t_size, grid)
-        centred = [x for nums in axes for x in _centred(nums)]
-        if not any(centred):
+        # a list, not a generator: every axis is centred and its sum checked
+        if not any([any(_centred(nums)) for nums in axes]):
             failures += 1
-        if sum(x * x for x in centred) <= 0:
-            norms_positive = False
     return SectionCertificate(
-        m, t_size, samples, seed, failures, norms_positive,
+        m, t_size, samples, seed, failures, samples > 0 and failures == 0,
         copies_of_reduced_rep=m,
         scaling_family="t * f for t in [0, infinity]",
         forgetful_note="sections for subsets pull back along forgetting points")

@@ -147,6 +147,20 @@ class TestCertificate:
         assert cert.failures == 3 and not cert.min_norm_squared_positive
         assert not cert.passed and cert.to_json()["pass"] is False
 
+    def test_one_vanishing_axis_is_not_a_failure(self, monkeypatch):
+        # a sample vanishes only when every axis does; zero out the first of
+        # the two axes of each sample and the certificate must still pass
+        centred, calls = euler_section._centred, []
+
+        def first_axis_zero(nums):
+            calls.append(None)
+            out = centred(nums)
+            return [0] * len(out) if len(calls) % 2 else out
+
+        monkeypatch.setattr(euler_section, "_centred", first_axis_zero)
+        cert = nullhomotopy_certificate(2, 3, samples=4, seed=0)
+        assert len(calls) == 8 and cert.failures == 0 and cert.passed
+
 
 def _fraction_oracle(m, t, samples, seed, grid):
     """(failures, every norm positive, draws used) from plain Fraction means
