@@ -556,9 +556,9 @@ def run_batch(cmd: Command) -> Report:
         if not isinstance(argv, list):
             raise UsageError(f"manifest entry {idx} has no argv list")
         argv = [str(a) for a in argv]
-        if cmd.params.get("seed") is not None and "--seed" not in argv \
-                and argv[:1] == ["euler"]:
-            argv += ["--seed", str(cmd.params["seed"])]
+        if cmd.params.get("seed") is not None and argv[:1] == ["euler"]:
+            # right after the verb, so that a seed the entry sets comes later and wins
+            argv[1:1] = ["--seed", str(cmd.params["seed"])]
         try:
             entry_cmd = parse(argv, add_help=False)
             if entry_cmd.verb == "batch":  # a manifest naming itself would recurse

@@ -181,6 +181,8 @@ def _smith_reduce(a: list, nrows: int, ncols: int, left: list | None = None,
     least absolute value in row-major order; the pivot and reduction orders
     fix L and R, so they must not change.
     """
+    by_rows = (a,) if left is None else (a, left)  # what a row operation changes
+    by_cols = (a,) if right is None else (a, right)  # what a column operation changes
     size = min(nrows, ncols)
     for t in range(size):
         pivot_i = pivot_j = best = 0
@@ -195,14 +197,11 @@ def _smith_reduce(a: list, nrows: int, ncols: int, left: list | None = None,
         if not best:
             break
         if pivot_i != t:
-            a[t], a[pivot_i] = a[pivot_i], a[t]
-            if left is not None:
-                left[t], left[pivot_i] = left[pivot_i], left[t]
+            for m in by_rows:
+                m[t], m[pivot_i] = m[pivot_i], m[t]
         if pivot_j != t:
-            for row in a:
-                row[t], row[pivot_j] = row[pivot_j], row[t]
-            if right is not None:
-                for row in right:
+            for m in by_cols:
+                for row in m:
                     row[t], row[pivot_j] = row[pivot_j], row[t]
         while True:
             dirty = False
@@ -212,13 +211,11 @@ def _smith_reduce(a: list, nrows: int, ncols: int, left: list | None = None,
                     continue
                 q = -(e // a[t][t])
                 if q:  # row_i += q * row_t
-                    a[i] = [x + q * y for x, y in zip(a[i], a[t])]
-                    if left is not None:
-                        left[i] = [x + q * y for x, y in zip(left[i], left[t])]
+                    for m in by_rows:
+                        m[i] = [x + q * y for x, y in zip(m[i], m[t])]
                 if a[i][t]:  # remainder strictly smaller: promote it
-                    a[t], a[i] = a[i], a[t]
-                    if left is not None:
-                        left[t], left[i] = left[i], left[t]
+                    for m in by_rows:
+                        m[t], m[i] = m[i], m[t]
                     dirty = True
             for j in range(t + 1, ncols):
                 e = a[t][j]
@@ -226,18 +223,13 @@ def _smith_reduce(a: list, nrows: int, ncols: int, left: list | None = None,
                     continue
                 q = -(e // a[t][t])
                 if q:  # column_j += q * column_t; rows with a zero there are unchanged
-                    for row in a:
-                        if row[t]:
-                            row[j] += q * row[t]
-                    if right is not None:
-                        for row in right:
+                    for m in by_cols:
+                        for row in m:
                             if row[t]:
                                 row[j] += q * row[t]
                 if a[t][j]:
-                    for row in a:
-                        row[t], row[j] = row[j], row[t]
-                    if right is not None:
-                        for row in right:
+                    for m in by_cols:
+                        for row in m:
                             row[t], row[j] = row[j], row[t]
                     dirty = True
             if dirty:
@@ -245,16 +237,14 @@ def _smith_reduce(a: list, nrows: int, ncols: int, left: list | None = None,
             d = a[t][t]
             for i in range(t + 1, nrows):  # row_t += the first row d does not divide
                 if any(x % d for x in a[i][t + 1:]):
-                    a[t] = [x + y for x, y in zip(a[t], a[i])]
-                    if left is not None:
-                        left[t] = [x + y for x, y in zip(left[t], left[i])]
+                    for m in by_rows:
+                        m[t] = [x + y for x, y in zip(m[t], m[i])]
                     break
             else:
                 break
         if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            if left is not None:
-                left[t] = [-x for x in left[t]]
+            for m in by_rows:
+                m[t] = [-x for x in m[t]]
     return tuple([a[i][i] for i in range(size)])
 
 
@@ -453,6 +443,29 @@ def homology(c: ChainComplex, coefficients: Ring = "Z") -> GradedAbelianGroup:
     return GradedAbelianGroup(tuple(components))
 
 
+def elementary_complex(free_at: dict, torsion_at: dict) -> ChainComplex:
+    """The sum of one Z in degree n per free generator of H_n and one
+    two-term piece Z --d--> Z in degrees (n+1, n) per torsion order d of H_n.
+
+    free_at maps a degree to a free rank, torsion_at to a list of orders
+    (not necessarily a divisibility chain).  The basis of degree n is the
+    free part of H_n, then the torsion targets of H_n, then the torsion
+    sources of H_{n-1}.
+    """
+    def rank(n):
+        return free_at.get(n, 0) + len(torsion_at.get(n, ())) + len(torsion_at.get(n - 1, ()))
+
+    ranks = {n: rank(n) for n in {*free_at, *torsion_at, *(n + 1 for n in torsion_at)}}
+    diffs = {}
+    for n, orders in torsion_at.items():  # d_{n+1}: the sources of H_n's torsion onto its targets
+        target = free_at.get(n, 0)
+        source = free_at.get(n + 1, 0) + len(torsion_at.get(n + 1, ()))
+        diffs[n + 1] = mat = [[0] * ranks[n + 1] for _ in range(ranks[n])]
+        for i, d in enumerate(orders):
+            mat[target + i][source + i] = d
+    return ChainComplex.create(ranks, diffs)
+
+
 def formality_splitting(c: ChainComplex):
     """Minimal model of a bounded complex over Z.
 
@@ -463,32 +476,8 @@ def formality_splitting(c: ChainComplex):
     hereditary ring this always holds.
     """
     h = homology(c, "Z")
-    ranks: dict[int, int] = {}
-    diffs: dict[int, list] = {}
-    free_at = {deg: free for deg, free, _ in h.components}
-    torsion_at = {deg: torsion for deg, _, torsion in h.components}
-    degrees = set(free_at)
-    for deg, torsion in torsion_at.items():
-        if torsion:
-            degrees.add(deg + 1)
-    for n in sorted(degrees):
-        tor_here = torsion_at.get(n, ())
-        tor_below = torsion_at.get(n - 1, ())
-        # basis order: free part of H_n, torsion targets of H_n, torsion sources of H_{n-1}
-        ranks[n] = free_at.get(n, 0) + len(tor_here) + len(tor_below)
-    for n in sorted(degrees):
-        tor_below = torsion_at.get(n - 1, ())
-        if not tor_below:
-            continue
-        rows = ranks.get(n - 1, 0)
-        cols = ranks[n]
-        offset_row = free_at.get(n - 1, 0)
-        offset_col = free_at.get(n, 0) + len(torsion_at.get(n, ()))
-        mat = [[0] * cols for _ in range(rows)]
-        for i, d in enumerate(tor_below):
-            mat[offset_row + i][offset_col + i] = d
-        diffs[n] = mat
-    minimal = ChainComplex.create(ranks, diffs)
+    minimal = elementary_complex({deg: free for deg, free, _ in h.components},
+                                 {deg: torsion for deg, _, torsion in h.components})
     certified = homology(minimal, "Z") == h
     return minimal, certified
 
@@ -526,45 +515,21 @@ def random_chain_complex(rng, max_degree: int = 3, max_rank: int = 6,
                          entry_bound: int = 9) -> ChainComplex:
     """A bounded complex with d o d = 0 and small entries.
 
-    Built as a sum of elementary pieces (free generators and two-term torsion
-    pieces) and sheared by a few elementary basis changes in each degree,
-    retrying until every entry stays within the bound.
+    An elementary_complex of a random graded group, sheared by a few
+    elementary basis changes in each degree, redrawn until every rank and
+    entry stays within its bound.
     """
     while True:
-        ranks: dict[int, int] = {}
-        torsion: dict[int, list] = {}
+        free_at, torsion_at = {}, {}
         for deg in range(max_degree + 1):
-            free = rng.below(3)
-            tors = [rng.randint(2, 6) for _ in range(rng.below(3))] if deg < max_degree else []
-            torsion[deg] = tors
-            ranks[deg] = free + len(tors) + len(torsion.get(deg - 1, []))
-        ranks = {d: r for d, r in ranks.items() if r}
-        diffs = {}
-        for deg in range(1, max_degree + 1):
-            tor_below = torsion.get(deg - 1, [])
-            if not tor_below or not ranks.get(deg) or not ranks.get(deg - 1):
-                continue
-            rows = ranks[deg - 1]
-            cols = ranks[deg]
-            mat = [[0] * cols for _ in range(rows)]
-            for i, d in enumerate(tor_below):
-                mat[rows - len(tor_below) + i][cols - len(tor_below) + i] = d
-            diffs[deg] = mat
-        if any(r > max_rank for r in ranks.values()):
+            free_at[deg] = rng.below(3)
+            torsion_at[deg] = [rng.randint(2, 6) for _ in range(rng.below(3))] \
+                if deg < max_degree else []
+        cx = elementary_complex(free_at, torsion_at)
+        if any(r > max_rank for _, r in cx.ranks):
             continue
         # basis changes: d_n -> U_{n-1} d_n U_n^{-1}
-        us = {deg: random_unimodular(ranks[deg], rng, ops=3, bound=1) for deg in ranks}
-        new_diffs = {}
-        ok = True
-        for deg, mat in diffs.items():
-            m2 = us[deg - 1][0].mul(IntMatrix.from_rows(mat)).mul(us[deg][1])
-            if any(abs(e) > entry_bound for row in m2.entries for e in row):
-                ok = False
-                break
-            new_diffs[deg] = m2
-        if not ok:
-            continue
-        try:
-            return ChainComplex.create(ranks, new_diffs)
-        except ValueError:
-            continue
+        us = {deg: random_unimodular(rank, rng, ops=3, bound=1) for deg, rank in cx.ranks}
+        diffs = {deg: us[deg - 1][0].mul(mat).mul(us[deg][1]) for deg, mat in cx.differentials}
+        if all(abs(e) <= entry_bound for m in diffs.values() for row in m.entries for e in row):
+            return ChainComplex.create(dict(cx.ranks), diffs)

@@ -101,11 +101,6 @@ class Configuration:
 class SectionValue:
     components: tuple  # m tuples, each of length |T|, each summing to zero
 
-    def __post_init__(self):
-        for comp in self.components:
-            if sum(_common_numerators(comp)[0]) != 0:
-                raise ValueError("component does not sum to zero")
-
     def is_zero(self) -> bool:
         return all(x == 0 for comp in self.components for x in comp)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core_algebra import ChainComplex, homology, is_prime
+from .core_algebra import ChainComplex, elementary_complex, homology, is_prime
 from .stunted_ktheory import StuntedCellComplex, binom_mod2
 
 FAMILIES = ("einf", "en+1", "en-1", "e2", "e1")
@@ -358,7 +358,7 @@ class MooreReport:
 
 def moore_complex(p: int) -> ChainComplex:
     """Two cells in degrees -1, 0 with boundary multiplication by p."""
-    return ChainComplex.create({-1: 1, 0: 1}, {0: [[p]]})
+    return elementary_complex({}, {-1: (p,)})
 
 
 def moore_identification(p: int) -> MooreReport:

@@ -541,6 +541,17 @@ class TestBatch:
         assert a.payload["reports"][0]["parameters"]["seed"] == 4
         assert c.payload["reports"][0]["parameters"]["seed"] == 5
 
+    @pytest.mark.parametrize("own, want", [(["--seed=7"], 7), (["--seed", "7"], 7),
+                                           (["--se", "7"], 7), ([], 4)],
+                             ids=["--seed=7", "--seed 7", "--se 7", "no seed"])
+    def test_entry_seed_beats_the_batch_seed(self, tmp_path, own, want):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([{"argv": ["euler", "--m", "1", "--t", "2",
+                                                  "--samples", "20", *own]}]))
+        rpt = run(parse(["batch", "--manifest", str(manifest), "--seed", "4"]))
+        assert rpt.passed
+        assert rpt.payload["reports"][0]["parameters"]["seed"] == want
+
 
 def _sized(cap, small=8):
     """Integers below, at, around and far beyond a cap."""

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pathlib
 import time
 from itertools import combinations
 from math import gcd
@@ -10,10 +11,10 @@ from hypothesis import strategies as st
 
 from entriv import core_algebra
 from entriv.core_algebra import (ChainComplex, GradedAbelianGroup, IntMatrix,
-                                 formality_splitting, homology, invariant_factors,
-                                 is_prime, random_chain_complex, random_unimodular,
-                                 product_is_zero, rank_q, ring_prime, smith_diagonal,
-                                 smith_normal_form)
+                                 elementary_complex, formality_splitting, homology,
+                                 invariant_factors, is_prime, random_chain_complex,
+                                 random_unimodular, product_is_zero, rank_q, ring_prime,
+                                 smith_diagonal, smith_normal_form)
 from entriv.rng import CounterRng
 from entriv.stunted_ktheory import StuntedCellComplex, stunted_integral_homology
 
@@ -80,9 +81,15 @@ class TestSmithNormalForm:
         assert checked > 20
 
 
+# the 54 differentials of 30 complexes that random_chain_complex drew from
+# CounterRng(2025) at max_degree=5 when the pin was taken, frozen because
+# the generator's stream has since changed
+PINNED_DIFFERENTIALS = pathlib.Path(__file__).parent / "golden" / "snf_pin_differentials.json"
+
+
 def pinned_matrices():
     """1500 seeded matrices up to 6x6 (dense, some zeros, mostly zeros) and
-    the differentials of 30 random complexes."""
+    the frozen differentials of 30 random complexes."""
     rng = CounterRng(2024)
     mats = []
     for _ in range(1500):
@@ -91,9 +98,7 @@ def pinned_matrices():
         mats.append(IntMatrix.from_rows(
             [[0 if rng.below(4) < zeros + zeros // 2 else rng.randint(-5, 5)
               for _ in range(c)] for _ in range(r)]))
-    rng = CounterRng(2025)
-    for _ in range(30):
-        mats.extend(m for _, m in random_chain_complex(rng, max_degree=5).differentials)
+    mats.extend(map(IntMatrix.from_rows, json.loads(PINNED_DIFFERENTIALS.read_text())))
     return mats
 
 
@@ -293,6 +298,26 @@ class TestHomology:
                 homology(cx, ring)
                 assert len(calls) <= most
                 assert all(not m.is_zero() for m in calls)
+
+
+class TestElementaryComplex:
+    def test_homology_is_the_presented_group(self):
+        rng = CounterRng(43)
+        consecutive = 0
+        for _ in range(60):
+            free_at = {n: rng.below(3) for n in range(-2, 4)}
+            torsion_at = {n: [rng.randint(2, 12) for _ in range(rng.below(3))]
+                          for n in range(-2, 4)}
+            consecutive += any(torsion_at[n] and torsion_at[n + 1] for n in range(-2, 3))
+            want = GradedAbelianGroup.create({n: (free_at[n], torsion_at[n]) for n in free_at})
+            assert homology(elementary_complex(free_at, torsion_at), "Z") == want
+        assert consecutive > 10
+
+    def test_random_complexes_reach_consecutive_torsion(self):
+        rng = CounterRng(0)
+        groups = [homology(random_chain_complex(rng, max_degree=5), "Z") for _ in range(50)]
+        assert any(g.component(n)[1] and g.component(n + 1)[1]
+                   for g in groups for n in range(5))
 
 
 class TestFormality:

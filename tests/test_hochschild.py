@@ -73,6 +73,24 @@ class TestBarComplex:
             assert table.group_at(s, -2 * (s + 1)) == (1, ())
             assert table.group_at(s, -2 * s) == (0, ())
 
+    @pytest.mark.parametrize("ring", ("Z", "F2", "F3", "Q"))
+    def test_group_ring_of_z2(self, ring):
+        # R[Z/2], |g| = 0, g^2 = 1: the unit reappears inside a bar word, and
+        # HH_s = H_s(Z/2; R)^2, one copy per conjugacy class
+        algebra = GradedUnitalAlgebra(ring, ("1", "g"), (0, 0), 0,
+                                      ((((0, 1),), ((1, 1),)), (((1, 1),), ((0, 1),))))
+        smax = 5
+        table = bar_hochschild(algebra, smax)
+        for s in range(smax + 1):
+            if s == 0 or ring == "F2":
+                want = (2, ())
+            elif ring == "Z" and s % 2:
+                want = (0, (2, 2))
+            else:
+                want = (0, ())
+            assert table.group_at(s, 0) == want
+        assert all(t == 0 for (_, t), _ in table.entries)
+
 
 class TestCrossOracle:
     @pytest.mark.parametrize("ring", ("Z", "F2", "F3", "Q"))
