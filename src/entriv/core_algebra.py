@@ -5,6 +5,12 @@ matrices, homology with Z / Q / F_p coefficients, and minimal models over
 hereditary base rings (every bounded complex splits as a sum of its
 homology, presented degreewise by free resolutions).
 
+The Smith diagonal has two routes.  `smith_normal_form` eliminates on the
+matrix itself and builds L and R; its entries can grow without bound.
+`smith_diagonal`, which homology over Z reads, pivots on unit entries first
+and works the rest modulo a minor, so every entry stays within Hadamard's
+bound; the tests use `smith_normal_form` as its independent oracle.
+
 All arithmetic is arbitrary-precision: pivot growth during Smith reduction
 overflows any fixed width already on small random matrices.
 """
@@ -168,21 +174,143 @@ def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
 
 
 def smith_diagonal(m: IntMatrix) -> tuple:
-    """The diagonal of smith_normal_form(m), without building L and R."""
-    return _smith_reduce([list(row) for row in m.entries], m.rows, m.cols)
+    """The diagonal of smith_normal_form(m), by a route of its own whose
+    entries stay within Hadamard's bound.
+
+    Phase 1 pivots on a unit entry of the shortest sparse row that has one,
+    which keeps the fill-in low, while any unit is left.  Each pivot is a
+    diagonal 1, and the rows it is subtracted from keep minors of m as
+    entries, since every pivot so far is a unit.  Phase 2 diagonalises
+    the residual, which holds no unit, modulo a nonzero r x r minor D of it
+    (r its rank): see _residual_diagonal.
+    """
+    rows = [r for r in ({j: e for j, e in enumerate(row) if e} for row in m.entries) if r]
+    units = 0
+    while rows:
+        best = None  # (length, index, column) of a unit in the shortest row that has one
+        for i, row in enumerate(rows):
+            if best is None or len(row) < best[0]:
+                for j, e in row.items():
+                    if e == 1 or e == -1:
+                        best = (len(row), i, j)
+                        break
+        if best is None:
+            break
+        _, i, c = best
+        pivot = rows.pop(i)
+        unit = pivot.pop(c)
+        for row in rows:
+            f = row.pop(c, 0) * unit  # row -= f * pivot row, which clears column c
+            if f:
+                for j, e in pivot.items():
+                    x = row.get(j, 0) - f * e
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+        rows = [row for row in rows if row]
+        units += 1
+    size = min(m.rows, m.cols)
+    if not rows:
+        return (1,) * units + (0,) * (size - units)
+    cols = sorted({j for row in rows for j in row})
+    residual = _residual_diagonal([[row.get(j, 0) for j in cols] for row in rows])
+    return (1,) * units + residual + (0,) * (size - units - len(residual))
 
 
-def _smith_reduce(a: list, nrows: int, ncols: int, left: list | None = None,
-                  right: list | None = None) -> tuple:
+def _residual_diagonal(a: list) -> tuple:
+    """The nonzero Smith diagonal d_1 | ... | d_r of the nonzero integer
+    matrix a (row lists), worked modulo a minor (Domich, Kannan and Trotter).
+
+    _bareiss gives the rank r and a nonzero r x r minor D, so d_i | D for
+    i <= r.  Row and column steps that are unimodular over Z/D diagonalise
+    a mod D; residue x reads as gcd(x, D), so 0 reads as D, the image of
+    every d_i with i > r.  The residues in divisibility-chain form are
+    therefore d_1, ..., d_r, D, ..., D, and the first r are the answer.
+    """
+    nrows, ncols = len(a), len(a[0])
+    if nrows == 1 or ncols == 1:  # rank 1: d_1 is the gcd of the entries
+        return (math.gcd(*(x for row in a for x in row)),)
+    rank, _, det = _bareiss(IntMatrix.from_rows(a))
+    det = abs(det)
+    a = [[x % det for x in row] for row in a]
+    residues = []
+    for t in range(min(nrows, ncols)):
+        pivot_i = pivot_j = best = 0
+        for i in range(t, nrows):
+            row = a[i]
+            for j in range(t, ncols):
+                e = row[j]
+                if e and (not best or e < best):
+                    pivot_i, pivot_j, best = i, j, e
+        if not best:
+            residues += [det] * (min(nrows, ncols) - t)
+            break
+        a[t], a[pivot_i] = a[pivot_i], a[t]
+        for row in a[t:]:
+            row[t], row[pivot_j] = row[pivot_j], row[t]
+        while True:
+            top = a[t]
+            for i in range(t + 1, nrows):
+                row = a[i]
+                e = row[t]
+                if not e:
+                    continue
+                p = top[t]
+                if e % p == 0:  # subtract: a gcd step here would swap the rows for ever
+                    q = e // p
+                    a[i] = [(y - q * x) % det for x, y in zip(top, row)]
+                else:  # (row_t, row_i) <- (s row_t + u row_i, (p row_i - e row_t) / g)
+                    g, s, u = _xgcd(p, e)
+                    ep, pg = e // g, p // g
+                    a[t] = [(s * x + u * y) % det for x, y in zip(top, row)]
+                    a[i] = [(pg * y - ep * x) % det for x, y in zip(top, row)]
+                    top = a[t]
+            refilled = False
+            for j in range(t + 1, ncols):
+                e = top[j]
+                if not e:
+                    continue
+                p = top[t]
+                if e % p == 0:
+                    q = e // p
+                    for row in a[t:]:
+                        if row[t]:  # all of column t below row t is zero until a refill
+                            row[j] = (row[j] - q * row[t]) % det
+                else:  # the same step on columns t and j; it refills column t
+                    g, s, u = _xgcd(p, e)
+                    ep, pg = e // g, p // g
+                    for row in a[t:]:
+                        x, y = row[t], row[j]
+                        row[t], row[j] = (s * x + u * y) % det, (pg * y - ep * x) % det
+                    refilled = True
+            if not refilled:
+                break
+        residues.append(math.gcd(a[t][t], det))
+    return tuple(_divisibility_chain(residues)[:rank])
+
+
+def _xgcd(a: int, b: int) -> tuple:
+    """(g, s, u) with s a + u b = g = gcd(a, b), for a, b > 0."""
+    s0, s1, u0, u1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        u0, u1 = u1, u0 - q * u1
+    return a, s0, u0
+
+
+def _smith_reduce(a: list, nrows: int, ncols: int, left: list, right: list) -> tuple:
     """Reduce a (row lists, changed in place) to Smith form; return its diagonal.
 
     Each row operation is also applied to `left` and each column operation to
-    `right` when they are given.  The pivot is the first nonzero entry of
-    least absolute value in row-major order; the pivot and reduction orders
-    fix L and R, so they must not change.
+    `right`.  The pivot is the first nonzero entry of least absolute value in
+    row-major order; the pivot and reduction orders fix L and R, so they must
+    not change.
     """
-    by_rows = (a,) if left is None else (a, left)  # what a row operation changes
-    by_cols = (a,) if right is None else (a, right)  # what a column operation changes
+    by_rows = (a, left)  # what a row operation changes
+    by_cols = (a, right)  # what a column operation changes
     size = min(nrows, ncols)
     for t in range(size):
         pivot_i = pivot_j = best = 0
@@ -235,6 +363,8 @@ def _smith_reduce(a: list, nrows: int, ncols: int, left: list | None = None,
             if dirty:
                 continue
             d = a[t][t]
+            if d == 1 or d == -1:  # a unit divides every entry: no row to find
+                break
             for i in range(t + 1, nrows):  # row_t += the first row d does not divide
                 if any(x % d for x in a[i][t + 1:]):
                     for m in by_rows:
@@ -318,14 +448,20 @@ def rank_mod_p(m: IntMatrix, p: int) -> int:
 def invariant_factors(orders) -> tuple:
     """Normalise a multiset of cyclic orders (>= 2) to the chain d_1 | d_2 | ...,
     using Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b) on every pair (no factoring)."""
-    chain = list(orders)
-    if chain and min(chain) < 2:
+    if orders and min(orders) < 2:
         raise ValueError("torsion orders must be >= 2")
+    return tuple(d for d in _divisibility_chain(orders) if d > 1)
+
+
+def _divisibility_chain(values) -> list:
+    """The positive integers `values`, as many of them, put in the chain
+    d_1 | d_2 | ... by Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b) on every pair."""
+    chain = list(values)
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
             g = math.gcd(chain[i], chain[j])
             chain[i], chain[j] = g, chain[i] // g * chain[j]
-    return tuple(d for d in chain if d > 1)
+    return chain
 
 
 @dataclass(frozen=True)
@@ -414,20 +550,24 @@ class ChainComplex:
 def homology(c: ChainComplex, coefficients: Ring = "Z") -> GradedAbelianGroup:
     """H_n = ker d_n / im d_{n+1}.
 
-    Each nonzero differential is reduced once: to its Smith diagonal over Z
-    (rank and torsion orders), by fraction-free elimination over Q and by
-    elimination mod p over F_p (rank); an absent differential has rank 0.
+    Each distinct nonzero differential is reduced once per call, however
+    many degrees it appears in: to its Smith diagonal over Z (rank and
+    torsion orders), by fraction-free elimination over Q and by elimination
+    mod p over F_p (rank); an absent differential has rank 0.
     """
     p = ring_prime(coefficients)
     reduced = {}  # n -> (rank of d_n, torsion of coker d_n over Z)
+    by_matrix = {}  # the same reduction for every differential equal to mat
     for n, mat in c.differentials:
-        if p is not None:
-            reduced[n] = (rank_mod_p(mat, p), ())
-        elif coefficients == "Q":
-            reduced[n] = (rank_q(mat), ())
-        else:
-            diag = [d for d in smith_diagonal(mat) if d != 0]
-            reduced[n] = (len(diag), tuple(d for d in diag if d > 1))
+        if mat not in by_matrix:
+            if p is not None:
+                by_matrix[mat] = (rank_mod_p(mat, p), ())
+            elif coefficients == "Q":
+                by_matrix[mat] = (rank_q(mat), ())
+            else:
+                diag = [d for d in smith_diagonal(mat) if d != 0]
+                by_matrix[mat] = (len(diag), tuple(d for d in diag if d > 1))
+        reduced[n] = by_matrix[mat]
     components = []
     absent = (0, ())
     for n, dim in c.ranks:

@@ -31,7 +31,8 @@ class GradedUnitalAlgebra:
     mult: tuple  # mult[i][j] = tuple of (index, coefficient)
 
     def __post_init__(self):
-        ring_prime(self.ring)  # validates the label
+        # validates the label; _normalize reads the prime for every vector
+        object.__setattr__(self, "_prime", ring_prime(self.ring))
         dim = len(self.basis)
         if len(self.degrees) != dim or len(self.mult) != dim:
             raise ValueError("basis/degree/table sizes disagree")
@@ -68,7 +69,7 @@ class GradedUnitalAlgebra:
         return self._normalize(out)
 
     def _normalize(self, vec):
-        p = ring_prime(self.ring)
+        p = self._prime
         out = {}
         for k, c in vec.items():
             if p is not None:
@@ -199,9 +200,15 @@ def _homology_by_internal_degree(ring: str, smax: int, degrees: dict,
     differential C_s -> C_(s-1) on basis element j.  Each internal degree t
     is a separate chain complex.
     """
+    by_degree = []  # by_degree[s][t]: the basis elements of C_s in internal degree t
+    for s in range(smax + 2):
+        groups: dict[int, list] = {}
+        for i, d in enumerate(degrees[s]):
+            groups.setdefault(d, []).append(i)
+        by_degree.append(groups)
     result = {}
-    for t in sorted({t for s in range(smax + 1) for t in degrees[s]}):
-        idx = {s: [i for i, d in enumerate(degrees[s]) if d == t] for s in range(smax + 2)}
+    for t in sorted({t for s in range(smax + 1) for t in by_degree[s]}):
+        idx = {s: by_degree[s].get(t, []) for s in range(smax + 2)}
         ranks = {s: len(basis) for s, basis in idx.items() if basis}
         mats = {}
         for s in range(1, smax + 2):

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from entriv.cli import (MAX_CELL_RANGE, MAX_COMPOSE_BASIS, MAX_EULER_WORK, MAX_K, MAX_M, MAX_N,
-                        MAX_PRIME, MAX_SAMPLES, MAX_SMAX, MAX_SPHERE, MAX_T, MAX_WINDOW_WIDTH,
-                        Command, UsageError, main, parse, run)
+from entriv.cli import (MAX_CELL_RANGE, MAX_COMPLEX_CELLS, MAX_COMPOSE_BASIS, MAX_ENTRY_BITS,
+                        MAX_EULER_WORK, MAX_K, MAX_M, MAX_N, MAX_PRIME, MAX_SAMPLES, MAX_SMAX,
+                        MAX_SPHERE, MAX_T, MAX_WINDOW_WIDTH, Command, UsageError, _complex_size,
+                        main, parse, run)
 from entriv.core_algebra import IntMatrix, product_is_zero
 from entriv.extended_powers import FAMILIES
 
@@ -661,3 +662,26 @@ class TestJsonFuzz:
                     contextlib.redirect_stderr(io.StringIO()) as err:
                 code = main(argv)
             assert code in (0, 1, 2), (argv, err.getvalue())
+
+    @pytest.mark.parametrize("side, entry, code", [
+        (64, 2 ** MAX_ENTRY_BITS - 1, 0),  # at both caps: 64 * 64 cells
+        (65, 0, 2),  # one more row and column, even of zeros
+        (2, 2 ** MAX_ENTRY_BITS, 2),
+    ])
+    def test_complex_size_caps(self, tmp_path, side, entry, code):
+        assert 64 * 64 == MAX_COMPLEX_CELLS
+        path = tmp_path / "cx.json"
+        path.write_text(json.dumps({"ranks": {"0": side, "1": side}, "differentials": {
+            "1": [[entry if i == j else 0 for j in range(side)] for i in range(side)]}}))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            assert main(["formality", "--input", str(path)]) == code, err.getvalue()
+
+    def test_manifest_complexes_are_under_the_caps(self):
+        manifest = json.loads((ROOT / "manifests/acceptance.json").read_text())
+        inputs = [entry["argv"][entry["argv"].index("--input") + 1] for entry in manifest
+                  if entry["argv"][0] == "formality"]
+        assert inputs
+        for name in inputs:
+            cells, bits = _complex_size(json.loads((ROOT / name).read_text()))
+            assert cells <= MAX_COMPLEX_CELLS and bits <= MAX_ENTRY_BITS

@@ -25,6 +25,21 @@ small_matrices = st.integers(1, 4).flatmap(
             min_size=r, max_size=r)))
 
 
+def _product(rows: int, inner: int, cols: int):
+    """A * B with A rows x inner and B inner x cols, entries in [-4, 4]."""
+    entry = st.integers(-4, 4)
+    return st.tuples(
+        st.lists(st.lists(entry, min_size=inner, max_size=inner), min_size=rows, max_size=rows),
+        st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=inner, max_size=inner),
+    ).map(lambda ab: IntMatrix.from_rows(ab[0]).mul(IntMatrix.from_rows(ab[1])).entries)
+
+
+# rank-deficient products of rank at most 4: at inner sizes 5-7 a few such
+# products (6 of 300 seeded draws) stall smith_normal_form, the oracle here
+small_products = st.tuples(st.integers(1, 7), st.integers(1, 4), st.integers(1, 7)).flatmap(
+    lambda shape: _product(*shape))
+
+
 def minor_gcd_diagonal(m: IntMatrix):
     """Independent oracle: d_1 ... d_k = gcd of k x k minors ratios."""
     diag = []
@@ -133,11 +148,28 @@ class TestSmithDiagonal:
         assert diag == smith_normal_form(m).diagonal
         assert rank_q(m) == sum(1 for d in diag if d)
 
+    @settings(max_examples=100, deadline=None)
+    @given(small_products)
+    def test_matches_smith_normal_form_on_rank_deficient_products(self, rows):
+        m = IntMatrix.from_rows(rows)
+        assert smith_diagonal(m) == smith_normal_form(m).diagonal
+
     def test_sympy_oracle(self):
         sympy = pytest.importorskip("sympy")
         from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-        for m in pinned_matrices()[::15]:
+        rng = CounterRng(53)
+
+        def draw(rows, cols, bound):
+            return IntMatrix.from_rows([[rng.randint(-bound, bound) for _ in range(cols)]
+                                        for _ in range(rows)])
+
+        dense = [draw(rng.randint(1, 8), rng.randint(1, 8), 9) for _ in range(60)]
+        products = []
+        for _ in range(40):  # inner sizes up to 7, where smith_normal_form may stall
+            r, k, c = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
+            products.append(draw(r, k, 4).mul(draw(k, c, 4)))
+        for m in pinned_matrices()[::15] + dense + products:
             got = sympy_snf(sympy.Matrix(m.to_lists()), domain=sympy.ZZ)
             want = tuple(abs(int(got[i, i])) for i in range(min(m.rows, m.cols)))
             assert smith_diagonal(m) == want
@@ -150,6 +182,44 @@ class TestSmithDiagonal:
                 assert rank_q(m) == sum(1 for d in smith_diagonal(m) if d)
                 checked += 1
         assert checked > 40
+
+    def test_sheared_diagonals_of_side_32(self):
+        # diag(d_1..d_32), d_i in 1..6, then 32 random shears +-1/+-2 on each
+        # side: the Smith diagonal is the divisibility chain of the d_i
+        for seed in range(10):
+            rng = CounterRng(seed)
+            diag = [rng.randint(1, 6) for _ in range(32)]
+            m = [[diag[i] if i == j else 0 for j in range(32)] for i in range(32)]
+            for side in range(2):
+                for _ in range(32):
+                    i, j, q = rng.below(32), rng.below(32), rng.sign() * rng.randint(1, 2)
+                    if i == j:
+                        continue
+                    if side == 0:
+                        m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+                    else:
+                        for row in m:
+                            row[i] += q * row[j]
+            chain = invariant_factors([d for d in diag if d > 1])
+            start = time.perf_counter()
+            assert smith_diagonal(IntMatrix.from_rows(m)) == (1,) * (32 - len(chain)) + chain
+            assert time.perf_counter() - start < 0.5
+
+    def test_residues_mod_the_minor_are_chained_before_truncation(self):
+        # rank 1 with no unit entry; the minor is 6, and working mod 6 leaves
+        # the residues 3 and 2: their chain (1, 6) truncated to the rank reads
+        # d_1 = 1, where either residue alone would read 3 or 2
+        m = IntMatrix.from_rows([[6, 4], [9, 6]])
+        assert smith_diagonal(m) == (1, 0) == smith_normal_form(m).diagonal
+
+    def test_integral_homology_avoids_the_smith_stall(self):
+        cx = ChainComplex.create({0: 9, 1: 8}, {1: STALLING_9X8})
+        start = time.perf_counter()
+        h = homology(cx, "Z")
+        diagonal = smith_diagonal(cx.differentials[0][1])
+        assert time.perf_counter() - start < 0.5
+        assert h == GradedAbelianGroup.create({0: (1, ())})
+        assert diagonal == (1,) * 8
 
     def test_rational_homology_avoids_the_smith_stall(self):
         cx = ChainComplex.create({0: 9, 1: 8}, {1: STALLING_9X8})
@@ -173,12 +243,29 @@ class TestSmithDiagonal:
 
         monkeypatch.setattr(core_algebra, "smith_diagonal", counting)
         for cx in complexes:
+            distinct = list(dict.fromkeys(m for _, m in cx.differentials))
             for ring in ("Z", "Q", "F2", "F5"):
                 diagonal.clear()
                 homology(cx, ring)
-                expected = [m for _, m in cx.differentials] if ring == "Z" else []
-                assert diagonal == expected
+                assert diagonal == (distinct if ring == "Z" else [])
         assert full == []
+
+    def test_equal_differentials_are_reduced_once(self, monkeypatch):
+        cx = StuntedCellComplex(-50, 50).chain_complex()
+        assert len(cx.differentials) == 50
+        assert {m for _, m in cx.differentials} == {IntMatrix.from_rows([[2]])}
+        want = stunted_integral_homology(-50, 50)
+        calls = []
+        for name in ("smith_diagonal", "rank_mod_p"):
+            real = getattr(core_algebra, name)
+            monkeypatch.setattr(core_algebra, name,
+                                lambda *args, real=real, name=name:
+                                calls.append(name) or real(*args))
+        assert homology(cx, "Z") == want
+        assert calls == ["smith_diagonal"]
+        calls.clear()
+        homology(cx, "F2")
+        assert calls == ["rank_mod_p"]
 
 
 class TestHomology:
