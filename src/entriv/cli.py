@@ -620,7 +620,12 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    text = report.render(cmd.fmt)
+    try:
+        text = report.render(cmd.fmt)
+    except ValueError as exc:  # an integer longer than int-to-str conversion allows
+        report = Report(report.verb, report.parameters, False, "structured failure",
+                        {"error": f"the report cannot be rendered: {exc}"})
+        text = report.render(cmd.fmt)
     if cmd.out:
         with open(cmd.out, "w") as fh:
             fh.write(text)

@@ -65,6 +65,7 @@ def partitions(n: int) -> tuple:
     return tuple(sorted(gen(n, n)))
 
 
+@lru_cache(maxsize=None)
 def class_representative(partition: tuple) -> tuple:
     """Permutation with consecutive cycles of the given lengths."""
     n = sum(partition)
@@ -89,6 +90,7 @@ def class_size(partition: tuple) -> int:
     return factorial(n) // z
 
 
+@lru_cache(maxsize=1 << 13)  # callers ask for a few hundred words, over and over
 def adjacent_word(p: tuple) -> tuple:
     """Generator indices w with p = s_{w[0]} o s_{w[1]} o ... (rightmost applied first)."""
     cur = list(p)

@@ -4,23 +4,39 @@ Signed-permutation actions, characters, restriction to wreath subgroups, and
 freeness of the underlying basis action.  Representations over Q are
 compared through characters: Q[Sigma_n] is semisimple, so character
 equality is isomorphism and no intertwiner search is needed.
+
+A signed permutation of the basis e_0, ..., e_{dim-1} is stored as one
+(image index, sign) pair per basis vector.  For composing, each one is also
+read as a permutation of 2*dim points: +e_j is point 2j and -e_j is point
+2j+1, so g(e_j) = s e_k sends 2j to 2k (s = 1) or 2k+1 (s = -1), and 2j+1 to
+the other point of that pair.  This map from signed permutations to
+permutations of 2*dim points is an injective homomorphism, so relations hold
+in one form exactly when they hold in the other, and composing needs no
+sign arithmetic: for a doubled g, `after = itemgetter(*g)` gives after(x) =
+x o g (first g, then x) in one C-level call.  Pairs are read back off the
+even points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
 from math import factorial
+from operator import eq, itemgetter
 
 from . import perms
 
 MAX_RANK = 10  # group elements are permutation words; desk scale
 
 
-def _compose_signed(f, g):
-    """(f o g) on signed basis maps: first g, then f."""
-    return tuple([f[j] if s == 1 else (f[j][0], -f[j][1]) for j, s in g])
+def _doubled(g) -> list:
+    """A signed permutation as a permutation of 2*dim points."""
+    plus = [j + j + (s == -1) for j, s in g]  # image of +e_j; -e_j goes to the other point
+    out = plus * 2
+    out[0::2] = plus
+    out[1::2] = [x ^ 1 for x in plus]
+    return out
 
 
 @dataclass(frozen=True)
@@ -29,12 +45,14 @@ class SignedPermModule:
 
     `gens_perm` holds, per generator, a tuple of (image index, sign) for the
     basis vectors; it is checked against the involution, commutation and
-    braid relations on construction.
+    braid relations on construction, on the doubled form of the module
+    docstring, which is kept as one `itemgetter` per generator.
     """
 
     n: int
     dim: int
     gens_perm: tuple
+    _after: tuple = field(init=False, repr=False, compare=False)  # x -> x o g, per generator
 
     def __post_init__(self):
         if self.n < 1:
@@ -43,26 +61,32 @@ class SignedPermModule:
             raise ValueError(f"rank capped at {MAX_RANK}")
         if len(self.gens_perm) != self.n - 1:
             raise ValueError("one signed permutation per adjacent transposition")
-        for g in self.gens_perm:
-            if sorted([j for j, _ in g]) != list(range(self.dim)):
+        doubled = []
+        for g in self.gens_perm:  # at n = 1 there is none, and no data bounds dim
+            d = _doubled(g)
+            if sorted(d) != list(range(2 * self.dim)):
                 raise ValueError("signed permutation is not a bijection")
             if {s for _, s in g} - {1, -1}:
                 raise ValueError("signs must be +-1")
-        if self.gens_perm:  # at n = 1 no relation to check, and no data bounds dim
-            self._check_relations()
+            doubled.append(d)
+        # itemgetter needs an index; with dim = 0 every relation holds
+        after = tuple(itemgetter(*d) for d in doubled) if self.dim else ()
+        object.__setattr__(self, "_after", after)
+        if after:
+            self._check_relations(doubled)
 
-    def _check_relations(self):
-        gens, mul = self.gens_perm, _compose_signed
-        one = tuple((j, 1) for j in range(self.dim))
-        for i, g in enumerate(gens):
-            if mul(g, g) != one:
+    def _check_relations(self, doubled):
+        after = self._after
+        one = tuple(range(2 * self.dim))
+        for i, g in enumerate(doubled):
+            if after[i](g) != one:
                 raise ValueError(f"generator {i} is not an involution")
-            for j in range(i + 2, len(gens)):
-                if mul(g, gens[j]) != mul(gens[j], g):
+            for j in range(i + 2, len(doubled)):
+                if after[j](g) != after[i](doubled[j]):
                     raise ValueError(f"generators {i},{j} do not commute")
-            if i + 1 < len(gens):
-                h = gens[i + 1]
-                if mul(mul(g, h), g) != mul(mul(h, g), h):
+            if i + 1 < len(doubled):
+                h, g_after, h_after = doubled[i + 1], after[i], after[i + 1]
+                if g_after(h_after(g)) != h_after(g_after(h)):
                     raise ValueError(f"braid relation fails at {i}")
 
     # -- constructors ------------------------------------------------------
@@ -75,15 +99,29 @@ class SignedPermModule:
 
     # -- action ------------------------------------------------------------
 
-    def act_signed(self, perm: tuple):
-        """Signed basis map of an arbitrary permutation."""
-        out = tuple((j, 1) for j in range(self.dim))
-        for i in perms.adjacent_word(perm):
-            out = _compose_signed(self.gens_perm[i], out)
+    def _fold(self, perm: tuple) -> tuple:
+        """act_signed(perm) on the 2*dim points."""
+        out = tuple(range(2 * self.dim))
+        if out:
+            for i in reversed(perms.adjacent_word(perm)):
+                out = self._after[i](out)
         return out
 
+    def act_signed(self, perm: tuple):
+        """Signed basis map of an arbitrary permutation: per basis vector,
+        (image index, sign).
+
+        The word w = `perms.adjacent_word(perm)` is applied with g[w[0]]
+        first, so this is an anti-homomorphism for `perms.compose`:
+        act_signed(compose(p, q)) is act_signed(p) followed by act_signed(q).
+        """
+        return tuple([(x >> 1, -1 if x & 1 else 1) for x in self._fold(perm)[::2]])
+
     def trace(self, perm: tuple):
-        return sum(s for j, (img, s) in enumerate(self.act_signed(perm)) if img == j)
+        """Fixed basis vectors of perm count +1, negated ones -1."""
+        plus = self._fold(perm)[::2]
+        return (sum(map(eq, plus, range(0, 2 * self.dim, 2)))
+                - sum(map(eq, plus, range(1, 2 * self.dim, 2))))
 
     def twist_by_sign(self, power: int = 1):
         """Tensor with the sign representation to the given power."""

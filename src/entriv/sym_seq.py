@@ -17,6 +17,16 @@ The combinatorics of each orbit's cosets are computed once per process, and
 within one `compose` call the signed action of each permutation on A- and
 B-labels, each tensor-label action and each Koszul sign are computed once and
 reused.
+
+Signed permutations are (image index, sign) pairs per basis vector, as in
+`rep_theory`.  The labels' actions come from `SignedPermModule.act_signed`,
+which composes generators as permutations of 2*dim points (+e_j is point 2j,
+-e_j is point 2j+1) along `perms.adjacent_word`, first letter applied first;
+so act_signed(p o q) is act_signed(p) followed by act_signed(q).  Here pairs
+are composed directly: a basis element's image under a generator carries the
+product of its A-label sign, its blockwise B-label signs and the Koszul sign.
+The product's generator tables are pairs again, and each new module checks
+its relations in the doubled form.
 """
 
 from __future__ import annotations

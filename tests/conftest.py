@@ -5,10 +5,11 @@ natural permutation action, regular) and direct sums, so every generated
 action satisfies the symmetric-group relations by construction.
 """
 
+import hashlib
 from itertools import permutations
 
 from entriv import perms
-from entriv.rep_theory import SignedPermModule
+from entriv.rep_theory import SignedPermModule, character
 from entriv.rng import CounterRng
 from entriv.sym_seq import SymSeq
 
@@ -80,3 +81,15 @@ def random_symseq(rng: CounterRng, truncation: int = 4, degree_span: int = 2,
     if not data:
         data[1] = {0: SignedPermModule.trivial(1)}
     return SymSeq.create(truncation, data)
+
+
+def action_digest(modules, max_rank: int = 5) -> str:
+    """sha256 over each module's character values and, up to max_rank, its
+    act_signed(p) for every p in S_n in lexicographic order."""
+    h = hashlib.sha256()
+    for m in modules:
+        if m.n <= max_rank:
+            for p in permutations(range(m.n)):
+                h.update(repr(m.act_signed(p)).encode())
+        h.update(repr(character(m).values).encode())
+    return h.hexdigest()

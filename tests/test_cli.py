@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from entriv import cli
 from entriv.cli import (MAX_CELL_RANGE, MAX_COMPLEX_CELLS, MAX_COMPOSE_BASIS, MAX_ENTRY_BITS,
                         MAX_EULER_WORK, MAX_K, MAX_M, MAX_N, MAX_PRIME, MAX_SAMPLES, MAX_SMAX,
                         MAX_SPHERE, MAX_T, MAX_WINDOW_WIDTH, Command, UsageError, _complex_size,
@@ -429,6 +430,21 @@ class TestMain:
                                    "differentials": {"1": [[1, 1]]}}))
         assert main(["formality", "--input", str(bad), "--out",
                      str(tmp_path / "o.json")]) == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "md"])
+    def test_unrenderable_payload_is_a_structured_failure(self, monkeypatch, capsys, fmt):
+        # str() refuses integers over sys.get_int_max_str_digits() digits
+        monkeypatch.setitem(cli._HANDLERS, "theta",
+                            lambda params: (True, {"order": 10 ** 5000}, "a huge order"))
+        capsys.readouterr()
+        assert main(["theta", "--n", "3", "--prime", "2", "--format", fmt]) == 1
+        out = capsys.readouterr().out
+        if fmt == "json":
+            report = json.loads(out)
+            assert (report["pass"], report["claim"]) == (False, "structured failure")
+            assert report["payload"]["error"].startswith("the report cannot be rendered: ")
+        else:
+            assert "* claim: structured failure" in out and "* pass: NO" in out
 
 
 class TestBatch:

@@ -1,10 +1,13 @@
+import re
+from itertools import permutations
 from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import direct_sum_modules, perm_module, random_monomial_module, regular, sign_rep
+from conftest import (action_digest, direct_sum_modules, perm_module, random_monomial_module,
+                      regular, sign_rep)
 from entriv import perms
 from entriv.rep_theory import (SignedPermModule, character, is_sigma_free, trivial_multiplicity,
                                wreath_decomposition_check)
@@ -17,9 +20,6 @@ class TestPermWords:
     def test_word_recomposes(self, p):
         p = tuple(p)
         word = perms.adjacent_word(p)
-        out = perms.identity(5)
-        for i in word:
-            out = perms.compose(out, perms.adjacent(5, i))
         # the word lists leftmost factor first: fold as p = s_{w0} o ... o s_{wk}
         acc = perms.identity(5)
         for i in word:
@@ -56,8 +56,56 @@ class TestCharacter:
             assert m.trace(g) == m.trace(conj)
 
     def test_relation_validation_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            SignedPermModule(3, 2, gens_perm=(((0, 1), (1, 1)), ((1, 1), (0, -1))))
+        swap, still = ((1, 1), (0, 1)), ((0, 1), (1, 1))
+        cases = [  # one module per failure, each breaking only that check
+            (2, 2, (((1, 1), (0, -1)),), "generator 0 is not an involution"),
+            (4, 3, (((1, 1), (0, 1), (2, 1)), ((0, 1), (1, 1), (2, 1)),
+                    ((0, 1), (2, 1), (1, 1))), "generators 0,2 do not commute"),
+            (3, 2, (swap, still), "braid relation fails at 0"),
+            (2, 1, (((0, 2),),), "signs must be +-1"),
+            (2, 1, (((0, 0),),), "signs must be +-1"),
+            (2, 2, (((0, 1), (0, -1)),), "signed permutation is not a bijection"),
+            (2, 2, (((0, 1), (2, 1)),), "signed permutation is not a bijection"),
+            (2, 2, (((0, 1),),), "signed permutation is not a bijection"),
+        ]
+        for n, dim, gens, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                SignedPermModule(n, dim, gens_perm=gens)
+
+    def test_dimension_zero(self):
+        m = SignedPermModule(3, 0, gens_perm=((), ()))
+        assert m.act_signed((2, 0, 1)) == ()
+        assert all(v == 0 for _, v in character(m).values)
+        assert m.twist_by_sign().dim == 0
+
+
+def _signed_compose(f, g):
+    """f o g on signed basis maps: first g, then f."""
+    return tuple((f[j][0], s * f[j][1]) for j, s in g)
+
+
+class TestAction:
+    def test_golden(self):
+        # every map and character of the builders' modules; a changed fold
+        # order or sign rule moves it
+        mods = [build(n) for n in range(1, 6)
+                for build in (regular, perm_module, lambda k: perm_module(k, sign_twist=True))]
+        rng = CounterRng(41)
+        mods += [random_monomial_module(rng, n, max_summands=3)
+                 for n in range(1, 6) for _ in range(4)]
+        assert action_digest(mods) == \
+            "4bbbfb24ac7e7a5ee711220d96b296b70839f653f42fa9a23176b9fed2ff533b"
+
+    @pytest.mark.parametrize("build", [regular, lambda n: perm_module(n, sign_twist=True),
+                                       lambda n: random_monomial_module(CounterRng(5), n, 3)])
+    def test_anti_homomorphism(self, build):
+        # g[w_0] acts first, so the product p o q acts as act(q) o act(p)
+        m = build(4)
+        elements = list(permutations(range(4)))
+        act = {p: m.act_signed(p) for p in elements}
+        for p in elements:
+            for q in elements:
+                assert act[perms.compose(p, q)] == _signed_compose(act[q], act[p])
 
 
 class TestWreath:

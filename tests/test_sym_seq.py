@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from conftest import random_symseq, sign_rep
+from conftest import action_digest, random_symseq, sign_rep
 from entriv.rep_theory import SignedPermModule, character
 from entriv.rng import CounterRng
 from entriv.sym_seq import (MAX_MATERIALIZED_ARITY, SymSeq, compose,
@@ -119,6 +119,22 @@ class TestComposeGolden:
         assert ab.arities() == [1]
         assert all(m.gens_perm == () for _, m in ab.components[0][1])
         assert _digest(ab) == digest
+
+    @pytest.mark.parametrize("seed, truncation, digest", [
+        (3, 5, "3a6d43c3124bd38d695d5ff5112f3b39dc9e2ec252cd4dcb02e7461f47ac39e7"),
+        (12, 5, "d33b92f87ac19017115bfbd9b9885f7d7ab8675ca554797acdf9ece3ba1e844f"),
+        (19, 5, "3db84810a494bacbd414fac42280ffde51d5258bf16fbc902f3fd860e836c317"),
+        (1, 6, "107acdacfe0cef42925f04a2085a5e6e59edce03c33339f01546c0823510e441"),
+        (14, 6, "bbc93f9e85a2df11d9400286188ac681499a09504707cfe5b62192b01ee31b71"),
+        (26, 6, "bc0c2fafc1af01cb6e8751ea3d4a27817c5b89d2c78df4fc99be13921915e031"),
+    ])
+    def test_product_actions(self, seed, truncation, digest):
+        # act_signed on every permutation up to S_5 and the characters of
+        # every piece of the products above
+        a, b = _seeded_pair(seed, truncation)
+        product = compose(a, b, truncation)
+        assert action_digest(m for _, by_degree in product.components
+                             for _, m in by_degree) == digest
 
     def test_empty_product(self):
         ab = compose(trivial_seq(2, truncation=3), trivial_seq(2, truncation=3), 3)
