@@ -12,8 +12,16 @@ into two fresh directories, compiles the bytecode of both, and runs
 seed and workload the two sides run back to back; which side runs first
 alternates from pair to pair, and from seed to seed within a workload.  The
 output file holds, per workload and end-to-end metric, both sides' runs,
-medians and quartiles, and how many pairs the working tree won (ties count
-for neither side).
+medians and quartiles, how many pairs the working tree won (ties count for
+neither side), and a verdict: the first of these rules that applies.
+
+1. The parent's IQR exceeds `bound` times its median: "better" when every
+   run of the working tree beats every parent run, else "unresolved".
+2. "worse" when the working tree's median is worse than the parent's by
+   more than `bound` times the parent's median.
+3. "gain" when the working tree wins at least 9 pairs in 10 and its median
+   is better than the parent's by more than the parent's IQR.
+4. "no worse".
 """
 
 from __future__ import annotations
@@ -71,6 +79,22 @@ def summary(values: list) -> dict:
             "runs": values}
 
 
+def verdict(parent: dict, change: dict, better: str, bound: float, wins: int,
+            pairs: int) -> str:
+    """The rules of the module docstring, on two `summary` dicts."""
+    sign = 1 if better == "higher" else -1
+    scale = bound * abs(parent["median"])
+    if parent["iqr"] > scale:
+        beaten = all(sign * (c - p) > 0 for c in change["runs"] for p in parent["runs"])
+        return "better" if beaten else "unresolved"
+    ahead = sign * (change["median"] - parent["median"])
+    if ahead < -scale:
+        return "worse"
+    if 10 * wins >= 9 * pairs and ahead > parent["iqr"]:
+        return "gain"
+    return "no worse"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
@@ -110,10 +134,13 @@ def main(argv=None) -> int:
             sign = 1 if meta["better"] == "higher" else -1
             wins = sum(1 for p, c in zip(values["parent"], values["change"])
                        if sign * (c - p) > 0)
+            parent_s, change_s = summary(values["parent"]), summary(values["change"])
+            pairs = len(values["parent"])
             report[workload][name] = {
                 "unit": meta["unit"], "better": meta["better"], "bound": meta["bound"],
-                "parent": summary(values["parent"]), "change": summary(values["change"]),
-                "change_wins": wins, "pairs": len(values["parent"])}
+                "parent": parent_s, "change": change_s, "change_wins": wins, "pairs": pairs,
+                "verdict": verdict(parent_s, change_s, meta["better"], meta["bound"],
+                                   wins, pairs)}
     doc = {"parent": parent, "seeds": args.seeds, "seconds": seconds,
            "correct": correct,
            "machine": {"python": platform.python_version(), "cpus": os.cpu_count(),

@@ -552,22 +552,14 @@ _HANDLERS = {
 }
 
 
-def _json_safe(value):
-    if isinstance(value, tuple):
-        return list(value)
-    return value
-
-
 def run(cmd: Command) -> Report:
     if cmd.verb == "batch":
         return run_batch(cmd)
     try:
         passed, payload, claim = _HANDLERS[cmd.verb](cmd.params)
     except (ValueError, OSError) as exc:
-        return Report(cmd.verb, {k: _json_safe(v) for k, v in cmd.params.items()},
-                      False, "structured failure", {"error": str(exc)})
-    return Report(cmd.verb, {k: _json_safe(v) for k, v in cmd.params.items()},
-                  passed, claim, payload)
+        return Report(cmd.verb, cmd.params, False, "structured failure", {"error": str(exc)})
+    return Report(cmd.verb, cmd.params, passed, claim, payload)
 
 
 def run_batch(cmd: Command) -> Report:
@@ -627,8 +619,12 @@ def main(argv=None) -> int:
                         {"error": f"the report cannot be rendered: {exc}"})
         text = report.render(cmd.fmt)
     if cmd.out:
-        with open(cmd.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cmd.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:  # a missing directory, a directory, no permission
+            print(f"usage error: cannot write --out: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if report.passed else 1

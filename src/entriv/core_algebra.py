@@ -509,6 +509,8 @@ class ChainComplex:
         for n, r in ranks.items():
             if type(r) is not int:
                 raise ValueError(f"rank {r!r} in degree {n} is not an integer")
+            if r < 0:
+                raise ValueError(f"rank {r} in degree {n} is negative")
         ranks = {int(n): r for n, r in ranks.items() if r > 0}
         diffs = {}
         for n, mat in differentials.items():

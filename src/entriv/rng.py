@@ -27,9 +27,9 @@ class CounterRng:
         return int.from_bytes(h.digest()[:8], "little")
 
     def below(self, n: int) -> int:
-        """Uniform in [0, n) by rejection."""
-        if n <= 0:
-            raise ValueError("n must be positive")
+        """Uniform in [0, n) by rejection, for 0 < n <= 2^64."""
+        if not 0 < n <= 1 << 64:
+            raise ValueError("n must be positive and at most 2^64")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             v = self.u64()

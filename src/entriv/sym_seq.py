@@ -13,10 +13,13 @@ this is allowed is capped (memory control at desk scale).  The kernel works on
 integers: each basis element is a number (orbit, coset, A-label, tensor label
 in mixed radix) with a precomputed position inside its total degree, so a
 generator's image is found by arithmetic, not by looking up labelled tuples.
-The combinatorics of each orbit's cosets are computed once per process, and
-within one `compose` call the signed action of each permutation on A- and
-B-labels, each tensor-label action and each Koszul sign are computed once and
-reused.
+The combinatorics of each orbit's cosets are computed once per process.  The
+coset sigma_F G_E of a partition F of E's shape moves under g to the coset of
+F' = gF, and the h in G_E that the move carries is read off F and F': where
+g(F_i[r]) sits in F' gives h's block permutation and within-block maps, and
+no permutation is composed or inverted.  Within one `compose` call the signed
+action of each permutation on A- and B-labels, each tensor-label action and
+each Koszul sign are computed once and reused.
 
 Signed permutations are (image index, sign) pairs per basis vector, as in
 `rep_theory`.  The labels' actions come from `SignedPermModule.act_signed`,
@@ -109,16 +112,6 @@ def partition_orbits(n: int) -> tuple:
 def orbit_partitions(n: int, sizes: tuple) -> tuple:
     return tuple(bl for bl in set_partitions(n)
                  if tuple(len(b) for b in bl) == tuple(sizes))
-
-
-def transversal_map(rep_blocks: tuple, blocks: tuple) -> tuple:
-    """A permutation sigma with sigma . rep = blocks (blockwise order-preserving)."""
-    n = sum(len(b) for b in blocks)
-    sigma = [0] * n
-    for src, dst in zip(rep_blocks, blocks):
-        for x, y in zip(src, dst):
-            sigma[x] = y
-    return tuple(sigma)
 
 
 def koszul_sign(pi: tuple, degrees: tuple) -> int:
@@ -339,44 +332,28 @@ def _compose_arity(a_labels: _LabelActions, b_labels: _LabelActions, signs: dict
 @lru_cache(maxsize=None)
 def _coset_moves(rep: tuple) -> tuple:
     """Per adjacent transposition g = s_t and per coset sigma_F G_E of the
-    orbit of the partition E = rep: (index of the coset of gF, block
-    permutation pi, within-block maps) of h = sigma_{gF}^-1 g sigma_F in G_E,
-    so that g . (sigma_F (x) v) = sigma_{gF} (x) (h . v)."""
+    orbit of the partition E = rep, listed as `orbit_partitions` lists the
+    partitions F: (index of the coset of F' = gF, block permutation pi,
+    within-block maps) of h = sigma_{gF}^-1 g sigma_F in G_E, so that
+    g . (sigma_F (x) v) = sigma_{gF} (x) (h . v).  sigma_F sends the r-th
+    element of block i of E to the r-th element F_i[r] of block i of F, so h
+    is read off F and F' directly: g(F_i[r]) is element within[i][r] of
+    block pi[i] of F'."""
     n = sum(len(b) for b in rep)
     cosets = orbit_partitions(n, tuple(len(b) for b in rep))
     coset_index = {blocks: c for c, blocks in enumerate(cosets)}
-    sigmas = [transversal_map(rep, blocks) for blocks in cosets]
-    sigma_invs = [perms.inverse(s) for s in sigmas]
     moves = []
     for t in range(n - 1):
         g = perms.adjacent(n, t)
         row = []
-        for c, blocks in enumerate(cosets):
-            c2 = coset_index[apply_perm_to_partition(g, blocks)]
-            h = perms.compose(sigma_invs[c2], perms.compose(g, sigmas[c]))
-            if apply_perm_to_partition(h, rep) != rep:
-                raise AssertionError("transversal error: h does not stabilize E")
-            pi = _block_permutation(h, rep)
-            row.append((c2, pi, tuple(_within_block_maps(h, rep, pi))))
+        for blocks in cosets:
+            moved = apply_perm_to_partition(g, blocks)
+            slot = {x: (j, r) for j, block in enumerate(moved) for r, x in enumerate(block)}
+            images = [[slot[g[x]] for x in block] for block in blocks]
+            row.append((coset_index[moved], tuple(img[0][0] for img in images),
+                        tuple(tuple(r for _, r in img) for img in images)))
         moves.append(tuple(row))
     return tuple(moves)
-
-
-def _block_permutation(h: tuple, rep_blocks: tuple) -> tuple:
-    """h permutes the blocks of its stabilized partition; return that permutation."""
-    images = [tuple(sorted(h[x] for x in block)) for block in rep_blocks]
-    lookup = {block: i for i, block in enumerate(rep_blocks)}
-    return tuple(lookup[img] for img in images)
-
-
-def _within_block_maps(h: tuple, rep_blocks: tuple, pi: tuple) -> list:
-    """Per block, the induced permutation of {0..size-1} through the sorted orders."""
-    out = []
-    for i, block in enumerate(rep_blocks):
-        target = rep_blocks[pi[i]]
-        pos_in_target = {x: r for r, x in enumerate(target)}
-        out.append(tuple(pos_in_target[h[x]] for x in block))
-    return out
 
 
 def compose_dimensions_raw(a_seq: SymSeq, b_seq: SymSeq, n: int) -> dict:
@@ -451,22 +428,15 @@ def monoidality_report(a_seq: SymSeq, b_seq: SymSeq, truncation: int) -> Monoida
     lhs = suspend(compose(a_seq, b_seq, truncation), 1)
     rhs = compose(suspend(a_seq, 1), suspend(b_seq, 1), truncation)
     entries = []
-    ok = True
     for n in range(1, truncation + 1):
-        degrees = sorted(set(lhs.degrees(n)) | set(rhs.degrees(n)))
-        for d in degrees:
-            ml, mr = lhs.module(n, d), rhs.module(n, d)
-            dl = ml.dim if ml else 0
-            dr = mr.dim if mr else 0
-            if dl != dr:
-                chars_equal = False
-            elif dl == 0:
-                chars_equal = True
-            else:
-                chars_equal = character(ml).values == character(mr).values
-            ok = ok and (dl == dr) and chars_equal
+        for d in sorted(set(lhs.degrees(n)) | set(rhs.degrees(n))):
+            dl, dr = lhs.dimension(n, d), rhs.dimension(n, d)
+            # SymSeq.create keeps no zero-dimensional module, so equal
+            # dimensions here are nonzero and both modules exist
+            chars_equal = dl == dr and (character(lhs.module(n, d)).values
+                                        == character(rhs.module(n, d)).values)
             entries.append((n, d, dl, dr, chars_equal))
-    return MonoidalityReport(truncation, tuple(entries), ok)
+    return MonoidalityReport(truncation, tuple(entries), all(e[4] for e in entries))
 
 
 def graded_characters(seq: SymSeq, arity: int) -> dict:

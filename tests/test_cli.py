@@ -247,6 +247,13 @@ class TestRun:
         bad.write_text(json.dumps({"ranks": ranks, "differentials": {"1": d1}}))
         self._fails_naming(["formality", "--input", str(bad)], error, capsys)
 
+    def test_negative_rank_is_a_structured_failure(self, tmp_path, capsys):
+        bad = tmp_path / "cx.json"
+        bad.write_text(json.dumps({"ranks": {"0": -2, "1": 1, "2": 1},
+                                   "differentials": {"1": [], "2": [[2]]}}))
+        self._fails_naming(["formality", "--input", str(bad)],
+                           "rank -2 in degree 0 is negative", capsys)
+
     @pytest.mark.parametrize("rows, error", [
         ([[0.5], [1.5]], "coordinate 0.5 is neither an integer nor an 'a/b' string"),
         ([[True], [2]], "coordinate True is neither an integer nor an 'a/b' string"),
@@ -423,6 +430,16 @@ class TestMain:
         assert json.loads(out.read_text())["pass"] is True
         assert main(["ku-ses", "--prime", "2", "--n", "0"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("target", ["missing/dir/r.json", "."])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, target):
+        # a path under a missing directory, and a directory itself
+        capsys.readouterr()
+        assert main(["theta", "--n", "2", "--prime", "3", "--out", str(tmp_path / target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: cannot write --out: ")
+        assert "Traceback" not in captured.err
 
     def test_failing_command_exits_one(self, tmp_path):
         bad = tmp_path / "bad.json"

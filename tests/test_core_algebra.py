@@ -290,6 +290,15 @@ class TestHomology:
         with pytest.raises(ValueError):
             ChainComplex.create({0: 1, 1: 1, 2: 1}, {1: [[1]], 2: [[1]]})
 
+    def test_rejects_a_negative_rank(self):
+        with pytest.raises(ValueError, match="rank -2 in degree 0 is negative"):
+            ChainComplex.create({0: -2, 1: 1, 2: 1}, {1: [], 2: [[2]]})
+
+    def test_zero_ranks_are_dropped(self):
+        # elementary_complex emits zero ranks
+        cx = ChainComplex.create({0: 0, 1: 1, 2: 0}, {})
+        assert cx.ranks == ((1, 1),)
+
     @settings(max_examples=100, deadline=None)
     @given(small_matrices, st.integers(1, 4), st.data())
     def test_square_zero_check_matches_the_product(self, rows, width, data):

@@ -23,3 +23,18 @@ def test_generators_do_not_share_state():
     first = [a.u64() for _ in range(5)]
     assert [b.u64() for _ in range(5)] == first
     assert CounterRng(3).u64() == first[0] != CounterRng(4).u64()
+
+
+def test_below_takes_every_bound_up_to_two_to_the_64():
+    # at n = 2^64 every draw is accepted as it is
+    assert CounterRng(9).below(2 ** 64) == CounterRng(9).u64()
+    assert CounterRng(9).randint(0, 2 ** 64 - 1) == CounterRng(9).u64()
+
+
+@pytest.mark.parametrize("draw", [lambda rng: rng.below(2 ** 64 + 1),
+                                  lambda rng: rng.randint(0, 2 ** 64),
+                                  lambda rng: rng.below(0)])
+def test_below_rejects_bounds_it_cannot_draw(draw):
+    # over 2^64 the rejection limit would be 0 and no draw would be accepted
+    with pytest.raises(ValueError):
+        draw(CounterRng(0))

@@ -6,7 +6,7 @@ import pytest
 from conftest import action_digest, random_symseq, sign_rep
 from entriv.rep_theory import SignedPermModule, character
 from entriv.rng import CounterRng
-from entriv.sym_seq import (MAX_MATERIALIZED_ARITY, SymSeq, compose,
+from entriv.sym_seq import (MAX_MATERIALIZED_ARITY, SymSeq, _coset_moves, compose,
                             compose_dimensions_raw, free_piece_rational,
                             graded_characters, koszul_sign, monoidality_report,
                             partition_orbits, set_partitions, suspend, unit_seq)
@@ -135,6 +135,17 @@ class TestComposeGolden:
         product = compose(a, b, truncation)
         assert action_digest(m for _, by_degree in product.components
                              for _, m in by_degree) == digest
+
+    def test_coset_moves(self):
+        # every (target coset, block permutation, within-block maps) triple
+        # of every orbit up to the materialization cap: the products above
+        # pin characters at arity 6, which do not fix the action
+        moves = [_coset_moves(o.representative)
+                 for n in range(1, MAX_MATERIALIZED_ARITY + 1) for o in partition_orbits(n)]
+        assert len(moves) == 29
+        text = json.dumps(moves, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "17e12e8ce02044542fb50ae6c6e1024775018d78414100cee77a3f60e542defb"
 
     def test_empty_product(self):
         ab = compose(trivial_seq(2, truncation=3), trivial_seq(2, truncation=3), 3)
