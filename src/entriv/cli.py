@@ -13,6 +13,8 @@ import json
 import sys
 from dataclasses import dataclass
 
+from . import RepeatedKeyError
+
 # Each verb imports its computation modules when it runs, so that a cold
 # start loads only what that verb needs.
 
@@ -25,7 +27,7 @@ class UsageError(Exception):
 class Command:
     verb: str
     params: dict
-    fmt: str
+    fmt: str | None  # None: not given, which renders JSON
     out: str | None
 
 
@@ -114,7 +116,7 @@ def build_parser(add_help: bool = True) -> _Parser:
         return sub.add_parser(name, help=text, add_help=add_help)
 
     def common(p):
-        p.add_argument("--format", choices=("json", "md"), default="json")
+        p.add_argument("--format", choices=("json", "md"), default=None)
         p.add_argument("--out", default=None)
 
     p = verb("extpow", "list one extended-power homology basis")
@@ -557,6 +559,8 @@ def run(cmd: Command) -> Report:
         return run_batch(cmd)
     try:
         passed, payload, claim = _HANDLERS[cmd.verb](cmd.params)
+    except RepeatedKeyError as exc:  # an input file names one degree, arity or bidegree twice
+        raise UsageError(str(exc)) from exc
     except (ValueError, OSError) as exc:
         return Report(cmd.verb, cmd.params, False, "structured failure", {"error": str(exc)})
     return Report(cmd.verb, cmd.params, passed, claim, payload)
@@ -584,6 +588,9 @@ def run_batch(cmd: Command) -> Report:
             entry_cmd = parse(argv, add_help=False)
             if entry_cmd.verb == "batch":  # a manifest naming itself would recurse
                 raise UsageError("a manifest entry cannot itself be batch")
+            if entry_cmd.out is not None or entry_cmd.fmt is not None:
+                raise UsageError("a manifest entry cannot take --out or --format: "
+                                 "batch renders every report into its own")
             rpt = run(entry_cmd)
         except UsageError as exc:  # a bad entry fails alone; the others still run
             rpt = Report(argv[0] if argv else "", {"argv": argv}, False, "usage error",
@@ -595,6 +602,29 @@ def run_batch(cmd: Command) -> Report:
                "reports": reports}
     return Report("batch", {"manifest": cmd.params["manifest"]},
                   not failures, "every manifest command passed", payload)
+
+
+def _unrenderable_failed(report: Report, exc: ValueError) -> Report:
+    """report, which cannot be rendered, as a structured failure.  In a batch
+    only the entries that cannot be rendered fail; the others keep their
+    reports."""
+    def failed(verb, parameters, error):
+        return Report(verb, parameters, False, "structured failure",
+                      {"error": f"the report cannot be rendered: {error}"})
+
+    if report.verb != "batch":
+        return failed(report.verb, report.parameters, exc)
+    reports, failures = [], []
+    for idx, entry in enumerate(report.payload["reports"]):
+        try:
+            json.dumps(entry)
+        except ValueError as entry_exc:
+            entry = failed(entry["verb"], entry["parameters"], entry_exc).to_json()
+        reports.append(entry)
+        if not entry["pass"]:
+            failures.append(idx)
+    payload = dict(report.payload, failed_indices=failures, reports=reports)
+    return Report(report.verb, report.parameters, not failures, report.claim, payload)
 
 
 def main(argv=None) -> int:
@@ -612,12 +642,12 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    fmt = cmd.fmt or "json"
     try:
-        text = report.render(cmd.fmt)
+        text = report.render(fmt)
     except ValueError as exc:  # an integer longer than int-to-str conversion allows
-        report = Report(report.verb, report.parameters, False, "structured failure",
-                        {"error": f"the report cannot be rendered: {exc}"})
-        text = report.render(cmd.fmt)
+        report = _unrenderable_failed(report, exc)
+        text = report.render(fmt)
     if cmd.out:
         try:
             with open(cmd.out, "w") as fh:

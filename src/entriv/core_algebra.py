@@ -5,20 +5,25 @@ matrices, homology with Z / Q / F_p coefficients, and minimal models over
 hereditary base rings (every bounded complex splits as a sum of its
 homology, presented degreewise by free resolutions).
 
-The Smith diagonal has two routes.  `smith_normal_form` eliminates on the
-matrix itself and builds L and R; its entries can grow without bound.
+The Smith diagonal has two routes that share no helper.  `smith_normal_form`
+builds L and R: it pivots on unit entries of sparse rows first, then takes
+the unit-free residual through alternating row and column Hermite forms,
+so every pivot stays within Hadamard's bound H of the input and L and R
+stay within H^2 on every input measured (its docstring has the bounds).
 `smith_diagonal`, which homology over Z reads, pivots on unit entries first
 and works the rest modulo a minor, so every entry stays within Hadamard's
 bound; the tests use `smith_normal_form` as its independent oracle.
 
-All arithmetic is arbitrary-precision: pivot growth during Smith reduction
-overflows any fixed width already on small random matrices.
+All arithmetic is arbitrary-precision: the transforms of a dense 20 x 20
+matrix with entries in [-3, 12] already reach 162 bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from . import integer_keys
 
 Ring = str  # "Z", "Q" or "F<p>" for a prime p
 
@@ -166,11 +171,256 @@ class SmithNormalForm:
 
 
 def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
-    """L*m*R = diag(d_1, ..., d_k) with d_1 | d_2 | ..., d_i >= 0 and L, R unimodular."""
-    left = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
-    right = [[1 if i == j else 0 for j in range(m.cols)] for i in range(m.cols)]
-    diag = _smith_reduce([list(row) for row in m.entries], m.rows, m.cols, left, right)
-    return SmithNormalForm(diag, IntMatrix.from_rows(left), IntMatrix.from_rows(right))
+    """L*m*R = diag(d_1, ..., d_k) with d_1 | d_2 | ..., d_i >= 0 and L, R unimodular.
+
+    Phase 1 keeps the rows of m as dicts of nonzero entries and, while any
+    entry is +-1, pivots on a unit: the first (least column) unit of the
+    shortest row that holds one, the earliest such row on a tie.  Row steps
+    clear the pivot column, column steps clear the pivot row, and the pivot
+    is one diagonal 1.  Phase 2 takes the unit-free residual to Smith form
+    by alternating row and column Hermite forms (Kannan and Bachem, SIAM J.
+    Comput. 1979; see _hermite), puts the diagonal in divisibility order by
+    2x2 gcd/lcm steps, and reduces the rows of L (columns of R) that meet
+    the diagonal modulo a Hermite basis of the others, which span the left
+    (right) kernel of m.
+
+    Bounds.  Let H = prod_j max(1, ceil |m_j|) over the columns m_j of m;
+    by Hadamard's inequality every minor of m is at most H.
+    - After phase 1 every entry of the working matrix, of L and of R is 0,
+      +-1 or +- a minor of m, since every pivot so far is a unit: at most H.
+    - Every minor of the residual is +- a minor of m.  So each pivot of
+      each Hermite form is at most H: the pivots of the first multiply to a
+      gcd of r x r minors of the residual (r its rank), those of every later
+      one to d_1 ... d_r.  Each Hermite form leaves the entries above a
+      pivot in [0, pivot), and from the second on every nonzero column (or
+      row) holds a pivot, so every entry lies in [0, H].
+    - L and R: no a priori bound is proven for phase 2.  Measured over
+      thousands of matrices up to 12 x 12 of every shape and density, dense
+      n x n ones up to n = 64 and sheared diagonals of side 32, every entry
+      is at most H^2, the largest at 1.74 times the bit length of H; the
+      tests hold their inputs to H^2.  Without the kernel reduction
+      non-square inputs reached 2.35 times the bit length of H.
+    """
+    rows = [(i, r) for i, r in enumerate({j: e for j, e in enumerate(row) if e}
+                                         for row in m.entries) if r]
+    left, right = _identity_rows(m.rows), _identity_rows(m.cols)  # R by columns
+    pivot_rows, pivot_cols = [], []
+    while rows:
+        best = None  # (length, position, column) of the pivot
+        for k, (_, row) in enumerate(rows):
+            if best is None or len(row) < best[0]:
+                units = [j for j, e in row.items() if e == 1 or e == -1]
+                if units:
+                    best = (len(row), k, min(units))
+        if best is None:
+            break
+        _, k, c = best
+        i, pivot = rows.pop(k)
+        unit = pivot.pop(c)
+        top = left[i]
+        for r, row in rows:  # row r -= f * row i clears column c
+            f = row.pop(c, 0) * unit
+            if f:
+                for j, e in pivot.items():
+                    x = row.get(j, 0) - f * e
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                left[r] = [x - f * y for x, y in zip(left[r], top)]
+        source = right[c]
+        for j, e in pivot.items():  # column j -= e * unit * column c clears row i
+            f = e * unit
+            right[j] = [x - f * y for x, y in zip(right[j], source)]
+        if unit == -1:
+            left[i] = [-x for x in top]
+        pivot_rows.append(i)
+        pivot_cols.append(c)
+        rows = [(r, row) for r, row in rows if row]
+    # L's rows and R's columns in diagonal order: the pivots, the residual,
+    # then the rest; phase 2 changes only the residual's block
+    res_rows = [i for i, _ in rows]
+    res_cols = sorted({j for _, row in rows for j in row})
+    left[:] = [left[i] for i in _order(pivot_rows + res_rows, m.rows)]
+    right[:] = [right[j] for j in _order(pivot_cols + res_cols, m.cols)]
+    diagonal = [1] * len(pivot_rows)
+    if rows:
+        residual = [[row.get(j, 0) for j in res_cols] for _, row in rows]
+        diagonal += _residual_smith(residual, left, right, len(pivot_rows))
+    diagonal += [0] * (min(m.rows, m.cols) - len(diagonal))
+    return SmithNormalForm(tuple(diagonal),
+                           _computed(m.rows, m.rows, tuple(map(tuple, left))),
+                           _computed(m.cols, m.cols, tuple(zip(*right))))
+
+
+def _computed(rows: int, cols: int, entries: tuple) -> IntMatrix:
+    """An IntMatrix of entries this module computed, which are ints of the
+    right shape already: IntMatrix's per-entry check is for outside input."""
+    out = object.__new__(IntMatrix)
+    object.__setattr__(out, "rows", rows)
+    object.__setattr__(out, "cols", cols)
+    object.__setattr__(out, "entries", entries)
+    return out
+
+
+def _identity_rows(n: int) -> list:
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
+
+
+def _order(first: list, n: int) -> list:
+    """The indices `first`, then the rest of range(n) in increasing order."""
+    seen = set(first)
+    return first + [i for i in range(n) if i not in seen]
+
+
+def _residual_smith(a: list, left: list, right: list, offset: int) -> list:
+    """Reduce the dense matrix a (row lists) to Smith form; return its diagonal.
+
+    Row i of a stands for row offset + i of L (`left`) and column j for
+    column offset + j of R (`right`, held by columns): every row operation
+    is applied to the first, every column operation to the second.  Row and
+    column Hermite forms alternate until a is diagonal; each pass that
+    leaves it not diagonal makes a leading pivot a proper divisor of what it
+    was, so the passes end.  2x2 gcd/lcm steps then give the divisibility
+    chain, and the rows of L (columns of R) that meet the diagonal are
+    reduced modulo those that do not, a basis of the left (right) kernel.
+    """
+    while True:
+        _hermite(a, left, offset)
+        if _is_diagonal(a):
+            break
+        at = [list(col) for col in zip(*a)]
+        _hermite(at, right, offset)
+        a = [list(row) for row in zip(*at)]
+        if _is_diagonal(a):
+            break
+    diag = [a[i][i] for i in range(min(len(a), len(a[0])))]
+    rank = sum(1 for d in diag if d)
+    for i in range(offset, offset + rank):
+        for j in range(i + 1, offset + rank):
+            x, y = diag[i - offset], diag[j - offset]
+            if y % x == 0:
+                continue
+            # diag(x, y) -> diag(g, lcm) with L = [[s, u], [-y/g, x/g]] and
+            # R = [[1, -u y/g], [1, s x/g]], where s x + u y = g
+            g, s, u = _bezout(x, y)
+            yg, xg = y // g, x // g
+            li, lj = left[i], left[j]
+            left[i] = [s * p + u * q for p, q in zip(li, lj)]
+            left[j] = [xg * q - yg * p for p, q in zip(li, lj)]
+            ri, rj = right[i], right[j]
+            right[i] = [p + q for p, q in zip(ri, rj)]
+            right[j] = [s * xg * q - u * yg * p for p, q in zip(ri, rj)]
+            diag[i - offset], diag[j - offset] = g, x * yg
+    _reduce_by_kernel(left, offset, rank, len(a))
+    _reduce_by_kernel(right, offset, rank, len(a[0]))
+    return diag
+
+
+def _hermite(a: list, t: list, offset: int) -> None:
+    """Row Hermite form of a (row lists, changed in place): echelon form,
+    positive pivots, every entry above a pivot in [0, pivot), zero rows
+    last.  Each row operation on rows of a is also applied to the rows of
+    t that stand for them, t[offset + i] for a[i].
+
+    The rows join the form one at a time (Kannan and Bachem): a row's
+    leading entry is cleared against the pivot in its column, by
+    subtraction when the pivot divides it and by a 2x2 Bezout step
+    otherwise, until it leads in a column without a pivot or vanishes.  A
+    new or changed pivot row is reduced at once, so no entry of the form
+    outgrows its pivots while later rows join.
+    """
+    ncols = len(a[0])
+    rows, trows, cols = [], [], []  # the form so far, its transform rows, pivot columns
+    zeros = []  # transform rows of the rows that vanished
+    for i, v in enumerate(a):
+        tv = t[offset + i]
+        k = 0
+        while True:
+            lead = next(filter(None, v), 0)
+            if not lead:
+                zeros.append(tv)
+                break
+            c = v.index(lead)  # every entry before the first nonzero one is 0
+            while k < len(cols) and cols[k] < c:
+                k += 1
+            joined = not (k < len(cols) and cols[k] == c)
+            if joined:  # v leads in a column without a pivot: a new pivot row
+                if v[c] < 0:
+                    v, tv = [-x for x in v], [-x for x in tv]
+                rows.insert(k, v)
+                trows.insert(k, tv)
+                cols.insert(k, c)
+            else:
+                top, ttop, p, e = rows[k], trows[k], rows[k][c], v[c]
+                if e % p == 0:
+                    q = e // p
+                    v = [y - q * x for x, y in zip(top, v)]
+                    tv = [y - q * x for x, y in zip(ttop, tv)]
+                    continue
+                # (pivot row, v) <- (s pivot row + u v, (p v - e pivot row) / g)
+                g, s, u = _bezout(p, e)
+                eg, pg = e // g, p // g
+                rows[k] = [s * x + u * y for x, y in zip(top, v)]
+                trows[k] = [s * x + u * y for x, y in zip(ttop, tv)]
+                v = [pg * y - eg * x for x, y in zip(top, v)]
+                tv = [pg * y - eg * x for x, y in zip(ttop, tv)]
+            # reduce the rows above modulo pivot row k, then every row that
+            # changed (row k too) modulo the pivots after it; the others
+            # were reduced before and are unchanged
+            changed = [k]
+            for j in range(k, len(cols)):
+                cj = cols[j]
+                top, ttop, pj = rows[j], trows[j], rows[j][cj]
+                for r in (range(k) if j == k else changed):
+                    q = rows[r][cj] // pj
+                    if q:
+                        rows[r] = [y - q * x for x, y in zip(top, rows[r])]
+                        trows[r] = [y - q * x for x, y in zip(ttop, trows[r])]
+                        if j == k:
+                            changed.append(r)
+            if joined:
+                break
+    a[:] = rows + [[0] * ncols for _ in zeros]
+    t[offset:offset + len(a)] = trows + zeros
+
+
+def _reduce_by_kernel(t: list, offset: int, rank: int, size: int) -> None:
+    """Put rows offset + rank .. offset + size - 1 of t, a kernel basis, in
+    Hermite form and reduce rows offset .. offset + rank - 1 modulo them."""
+    kernel = t[offset + rank:offset + size]
+    if not kernel:
+        return
+    _hermite(kernel, [[] for _ in kernel], 0)  # no transform to track
+    t[offset + rank:offset + size] = kernel
+    for row_k in kernel:
+        c = next(j for j, e in enumerate(row_k) if e)
+        p = row_k[c]
+        for i in range(offset, offset + rank):
+            q = t[i][c] // p
+            if q:
+                t[i] = [y - q * x for x, y in zip(row_k, t[i])]
+
+
+def _is_diagonal(a: list) -> bool:
+    return not any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(a))
+
+
+def _bezout(a: int, b: int) -> tuple:
+    """(g, s, u) with s a + u b = g = gcd(a, b) > 0, for a, b not both 0.
+
+    smith_normal_form's own: it is the tests' oracle for smith_diagonal,
+    so the two routes share no helper."""
+    s0, s1, u0, u1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        u0, u1 = u1, u0 - q * u1
+    return (a, s0, u0) if a > 0 else (-a, -s0, -u0)
 
 
 def smith_diagonal(m: IntMatrix) -> tuple:
@@ -299,83 +549,6 @@ def _xgcd(a: int, b: int) -> tuple:
         s0, s1 = s1, s0 - q * s1
         u0, u1 = u1, u0 - q * u1
     return a, s0, u0
-
-
-def _smith_reduce(a: list, nrows: int, ncols: int, left: list, right: list) -> tuple:
-    """Reduce a (row lists, changed in place) to Smith form; return its diagonal.
-
-    Each row operation is also applied to `left` and each column operation to
-    `right`.  The pivot is the first nonzero entry of least absolute value in
-    row-major order; the pivot and reduction orders fix L and R, so they must
-    not change.
-    """
-    by_rows = (a, left)  # what a row operation changes
-    by_cols = (a, right)  # what a column operation changes
-    size = min(nrows, ncols)
-    for t in range(size):
-        pivot_i = pivot_j = best = 0
-        for i in range(t, nrows):
-            row = a[i]
-            for j in range(t, ncols):
-                e = row[j]
-                if e and (not best or abs(e) < best):
-                    pivot_i, pivot_j, best = i, j, abs(e)
-            if best == 1:  # nothing later is strictly smaller
-                break
-        if not best:
-            break
-        if pivot_i != t:
-            for m in by_rows:
-                m[t], m[pivot_i] = m[pivot_i], m[t]
-        if pivot_j != t:
-            for m in by_cols:
-                for row in m:
-                    row[t], row[pivot_j] = row[pivot_j], row[t]
-        while True:
-            dirty = False
-            for i in range(t + 1, nrows):
-                e = a[i][t]
-                if not e:
-                    continue
-                q = -(e // a[t][t])
-                if q:  # row_i += q * row_t
-                    for m in by_rows:
-                        m[i] = [x + q * y for x, y in zip(m[i], m[t])]
-                if a[i][t]:  # remainder strictly smaller: promote it
-                    for m in by_rows:
-                        m[t], m[i] = m[i], m[t]
-                    dirty = True
-            for j in range(t + 1, ncols):
-                e = a[t][j]
-                if not e:
-                    continue
-                q = -(e // a[t][t])
-                if q:  # column_j += q * column_t; rows with a zero there are unchanged
-                    for m in by_cols:
-                        for row in m:
-                            if row[t]:
-                                row[j] += q * row[t]
-                if a[t][j]:
-                    for m in by_cols:
-                        for row in m:
-                            row[t], row[j] = row[j], row[t]
-                    dirty = True
-            if dirty:
-                continue
-            d = a[t][t]
-            if d == 1 or d == -1:  # a unit divides every entry: no row to find
-                break
-            for i in range(t + 1, nrows):  # row_t += the first row d does not divide
-                if any(x % d for x in a[i][t + 1:]):
-                    for m in by_rows:
-                        m[t] = [x + y for x, y in zip(m[t], m[i])]
-                    break
-            else:
-                break
-        if a[t][t] < 0:
-            for m in by_rows:
-                m[t] = [-x for x in m[t]]
-    return tuple([a[i][i] for i in range(size)])
 
 
 def rank_z(m: IntMatrix) -> int:
@@ -511,10 +684,9 @@ class ChainComplex:
                 raise ValueError(f"rank {r!r} in degree {n} is not an integer")
             if r < 0:
                 raise ValueError(f"rank {r} in degree {n} is negative")
-        ranks = {int(n): r for n, r in ranks.items() if r > 0}
+        ranks = {n: r for n, r in integer_keys(ranks, "degree").items() if r > 0}
         diffs = {}
-        for n, mat in differentials.items():
-            n = int(n)
+        for n, mat in integer_keys(differentials, "degree").items():
             if not isinstance(mat, IntMatrix):
                 mat = IntMatrix.from_rows(mat)
             if mat.rows == 0 or mat.cols == 0 or mat.is_zero():

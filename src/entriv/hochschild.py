@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import RepeatedKeyError
 from .core_algebra import ChainComplex, GradedAbelianGroup, homology, ring_prime
 
 BAR_BASIS_CAP = 200_000
@@ -187,6 +188,8 @@ class BigradedGroup:
             for value in (free, *torsion):
                 if type(value) is not int:  # not isinstance: a bool is not read as 0 or 1
                     raise ValueError(f"table entry {value!r} at {key} is not an integer")
+            if (s, t) in out:
+                raise RepeatedKeyError(f"bidegree key {key!r} repeats bidegree {s},{t}")
             out[(s, t)] = (free, torsion)
         return BigradedGroup.create(out)
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from . import perms
+from . import integer_keys, perms
 from .rep_theory import SignedPermModule, character, trivial_multiplicity
 
 MAX_MATERIALIZED_ARITY = 6
@@ -183,8 +183,9 @@ class SymSeq:
     def from_json(data):
         """Inverse of to_json; a malformed document raises ValueError."""
         try:
-            comps = {int(a): {int(d): SignedPermModule.from_json(m) for d, m in by_deg.items()}
-                     for a, by_deg in data["components"].items()}
+            comps = {a: {d: SignedPermModule.from_json(m)
+                         for d, m in integer_keys(by_deg, "degree").items()}
+                     for a, by_deg in integer_keys(data["components"], "arity").items()}
             truncation = data["truncation"]
         except KeyError as exc:
             raise ValueError(f"sequence JSON lacks the key {exc}") from exc

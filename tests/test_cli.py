@@ -464,6 +464,54 @@ class TestMain:
             assert "* claim: structured failure" in out and "* pass: NO" in out
 
 
+class TestRepeatedKeys:
+    """"0" and "00" name one degree; a file that uses both is a usage error,
+    not a document whose later key silently replaces the earlier."""
+
+    def write(self, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("doc", [
+        {"ranks": {"0": 1, "00": 2}, "differentials": {}},
+        {"ranks": {"0": 1, "1": 1}, "differentials": {"1": [[2]], "+1": [[3]]}},
+    ])
+    def test_formality(self, tmp_path, capsys, doc):
+        assert main(["formality", "--input", self.write(tmp_path, doc)]) == 2
+        assert "both name degree" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("components, what", [
+        ({"1": {"0": {"n": 1, "dim": 1, "generators": []},
+                "00": {"n": 1, "dim": 2, "generators": []}}}, "degree"),
+        ({"1": {"0": {"n": 1, "dim": 1, "generators": []}},
+          "01": {"0": {"n": 1, "dim": 2, "generators": []}}}, "arity"),
+    ])
+    def test_sequences(self, tmp_path, capsys, components, what):
+        path = self.write(tmp_path, {"truncation": 2, "components": components})
+        assert main(["suspend", "--input", path, "--k", "1"]) == 2
+        assert main(["compose", "--input", path, path, "--truncate", "1"]) == 2
+        assert f"both name {what}" in capsys.readouterr().err
+
+    def test_hochschild_golden(self, tmp_path, capsys):
+        golden = json.loads((ROOT / "tests/golden/hh_Z_n2_s6.json").read_text())
+        golden["00,0"] = golden["0,0"]
+        path = self.write(tmp_path, golden)
+        argv = ["hh", "--ring", "Z", "--n", "2", "--smax", "6", "--golden", path]
+        assert main(argv) == 2
+        assert "repeats bidegree 0,0" in capsys.readouterr().err
+
+    def test_batch_entry_fails_alone(self, tmp_path, capsys):
+        path = self.write(tmp_path, {"ranks": {"0": 1, "00": 2}, "differentials": {}})
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([{"argv": ["formality", "--input", path]},
+                                        {"argv": ["theta", "--n", "2", "--prime", "3"]}]))
+        assert main(["batch", "--manifest", str(manifest)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["payload"]["failed_indices"] == [0]
+        assert out["payload"]["reports"][0]["claim"] == "usage error"
+
+
 class TestBatch:
     def test_empty_manifest(self, tmp_path):
         manifest = tmp_path / "m.json"
@@ -558,6 +606,50 @@ class TestBatch:
         assert nested["claim"] == "usage error" and nested["verb"] == "batch"
         assert "cannot itself be batch" in nested["payload"]["error"]
         assert first["pass"] is True and last["pass"] is True
+
+    @pytest.mark.parametrize("flags", [["--out", "written.json"], ["--format", "md"],
+                                       ["--format=json"], ["--ou", "written.json"]])
+    def test_entry_with_out_or_format_fails_alone(self, tmp_path, capsys, monkeypatch, flags):
+        # batch renders every entry into its own report: an entry's --out or
+        # --format would be ignored, so it is that entry's usage error
+        monkeypatch.chdir(tmp_path)
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([
+            {"argv": ["theta", "--n", "2", "--prime", "3", *flags]},
+            {"argv": ["theta", "--n", "2", "--prime", "3"]}]))
+        assert main(["batch", "--manifest", str(manifest)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["payload"]["failed_indices"] == [0]
+        bad, good = out["payload"]["reports"]
+        assert bad["claim"] == "usage error" and "--out or --format" in bad["payload"]["error"]
+        assert good["pass"] is True
+        assert not (tmp_path / "written.json").exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "md"])
+    def test_unrenderable_entry_fails_alone(self, tmp_path, capsys, monkeypatch, fmt):
+        # str() refuses integers over sys.get_int_max_str_digits() digits
+        monkeypatch.setitem(cli._HANDLERS, "theta",
+                            lambda params: (True, {"order": 10 ** 5000}, "a huge order"))
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([
+            {"argv": ["ku-ses", "--prime", "3", "--n", "3"]},
+            {"argv": ["theta", "--n", "3", "--prime", "2"]},
+            {"argv": ["ku-ses", "--prime", "5", "--n", "2"]}]))
+        assert main(["batch", "--manifest", str(manifest), "--format", fmt,
+                     "--out", str(tmp_path / "o.txt")]) == 1
+        text = (tmp_path / "o.txt").read_text()
+        if fmt == "md":
+            assert "* pass: NO" in text and '"failed_indices": [\n  1\n ]' in text
+            text = text.split("```json\n")[1].split("```")[0]
+            out = {"payload": json.loads(text)}
+        else:
+            out = json.loads(text)
+        assert out["payload"]["failed_indices"] == [1]
+        first, huge, last = out["payload"]["reports"]
+        assert (huge["verb"], huge["pass"], huge["claim"]) == ("theta", False, "structured failure")
+        assert huge["payload"]["error"].startswith("the report cannot be rendered: ")
+        assert first["pass"] is True and first["payload"]["certificate"]["snf"]["diagonal"] == [1, 9]
+        assert last["pass"] is True
 
     def test_entry_without_argv_is_a_usage_error(self, tmp_path):
         manifest = tmp_path / "m.json"

@@ -1,15 +1,16 @@
 import hashlib
 import json
 import pathlib
+import random
 import time
 from itertools import combinations
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entriv import core_algebra
+from entriv import RepeatedKeyError, core_algebra
 from entriv.core_algebra import (ChainComplex, GradedAbelianGroup, IntMatrix,
                                  elementary_complex, formality_splitting, homology,
                                  invariant_factors, is_prime, random_chain_complex,
@@ -34,9 +35,9 @@ def _product(rows: int, inner: int, cols: int):
     ).map(lambda ab: IntMatrix.from_rows(ab[0]).mul(IntMatrix.from_rows(ab[1])).entries)
 
 
-# rank-deficient products of rank at most 4: at inner sizes 5-7 a few such
-# products (6 of 300 seeded draws) stall smith_normal_form, the oracle here
-small_products = st.tuples(st.integers(1, 7), st.integers(1, 4), st.integers(1, 7)).flatmap(
+# products through an inner size of 1-7: rank-deficient whenever the inner
+# size is below both outer sizes
+small_products = st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)).flatmap(
     lambda shape: _product(*shape))
 
 
@@ -117,8 +118,9 @@ def pinned_matrices():
     return mats
 
 
-# a dense 9x8 matrix (random.Random(0), entries in [-3, 12]) on which the
-# Smith kernel's entries grow without bound; its Smith diagonal is 1, ..., 1
+# a dense 9x8 matrix (random.Random(0), entries in [-3, 12]) on which an
+# elimination that does not reduce modulo its pivots grows entries without
+# bound; its Smith diagonal is 1, ..., 1
 STALLING_9X8 = [[9, 10, -2, 5, 12, 9, 6, 12], [8, 3, 1, 6, 1, 0, 5, 1],
                 [6, 0, -1, 7, 12, 0, 8, 10], [7, 3, 12, 11, 5, -2, -3, -1],
                 [9, -3, 12, 7, 4, 7, -1, 3], [4, 4, 1, 11, -1, -1, 7, 12],
@@ -126,19 +128,110 @@ STALLING_9X8 = [[9, 10, -2, 5, 12, 9, 6, 12], [8, 3, 1, 6, 1, 0, 5, 1],
                 [-2, 5, 12, -1, -1, 1, 1, -2]]
 
 
+def dense_draws():
+    """The 15 9x8 matrices drawn as random.Random(s), s = 0-14, entries in [-3, 12]."""
+    draws = []
+    for s in range(15):
+        rnd = random.Random(s)
+        draws.append([[rnd.randint(-3, 12) for _ in range(8)] for _ in range(9)])
+    return draws
+
+
+def sheared_diagonal(seed: int):
+    """diag(d_1..d_32), d_i in 1..6, then 32 random shears +-1/+-2 on each
+    side, and its Smith diagonal: the divisibility chain of the d_i."""
+    rng = CounterRng(seed)
+    diag = [rng.randint(1, 6) for _ in range(32)]
+    m = [[diag[i] if i == j else 0 for j in range(32)] for i in range(32)]
+    for side in range(2):
+        for _ in range(32):
+            i, j, q = rng.below(32), rng.below(32), rng.sign() * rng.randint(1, 2)
+            if i == j:
+                continue
+            if side == 0:
+                m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+            else:
+                for row in m:
+                    row[i] += q * row[j]
+    chain = invariant_factors([d for d in diag if d > 1])
+    return m, (1,) * (32 - len(chain)) + chain
+
+
+def hadamard(m: IntMatrix) -> int:
+    """prod_j max(1, ceil |m_j|) over the columns m_j: at least every minor of m."""
+    h = 1
+    for col in zip(*m.entries):
+        square = sum(e * e for e in col)
+        if square:
+            h *= isqrt(square - 1) + 1
+    return h
+
+
+class TestSmithKernel:
+    """smith_normal_form on the inputs where an unreduced elimination stalls:
+    each must verify, agree with smith_diagonal, finish within 0.5 s and keep
+    every entry of L and R within H^2, H the Hadamard bound of its input."""
+
+    def check(self, rows, want=None):
+        m = IntMatrix.from_rows(rows)
+        start = time.perf_counter()
+        snf = smith_normal_form(m)
+        assert time.perf_counter() - start < 0.5
+        assert snf.verify(m)
+        assert snf.diagonal == smith_diagonal(m)
+        if want is not None:
+            assert snf.diagonal == want
+        bound = hadamard(m) ** 2
+        assert all(abs(e) <= bound for t in (snf.left, snf.right)
+                   for row in t.entries for e in row)
+
+    def test_the_stalling_9x8_matrix(self):
+        self.check(STALLING_9X8, (1,) * 8)
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_dense_9x8_draws(self, seed):
+        self.check(dense_draws()[seed])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_sheared_diagonals_of_side_32(self, seed):
+        self.check(*sheared_diagonal(seed))
+
+    def test_ku_ses_transforms(self):
+        # the Z + Z/p^k presentation of `ku-ses`: L and R as the reports print them
+        for p in (2, 3, 5, 7, 11):
+            for k in range(1, 6):
+                snf = smith_normal_form(IntMatrix.from_rows([[p, 0], [1, p ** k]]))
+                assert snf.diagonal == (1, p ** (k + 1))
+                assert snf.left.to_lists() == [[0, 1], [-1, p]]
+                assert snf.right.to_lists() == [[1, -p ** k], [0, 1]]
+            snf = smith_normal_form(IntMatrix.from_rows([[p]]))
+            assert (snf.diagonal, snf.left.to_lists(), snf.right.to_lists()) == ((p,), [[1]], [[1]])
+
+
 class TestSmithDiagonal:
-    def test_transforms_match_the_golden_pin(self):
-        # sha256 of every (diagonal, L, R), taken before the elimination
-        # kernel was shared with smith_diagonal; hex digits have no size limit
+    def test_diagonals_match_the_golden_pin(self):
+        # sha256 of every Smith diagonal, unchanged since the pin was taken;
+        # hex digits have no size limit
         mats = pinned_matrices()
         assert len(mats) == 1554
+        h = hashlib.sha256()
+        for m in mats:
+            h.update(repr([format(e, "x") for e in smith_normal_form(m).diagonal]).encode())
+        assert h.hexdigest() == \
+            "8b71d665c49242b00afa9f93c4e5eb996dadf269b63bb0991e5d1622de87ea07"
+
+    def test_transforms_match_the_golden_pin(self):
+        # sha256 of every (diagonal, L, R) of the bounded-transform kernel: L
+        # and R are not canonical, so this pin moves whenever the kernel's
+        # pivot or reduction order does, while the diagonal pin above may not
+        mats = pinned_matrices()
         h = hashlib.sha256()
         for m in mats:
             snf = smith_normal_form(m)
             h.update(repr([[[format(e, "x") for e in row] for row in mat] for mat in
                            ((snf.diagonal,), snf.left.entries, snf.right.entries)]).encode())
         assert h.hexdigest() == \
-            "52105c196a39d948818fb9d0ee3e7f3237e122a8dcca6f663fd2700a193d5f4a"
+            "ad0110452eb5d1a5b6716dc3c6aedaa1d757672f9cb3c07403b2e2561f221b38"
 
     @settings(max_examples=100, deadline=None)
     @given(small_matrices)
@@ -166,7 +259,7 @@ class TestSmithDiagonal:
 
         dense = [draw(rng.randint(1, 8), rng.randint(1, 8), 9) for _ in range(60)]
         products = []
-        for _ in range(40):  # inner sizes up to 7, where smith_normal_form may stall
+        for _ in range(40):  # inner sizes up to 7
             r, k, c = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
             products.append(draw(r, k, 4).mul(draw(k, c, 4)))
         for m in pinned_matrices()[::15] + dense + products:
@@ -184,25 +277,10 @@ class TestSmithDiagonal:
         assert checked > 40
 
     def test_sheared_diagonals_of_side_32(self):
-        # diag(d_1..d_32), d_i in 1..6, then 32 random shears +-1/+-2 on each
-        # side: the Smith diagonal is the divisibility chain of the d_i
         for seed in range(10):
-            rng = CounterRng(seed)
-            diag = [rng.randint(1, 6) for _ in range(32)]
-            m = [[diag[i] if i == j else 0 for j in range(32)] for i in range(32)]
-            for side in range(2):
-                for _ in range(32):
-                    i, j, q = rng.below(32), rng.below(32), rng.sign() * rng.randint(1, 2)
-                    if i == j:
-                        continue
-                    if side == 0:
-                        m[i] = [x + q * y for x, y in zip(m[i], m[j])]
-                    else:
-                        for row in m:
-                            row[i] += q * row[j]
-            chain = invariant_factors([d for d in diag if d > 1])
+            m, want = sheared_diagonal(seed)
             start = time.perf_counter()
-            assert smith_diagonal(IntMatrix.from_rows(m)) == (1,) * (32 - len(chain)) + chain
+            assert smith_diagonal(IntMatrix.from_rows(m)) == want
             assert time.perf_counter() - start < 0.5
 
     def test_residues_mod_the_minor_are_chained_before_truncation(self):
@@ -293,6 +371,15 @@ class TestHomology:
     def test_rejects_a_negative_rank(self):
         with pytest.raises(ValueError, match="rank -2 in degree 0 is negative"):
             ChainComplex.create({0: -2, 1: 1, 2: 1}, {1: [], 2: [[2]]})
+
+    @pytest.mark.parametrize("ranks, diffs", [
+        ({"0": 1, "00": 2}, {}),
+        ({0: 1, "0": 1, 1: 1}, {}),
+        ({"0": 1, "1": 1}, {"1": [[2]], " 1": [[3]]}),
+    ])
+    def test_rejects_repeated_degree_keys(self, ranks, diffs):
+        with pytest.raises(RepeatedKeyError, match="both name degree"):
+            ChainComplex.create(ranks, diffs)
 
     def test_zero_ranks_are_dropped(self):
         # elementary_complex emits zero ranks

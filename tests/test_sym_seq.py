@@ -4,6 +4,7 @@ import json
 import pytest
 
 from conftest import action_digest, random_symseq, sign_rep
+from entriv import RepeatedKeyError
 from entriv.rep_theory import SignedPermModule, character
 from entriv.rng import CounterRng
 from entriv.sym_seq import (MAX_MATERIALIZED_ARITY, SymSeq, _coset_moves, compose,
@@ -251,6 +252,14 @@ class TestSerialization:
     def test_round_trip(self):
         a = random_symseq(CounterRng(47))
         assert SymSeq.from_json(json.loads(json.dumps(a.to_json()))) == a
+
+    @pytest.mark.parametrize("arity", ["01", "+1", " 1"])
+    def test_rejects_repeated_arity_and_degree_keys(self, arity):
+        piece = {"n": 1, "dim": 1, "generators": []}
+        for components, what in (({"1": {"0": piece, arity.replace("1", "0"): piece}}, "degree"),
+                                 ({"1": {"0": piece}, arity: {"0": piece}}, "arity")):
+            with pytest.raises(RepeatedKeyError, match=f"both name {what}"):
+                SymSeq.from_json({"truncation": 2, "components": components})
 
     def test_spec_shape(self):
         a = trivial_seq(2)
