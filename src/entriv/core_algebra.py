@@ -679,12 +679,19 @@ class ChainComplex:
 
     @staticmethod
     def create(ranks: dict, differentials: dict) -> "ChainComplex":
-        for n, r in ranks.items():
+        kept, degrees = {}, set()
+        for key, r in ranks.items():
             if type(r) is not int:
-                raise ValueError(f"rank {r!r} in degree {n} is not an integer")
+                raise ValueError(f"rank {r!r} in degree {key} is not an integer")
             if r < 0:
-                raise ValueError(f"rank {r} in degree {n} is negative")
-        ranks = {n: r for n, r in integer_keys(ranks, "degree").items() if r > 0}
+                raise ValueError(f"rank {r} in degree {key} is negative")
+            n = int(key)
+            degrees.add(n)
+            if r:
+                kept[n] = r
+        if len(degrees) < len(ranks):
+            integer_keys(ranks, "degree")  # raises RepeatedKeyError naming both keys
+        ranks = kept
         diffs = {}
         for n, mat in integer_keys(differentials, "degree").items():
             if not isinstance(mat, IntMatrix):

@@ -5,21 +5,30 @@ freeness of the underlying basis action.  Representations over Q are
 compared through characters: Q[Sigma_n] is semisimple, so character
 equality is isomorphism and no intertwiner search is needed.
 
-A signed permutation of the basis e_0, ..., e_{dim-1} is stored as one
-(image index, sign) pair per basis vector.  For composing, each one is also
-read as a permutation of 2*dim points: +e_j is point 2j and -e_j is point
-2j+1, so g(e_j) = s e_k sends 2j to 2k (s = 1) or 2k+1 (s = -1), and 2j+1 to
-the other point of that pair.  This map from signed permutations to
-permutations of 2*dim points is an injective homomorphism, so relations hold
-in one form exactly when they hold in the other, and composing needs no
-sign arithmetic: for a doubled g, `after = itemgetter(*g)` gives after(x) =
-x o g (first g, then x) in one C-level call.  Pairs are read back off the
-even points.
+A signed permutation of the basis e_0, ..., e_{dim-1} is read as a
+permutation of 2*dim points: +e_j is point 2j and -e_j is point 2j+1, so
+g(e_j) = s e_k sends 2j to 2k (s = 1) or 2k+1 (s = -1), and 2j+1 to the other
+point of that pair, x ^ 1.  The module stores, per generator, only the images
+of the plus points 2j (its `plus` tables); the rest of the doubled form is
+x ^ 1 of those.  This map from signed permutations to permutations of 2*dim
+points is an injective homomorphism, so relations hold in one form exactly
+when they hold in the other, and composing needs no sign arithmetic: for a
+doubled g, `after = itemgetter(*g)` gives after(x) = x o g (first g, then x)
+in one C-level call.  The (image index, sign) pairs of `gens_perm` are a view
+read off the plus tables on first use.
+
+Modules read from pairs (`SignedPermModule(n, dim, gens_perm=...)`, and so
+every file) are checked in full: bijection, signs, and the involution,
+commutation and braid relations.  `_from_plus` takes plus tables built by
+this package and checks the relations only: its doubled form commutes with
+x -> x ^ 1 by construction, and an involution of the 2*dim points is a
+bijection, so the bijection and sign checks could add nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
 from math import factorial
@@ -30,49 +39,72 @@ from . import perms
 MAX_RANK = 10  # group elements are permutation words; desk scale
 
 
-def _doubled(g) -> list:
-    """A signed permutation as a permutation of 2*dim points."""
-    plus = [j + j + (s == -1) for j, s in g]  # image of +e_j; -e_j goes to the other point
-    out = plus * 2
+def _doubled(plus) -> list:
+    """The permutation of 2*dim points whose even points go to `plus`."""
+    out = list(plus) * 2
     out[0::2] = plus
-    out[1::2] = [x ^ 1 for x in plus]
+    out[1::2] = [x ^ 1 for x in plus]  # -e_j goes to the other point
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SignedPermModule:
     """A Sigma_n-module given by the action of the adjacent transpositions.
 
-    `gens_perm` holds, per generator, a tuple of (image index, sign) for the
-    basis vectors; it is checked against the involution, commutation and
-    braid relations on construction, on the doubled form of the module
-    docstring, which is kept as one `itemgetter` per generator.
+    `plus[i][j]` is the point that generator i sends +e_j to, 2k for +e_k and
+    2k+1 for -e_k; `gens_perm` reads the same tables as (image index, sign)
+    pairs.  The relations are checked on construction, on the doubled form
+    of the module docstring, which is kept as one `itemgetter` per generator.
     """
 
     n: int
     dim: int
-    gens_perm: tuple
-    _after: tuple = field(init=False, repr=False, compare=False)  # x -> x o g, per generator
+    plus: tuple
+    _after: tuple = field(repr=False, compare=False)  # x -> x o g, per generator
 
-    def __post_init__(self):
+    def __init__(self, n: int, dim: int, gens_perm: tuple):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "dim", dim)
+        self.__post_init__(gens_perm=gens_perm)
+
+    @classmethod
+    def _from_plus(cls, n: int, dim: int, plus: tuple, check: bool = True):
+        """A module from plus tables built by this package (a tuple of tuples
+        of points); `check=False` is for tables whose relations are already
+        proven, as in `twist_by_sign`."""
+        m = cls.__new__(cls)
+        object.__setattr__(m, "n", n)
+        object.__setattr__(m, "dim", dim)
+        m.__post_init__(plus=plus, check=check)
+        return m
+
+    def __post_init__(self, gens_perm=None, plus=None, check=True):
         if self.n < 1:
             raise ValueError("symmetric group rank must be >= 1")
         if self.n > MAX_RANK:
             raise ValueError(f"rank capped at {MAX_RANK}")
-        if len(self.gens_perm) != self.n - 1:
+        tables = gens_perm if plus is None else plus
+        if len(tables) != self.n - 1:
             raise ValueError("one signed permutation per adjacent transposition")
-        doubled = []
-        for g in self.gens_perm:  # at n = 1 there is none, and no data bounds dim
-            d = _doubled(g)
-            if sorted(d) != list(range(2 * self.dim)):
-                raise ValueError("signed permutation is not a bijection")
-            if {s for _, s in g} - {1, -1}:
-                raise ValueError("signs must be +-1")
-            doubled.append(d)
+        if plus is None:  # pairs from a caller or a file: every check
+            plus, doubled = [], []
+            for g in gens_perm:  # at n = 1 there is none, and no data bounds dim
+                p = tuple([j + j + (s == -1) for j, s in g])
+                d = _doubled(p)
+                if sorted(d) != list(range(2 * self.dim)):
+                    raise ValueError("signed permutation is not a bijection")
+                if {s for _, s in g} - {1, -1}:
+                    raise ValueError("signs must be +-1")
+                plus.append(p)
+                doubled.append(d)
+            plus = tuple(plus)
+        else:
+            doubled = [_doubled(p) for p in plus]
+        object.__setattr__(self, "plus", plus)
         # itemgetter needs an index; with dim = 0 every relation holds
         after = tuple(itemgetter(*d) for d in doubled) if self.dim else ()
         object.__setattr__(self, "_after", after)
-        if after:
+        if after and check:
             self._check_relations(doubled)
 
     def _check_relations(self, doubled):
@@ -88,6 +120,11 @@ class SignedPermModule:
                 h, g_after, h_after = doubled[i + 1], after[i], after[i + 1]
                 if g_after(h_after(g)) != h_after(g_after(h)):
                     raise ValueError(f"braid relation fails at {i}")
+
+    @cached_property
+    def gens_perm(self) -> tuple:
+        """Per generator, (image index, sign) of each basis vector."""
+        return tuple(tuple([(x >> 1, -1 if x & 1 else 1) for x in p]) for p in self.plus)
 
     # -- constructors ------------------------------------------------------
 
@@ -107,6 +144,10 @@ class SignedPermModule:
                 out = self._after[i](out)
         return out
 
+    def act_plus(self, perm: tuple) -> tuple:
+        """act_signed(perm) as the point each +e_j goes to."""
+        return self._fold(perm)[::2]
+
     def act_signed(self, perm: tuple):
         """Signed basis map of an arbitrary permutation: per basis vector,
         (image index, sign).
@@ -115,21 +156,30 @@ class SignedPermModule:
         first, so this is an anti-homomorphism for `perms.compose`:
         act_signed(compose(p, q)) is act_signed(p) followed by act_signed(q).
         """
-        return tuple([(x >> 1, -1 if x & 1 else 1) for x in self._fold(perm)[::2]])
+        return tuple([(x >> 1, -1 if x & 1 else 1) for x in self.act_plus(perm)])
 
     def trace(self, perm: tuple):
         """Fixed basis vectors of perm count +1, negated ones -1."""
-        plus = self._fold(perm)[::2]
+        plus = self.act_plus(perm)
         return (sum(map(eq, plus, range(0, 2 * self.dim, 2)))
                 - sum(map(eq, plus, range(1, 2 * self.dim, 2))))
 
     def twist_by_sign(self, power: int = 1):
-        """Tensor with the sign representation to the given power."""
+        """Tensor with the sign representation to the given power.
+
+        Each doubled generator g becomes N g, where N is the negation
+        x -> x ^ 1 of the 2*dim points, so the plus tables are XORed with 1.
+        N is an involution commuting with every doubled generator, so
+        (N g)^2 = g^2, (N g)(N h) = g h and (N g)(N h)(N g) = N g h g: each
+        relation holds for the twisted generators exactly when it holds for
+        these, which were checked when this module was built, and the
+        relations are not checked again.
+        """
         if power % 2 == 0:
             return self
-        return SignedPermModule(self.n, self.dim,
-                                gens_perm=tuple(tuple((j, -s) for j, s in g)
-                                                for g in self.gens_perm))
+        return SignedPermModule._from_plus(
+            self.n, self.dim, tuple(tuple([x ^ 1 for x in p]) for p in self.plus),
+            check=False)
 
     def to_json(self):
         return {"n": self.n, "dim": self.dim,
@@ -184,7 +234,7 @@ def is_sigma_free(m: SignedPermModule) -> bool:
     """True iff the Sigma_n-set of basis lines has trivial stabilizers."""
     if m.dim == 0:
         return True
-    gens = [[j for j, _ in g] for g in m.gens_perm]
+    gens = [[x >> 1 for x in p] for p in m.plus]
     order = factorial(m.n)
     seen = [False] * m.dim
     for start in range(m.dim):

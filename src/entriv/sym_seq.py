@@ -21,22 +21,24 @@ no permutation is composed or inverted.  Within one `compose` call the signed
 action of each permutation on A- and B-labels, each tensor-label action and
 each Koszul sign are computed once and reused.
 
-Signed permutations are (image index, sign) pairs per basis vector, as in
-`rep_theory`.  The labels' actions come from `SignedPermModule.act_signed`,
-which composes generators as permutations of 2*dim points (+e_j is point 2j,
--e_j is point 2j+1) along `perms.adjacent_word`, first letter applied first;
-so act_signed(p o q) is act_signed(p) followed by act_signed(q).  Here pairs
-are composed directly: a basis element's image under a generator carries the
-product of its A-label sign, its blockwise B-label signs and the Koszul sign.
-The product's generator tables are pairs again, and each new module checks
-its relations in the doubled form.
+Signed permutations are kept in the plus-point form of `rep_theory`: a
+basis vector's image is the point 2k (+e_k) or 2k+1 (-e_k).  The labels'
+actions come from `SignedPermModule.act_plus`, which composes generators as
+permutations of 2*dim points along `perms.adjacent_word`, first letter
+applied first; so act_plus(p o q) is act_plus(p) followed by act_plus(q).  A
+basis element's image under a generator is 2 * (its position) plus one sign
+bit, the XOR of its A-label, blockwise B-label and Koszul sign bits, so no
+sign is multiplied and no (index, sign) pair is built.  The product's
+generator tables are built in that form and handed to
+`SignedPermModule._from_plus`, which checks every relation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
+from operator import itemgetter, xor
 
 from . import integer_keys, perms
 from .rep_theory import SignedPermModule, character, trivial_multiplicity
@@ -132,6 +134,10 @@ def koszul_sign(pi: tuple, degrees: tuple) -> int:
 class SymSeq:
     truncation: int
     components: tuple  # sorted ((arity, ((degree, SignedPermModule), ...)), ...)
+    _index: dict = field(init=False, repr=False, compare=False)  # arity -> {degree: module}
+
+    def __post_init__(self):
+        object.__setattr__(self, "_index", {a: dict(by_degree) for a, by_degree in self.components})
 
     @staticmethod
     def create(truncation: int, data: dict) -> "SymSeq":
@@ -157,18 +163,11 @@ class SymSeq:
         return [a for a, _ in self.components]
 
     def degrees(self, arity: int):
-        for a, by_degree in self.components:
-            if a == arity:
-                return [d for d, _ in by_degree]
-        return []
+        return list(self._index.get(arity, ()))
 
     def module(self, arity: int, degree: int) -> SignedPermModule | None:
-        for a, by_degree in self.components:
-            if a == arity:
-                for d, m in by_degree:
-                    if d == degree:
-                        return m
-        return None
+        by_degree = self._index.get(arity)
+        return by_degree.get(degree) if by_degree else None
 
     def dimension(self, arity: int, degree: int) -> int:
         m = self.module(arity, degree)
@@ -228,7 +227,7 @@ def compose(a_seq: SymSeq, b_seq: SymSeq, truncation: int) -> SymSeq:
 class _LabelActions:
     """The labels of one sequence's arity-m piece, (degree, index) in degree
     order and numbered 0, 1, ..., with each permutation's signed action on
-    them built once per call from `act_signed`."""
+    them built once per call from `act_plus`."""
 
     def __init__(self, seq: SymSeq):
         self.seq = seq
@@ -245,14 +244,15 @@ class _LabelActions:
         return got
 
     def action(self, arity: int, perm: tuple) -> list:
-        """Per label, (image label, sign) under perm."""
+        """Per label, the point its plus point goes to under perm: twice the
+        image label, plus 1 if the image is negated."""
         key = (arity, perm)
         got = self._maps.get(key)
         if got is None:
             got = []
             for d in self.seq.degrees(arity):
-                offset = len(got)
-                got += [(offset + j, s) for j, s in self.seq.module(arity, d).act_signed(perm)]
+                shift = 2 * len(got)
+                got += [shift + x for x in self.seq.module(arity, d).act_plus(perm)]
             self._maps[key] = got
         return got
 
@@ -262,10 +262,11 @@ def _compose_arity(a_labels: _LabelActions, b_labels: _LabelActions, signs: dict
     """Arity-n piece of A o B.  Basis elements are numbered orbit by orbit,
     then coset, A-label and tensor label, so (coset c, A-label a, tensor x)
     of an orbit is element base + (c * |A-labels| + a) * |tensors| + x; the
-    position of an element within its total degree keeps that order."""
+    position of an element within its total degree keeps that order.  Each
+    generator's image of an element is a plus point of its total degree."""
     by_degree: dict[int, list] = {}  # total degree -> element numbers in basis order
-    position: list[int] = []  # element number -> position within its total degree
-    images = [[] for _ in range(n - 1)]  # per generator, element -> (position, sign)
+    points: list[int] = []  # at 2e and 2e+1: element e's points +e and -e in its total degree
+    images = [[] for _ in range(n - 1)]  # per generator, element -> image of its plus point
 
     for orbit in partition_orbits(n):
         k = len(orbit.block_sizes)
@@ -286,48 +287,63 @@ def _compose_arity(a_labels: _LabelActions, b_labels: _LabelActions, signs: dict
             parities = [p + (d % 2,) for p in parities for d in degs]
         n_a, n_t = len(a_deg), len(tensor_deg)
 
-        base = len(position)
+        base = len(points) >> 1
+        e = base
         for _ in range(orbit.orbit_size):
             for da in a_deg:
                 for total in tensor_deg:
                     elems = by_degree.setdefault(da + total, [])
-                    position.append(len(elems))
-                    elems.append(len(position) - 1)
+                    points += (2 * len(elems), 2 * len(elems) + 1)
+                    elems.append(e)
+                    e += 1
 
         def tensor_action(pi, within):
-            """Per tensor label, (image tensor label, sign): blockwise B-signs
-            times the Koszul sign of moving block i to slot pi[i]."""
-            out = [(0, 1)]
+            """Per tensor label, the plus point of its image: the blockwise
+            B-sign bits and the Koszul sign bit of moving block i to slot
+            pi[i], XORed."""
+            out = [0]
             for i, size in enumerate(orbit.block_sizes):
-                step = stride[pi[i]]
-                out = [(x + y * step, s * sy)
-                       for x, s in out for y, sy in b_labels.action(size, within[i])]
+                step = 2 * stride[pi[i]]
+                out = [(x ^ (y & 1)) + (y >> 1) * step
+                       for x in out for y in b_labels.action(size, within[i])]
             kos = {}
             for p in set(parities):
-                sign = signs.get((pi, p))
-                if sign is None:
-                    sign = signs[(pi, p)] = koszul_sign(pi, p)
-                kos[p] = sign
-            return [(x, s * kos[p]) for (x, s), p in zip(out, parities)]
+                bit = signs.get((pi, p))
+                if bit is None:
+                    bit = signs[(pi, p)] = int(koszul_sign(pi, p) == -1)
+                kos[p] = bit
+            return list(map(xor, out, map(kos.__getitem__, parities)))
 
-        tensor_actions: dict[tuple, list] = {}  # one per distinct h in G_E
+        # per distinct h in G_E: its tensor action read off a block's points,
+        # without and with one more sign
+        tensor_takes: dict[tuple, tuple] = {}
         for image, moves_t in zip(images, moves):
-            image += [None] * (len(position) - len(image))
+            image += [None] * (e - len(image))
             for c, (c2, pi, within) in enumerate(moves_t):
-                tensor_image = tensor_actions.get((pi, within))
-                if tensor_image is None:
-                    tensor_image = tensor_actions[(pi, within)] = tensor_action(pi, within)
-                for a, (a2, sa) in enumerate(a_labels.action(k, pi)):
+                takes = tensor_takes.get((pi, within))
+                if takes is None:
+                    t = tensor_action(pi, within)
+                    takes = tensor_takes[(pi, within)] = (_take(t), _take([x ^ 1 for x in t]))
+                for a, ap in enumerate(a_labels.action(k, pi)):
                     src = base + (c * n_a + a) * n_t
-                    dst = base + (c2 * n_a + a2) * n_t
-                    dst_pos = position[dst:dst + n_t]
-                    image[src:src + n_t] = [(dst_pos[x], s * sa) for x, s in tensor_image]
+                    dst = 2 * (base + (c2 * n_a + (ap >> 1)) * n_t)
+                    image[src:src + n_t] = takes[ap & 1](points[dst:dst + 2 * n_t])
 
     result = {}
     for total, elems in by_degree.items():
-        gens = tuple(tuple(image[e] for e in elems) for image in images)
-        result[total] = SignedPermModule(n, len(elems), gens_perm=gens)
+        take = _take(elems)
+        result[total] = SignedPermModule._from_plus(n, len(elems),
+                                                    tuple(take(image) for image in images))
     return result
+
+
+def _take(indices: list):
+    """seq -> tuple of seq[i] for i in indices, one C-level call when there
+    are two or more (itemgetter of one index returns the item itself)."""
+    if len(indices) == 1:
+        i = indices[0]
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
 
 
 @lru_cache(maxsize=None)
@@ -360,17 +376,13 @@ def _coset_moves(rep: tuple) -> tuple:
 def compose_dimensions_raw(a_seq: SymSeq, b_seq: SymSeq, n: int) -> dict:
     """Degreewise dimension of (A o B)(n) by brute summation over all set
     partitions, with no orbit grouping; the independent bookkeeping oracle."""
+    a_dims, b_dims = ({m: {d: seq.dimension(m, d) for d in seq.degrees(m)}
+                       for m in range(n + 1)} for seq in (a_seq, b_seq))
     dims: dict[int, int] = {}
     for blocks in set_partitions(n):
-        k = len(blocks)
-        a_degs = a_seq.degrees(k)
-        if not a_degs:
+        parts = [a_dims[len(blocks)], *(b_dims[len(b)] for b in blocks)]
+        if not all(parts):
             continue
-        if any(not b_seq.degrees(len(b)) for b in blocks):
-            continue
-        parts = [{d: a_seq.dimension(k, d) for d in a_degs}]
-        for b in blocks:
-            parts.append({d: b_seq.dimension(len(b), d) for d in b_seq.degrees(len(b))})
         conv = {0: 1}
         for factor in parts:
             nxt: dict[int, int] = {}

@@ -162,3 +162,30 @@ class TestSerialization:
     def test_round_trip(self):
         m = perm_module(3, sign_twist=True)
         assert SignedPermModule.from_json(m.to_json()) == m
+
+
+class TestPlusTables:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 5))
+    def test_twist_matches_the_checked_constructor(self, seed, n):
+        # the twist skips the relation check; the same tables built from
+        # pairs through the public constructor pass every check and are equal
+        m = random_monomial_module(CounterRng(seed), n, max_summands=3)
+        negated = tuple(tuple((j, -s) for j, s in g) for g in m.gens_perm)
+        assert m.twist_by_sign() == SignedPermModule(m.n, m.dim, gens_perm=negated)
+        assert m.twist_by_sign().twist_by_sign() == m
+
+    @pytest.mark.parametrize("n, dim, plus, message", [
+        (2, 2, ((2, 1),), "generator 0 is not an involution"),
+        (4, 3, ((2, 0, 4), (0, 2, 4), (0, 4, 2)), "generators 0,2 do not commute"),
+        (3, 2, ((2, 0), (0, 2)), "braid relation fails at 0"),
+    ])
+    def test_plus_tables_are_checked(self, n, dim, plus, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SignedPermModule._from_plus(n, dim, plus)
+
+    def test_pairs_are_a_view_of_the_plus_tables(self):
+        m = perm_module(3, sign_twist=True)
+        assert m.plus == ((3, 1, 5), (1, 5, 3))
+        assert m.gens_perm == (((1, -1), (0, -1), (2, -1)), ((0, -1), (2, -1), (1, -1)))
+        assert SignedPermModule._from_plus(m.n, m.dim, m.plus) == m

@@ -266,3 +266,20 @@ class TestSerialization:
         data = a.to_json()
         assert data["truncation"] == 4
         assert data["components"]["2"]["0"]["n"] == 2
+
+
+class TestPlusTables:
+    @pytest.mark.parametrize("seed, truncation", [(3, 5), (12, 5), (1, 6), (14, 6)])
+    def test_pieces_pass_the_checked_constructor(self, seed, truncation):
+        # products are built as plus tables; their pairs pass every check of
+        # the public constructor and give the same module
+        a, b = _seeded_pair(seed, truncation)
+        for _, by_degree in compose(a, b, truncation).components:
+            for _, m in by_degree:
+                assert SignedPermModule(m.n, m.dim, gens_perm=m.gens_perm) == m
+
+    def test_absent_pieces(self):
+        a = trivial_seq(2, degree=1)
+        assert (a.degrees(3), a.module(3, 1), a.dimension(3, 1)) == ([], None, 0)
+        assert (a.degrees(2), a.module(2, 0), a.dimension(2, 0)) == ([1], None, 0)
+        assert a.dimension(2, 1) == 1
