@@ -68,6 +68,9 @@ MAX_M = 16  # euler: ambient dimension
 MAX_T = 1000  # euler: points per configuration
 MAX_SPHERE = 64  # steenrod sq: sphere dimension
 MAX_K = 64  # steenrod: Sq^k, which vanishes above the degree
+# euler and batch --seed: CounterRng reads a seed mod 2^64, so a seed outside
+# [0, MAX_SEED] would draw the samples of another seed under its own name
+MAX_SEED = 2 ** 64 - 1
 # compose: basis elements of the product over all arities, read from the input
 # files' dimensions (an arity-1 module's dimension is bound by no other data)
 MAX_COMPOSE_BASIS = 100_000
@@ -243,6 +246,9 @@ def _validate(verb: str, params: dict):
     for key, cap in caps:
         if params.get(key) is not None and params[key] > cap:
             raise UsageError(f"--{key} {params[key]} exceeds the cap of {cap}")
+    seed = params.get("seed")
+    if seed is not None and not 0 <= seed <= MAX_SEED:
+        raise UsageError(f"--seed {seed} is outside the cap [0, {MAX_SEED}]")
     prime = params.get("prime")
     if prime is not None:
         from . import core_algebra
@@ -537,10 +543,9 @@ def _run_formality(p):
     if bits > MAX_ENTRY_BITS:
         raise UsageError(f"the complex has a {bits}-bit matrix entry, over the cap of "
                          f"{MAX_ENTRY_BITS} bits")
-    cx = core_algebra.ChainComplex.from_json(data)
-    minimal, certified = core_algebra.formality_splitting(cx)
-    return certified, {"minimal": minimal.to_json(),
-                       "homology": core_algebra.homology(cx, "Z").to_json(),
+    h = core_algebra.homology(core_algebra.ChainComplex.from_json(data), "Z")
+    minimal, certified = core_algebra.split_homology(h)
+    return certified, {"minimal": minimal.to_json(), "homology": h.to_json(),
                        "certified": certified}, \
         "the split minimal model has the homology of the input"
 

@@ -796,11 +796,15 @@ def formality_splitting(c: ChainComplex):
     that the minimal model has the same homology as the input; over a
     hereditary ring this always holds.
     """
-    h = homology(c, "Z")
+    return split_homology(homology(c, "Z"))
+
+
+def split_homology(h: GradedAbelianGroup):
+    """(minimal, certified) of `formality_splitting` for a complex whose
+    integral homology h the caller already holds."""
     minimal = elementary_complex({deg: free for deg, free, _ in h.components},
                                  {deg: torsion for deg, _, torsion in h.components})
-    certified = homology(minimal, "Z") == h
-    return minimal, certified
+    return minimal, homology(minimal, "Z") == h
 
 
 # ---------------------------------------------------------------------------

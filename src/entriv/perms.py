@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
+from operator import itemgetter
 
 
 def identity(n: int) -> tuple:
@@ -14,6 +15,14 @@ def identity(n: int) -> tuple:
 def compose(p: tuple, q: tuple) -> tuple:
     """(p o q)(i) = p[q[i]]."""
     return tuple(p[q[i]] for i in range(len(p)))
+
+
+def gather(indices):
+    """seq -> tuple of seq[i] for i in indices, one C-level call when there
+    are two or more (itemgetter of one index returns the item itself)."""
+    if len(indices) < 2:
+        return lambda seq: tuple([seq[i] for i in indices])
+    return itemgetter(*indices)
 
 
 def inverse(p: tuple) -> tuple:

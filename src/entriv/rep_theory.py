@@ -8,14 +8,17 @@ equality is isomorphism and no intertwiner search is needed.
 A signed permutation of the basis e_0, ..., e_{dim-1} is read as a
 permutation of 2*dim points: +e_j is point 2j and -e_j is point 2j+1, so
 g(e_j) = s e_k sends 2j to 2k (s = 1) or 2k+1 (s = -1), and 2j+1 to the other
-point of that pair, x ^ 1.  The module stores, per generator, only the images
-of the plus points 2j (its `plus` tables); the rest of the doubled form is
-x ^ 1 of those.  This map from signed permutations to permutations of 2*dim
-points is an injective homomorphism, so relations hold in one form exactly
-when they hold in the other, and composing needs no sign arithmetic: for a
-doubled g, `after = itemgetter(*g)` gives after(x) = x o g (first g, then x)
-in one C-level call.  The (image index, sign) pairs of `gens_perm` are a view
-read off the plus tables on first use.
+point of that pair, x ^ 1.  The module stores, per generator, the images of
+the plus points 2j (its `plus` tables) and the doubled table of all 2*dim
+points.  This map from signed permutations to permutations of 2*dim points is
+an injective homomorphism, so relations hold in one form exactly when they
+hold in the other, and composing needs no sign arithmetic: the plus points of
+g then h are h's doubled table gathered at g's plus points, one C-level call
+(`perms.gather`).  Every doubled table, and so every composite of them,
+commutes with x -> x ^ 1, so two composites agree on all 2*dim points
+exactly when they agree on the dim plus points: relations are checked and
+actions are folded on plus points only.  The (image index, sign) pairs of
+`gens_perm` are a view read off the plus tables on first use.
 
 Modules read from pairs (`SignedPermModule(n, dim, gens_perm=...)`, and so
 every file) are checked in full: bijection, signs, and the involution,
@@ -32,7 +35,7 @@ from functools import cached_property
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
 from math import factorial
-from operator import eq, itemgetter
+from operator import eq
 
 from . import perms
 
@@ -53,14 +56,14 @@ class SignedPermModule:
 
     `plus[i][j]` is the point that generator i sends +e_j to, 2k for +e_k and
     2k+1 for -e_k; `gens_perm` reads the same tables as (image index, sign)
-    pairs.  The relations are checked on construction, on the doubled form
-    of the module docstring, which is kept as one `itemgetter` per generator.
+    pairs.  The relations are checked on construction, on the plus points of
+    the doubled form of the module docstring, which is kept per generator.
     """
 
     n: int
     dim: int
     plus: tuple
-    _after: tuple = field(repr=False, compare=False)  # x -> x o g, per generator
+    _doubled: tuple = field(repr=False, compare=False)  # all 2*dim points, per generator
 
     def __init__(self, n: int, dim: int, gens_perm: tuple):
         object.__setattr__(self, "n", n)
@@ -101,24 +104,26 @@ class SignedPermModule:
         else:
             doubled = [_doubled(p) for p in plus]
         object.__setattr__(self, "plus", plus)
-        # itemgetter needs an index; with dim = 0 every relation holds
-        after = tuple(itemgetter(*d) for d in doubled) if self.dim else ()
-        object.__setattr__(self, "_after", after)
-        if after and check:
-            self._check_relations(doubled)
+        object.__setattr__(self, "_doubled", tuple(doubled))
+        if plus and check:  # at n = 1 there is no relation, and dim may be huge
+            self._check_relations()
 
-    def _check_relations(self, doubled):
-        after = self._after
-        one = tuple(range(2 * self.dim))
+    def _check_relations(self):
+        """Involution, commutation and braid relations, each decided on the
+        dim plus points: both sides of a relation commute with x -> x ^ 1,
+        so they agree on all 2*dim points exactly when they agree there."""
+        plus, doubled = self.plus, self._doubled
+        takes = [perms.gather(p) for p in plus]  # x -> x o g at the plus points
+        evens = tuple(range(0, 2 * self.dim, 2))
         for i, g in enumerate(doubled):
-            if after[i](g) != one:
+            if takes[i](g) != evens:
                 raise ValueError(f"generator {i} is not an involution")
             for j in range(i + 2, len(doubled)):
-                if after[j](g) != after[i](doubled[j]):
+                if takes[i](doubled[j]) != takes[j](g):
                     raise ValueError(f"generators {i},{j} do not commute")
             if i + 1 < len(doubled):
-                h, g_after, h_after = doubled[i + 1], after[i], after[i + 1]
-                if g_after(h_after(g)) != h_after(g_after(h)):
+                h = doubled[i + 1]
+                if perms.gather(takes[i](h))(g) != perms.gather(takes[i + 1](g))(h):
                     raise ValueError(f"braid relation fails at {i}")
 
     @cached_property
@@ -136,17 +141,17 @@ class SignedPermModule:
 
     # -- action ------------------------------------------------------------
 
-    def _fold(self, perm: tuple) -> tuple:
-        """act_signed(perm) on the 2*dim points."""
-        out = tuple(range(2 * self.dim))
-        if out:
-            for i in reversed(perms.adjacent_word(perm)):
-                out = self._after[i](out)
-        return out
-
     def act_plus(self, perm: tuple) -> tuple:
-        """act_signed(perm) as the point each +e_j goes to."""
-        return self._fold(perm)[::2]
+        """act_signed(perm) as the point each +e_j goes to: the plus points
+        carried through the generators of `perms.adjacent_word(perm)`, first
+        letter first."""
+        word = perms.adjacent_word(perm)
+        if not word:
+            return tuple(range(0, 2 * self.dim, 2))
+        out, doubled = self.plus[word[0]], self._doubled
+        for i in word[1:]:
+            out = perms.gather(out)(doubled[i])
+        return out
 
     def act_signed(self, perm: tuple):
         """Signed basis map of an arbitrary permutation: per basis vector,

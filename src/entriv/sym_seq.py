@@ -10,35 +10,39 @@ signs.
 
 Induced modules are materialized on explicit coset bases; the arity at which
 this is allowed is capped (memory control at desk scale).  The kernel works on
-integers: each basis element is a number (orbit, coset, A-label, tensor label
-in mixed radix) with a precomputed position inside its total degree, so a
-generator's image is found by arithmetic, not by looking up labelled tuples.
-The combinatorics of each orbit's cosets are computed once per process.  The
-coset sigma_F G_E of a partition F of E's shape moves under g to the coset of
-F' = gF, and the h in G_E that the move carries is read off F and F': where
-g(F_i[r]) sits in F' gives h's block permutation and within-block maps, and
-no permutation is composed or inverted.  Within one `compose` call the signed
-action of each permutation on A- and B-labels, each tensor-label action and
-each Koszul sign are computed once and reused.
+integers.  Basis elements are ordered by orbit, coset, A-label and tensor label
+(in mixed radix), and numbered arithmetically: one coset's block of elements
+holds the same count of each total degree, so an element's position in its
+degree is that degree's start, plus its coset times the count, plus its rank
+in the block.  The combinatorics of each orbit's cosets are computed once per
+process.  The coset sigma_F G_E of a partition F of E's shape moves under g to
+the coset of F' = gF, and the h in G_E that the move carries is read off F and
+F': where g(F_i[r]) sits in F' gives h's block permutation and within-block
+maps, and no permutation is composed or inverted.  A generator's image of a
+whole coset block is then one gather, by a table that depends on h alone,
+from the points of the target block.  Within one `compose` call the signed
+action of each permutation on A- and B-labels, each tensor-label action, each
+h's gather and each Koszul sign are computed once and reused.
 
 Signed permutations are kept in the plus-point form of `rep_theory`: a
 basis vector's image is the point 2k (+e_k) or 2k+1 (-e_k).  The labels'
-actions come from `SignedPermModule.act_plus`, which composes generators as
-permutations of 2*dim points along `perms.adjacent_word`, first letter
-applied first; so act_plus(p o q) is act_plus(p) followed by act_plus(q).  A
-basis element's image under a generator is 2 * (its position) plus one sign
-bit, the XOR of its A-label, blockwise B-label and Koszul sign bits, so no
-sign is multiplied and no (index, sign) pair is built.  The product's
-generator tables are built in that form and handed to
-`SignedPermModule._from_plus`, which checks every relation.
+actions come from `SignedPermModule.act_plus`, which carries the plus points
+through the generators of `perms.adjacent_word`, first letter applied first;
+so act_plus(p o q) is act_plus(p) followed by act_plus(q).  A basis element's
+image under a generator is 2 * (its position) plus one sign bit, the XOR of
+its A-label, blockwise B-label and Koszul sign bits, so no sign is multiplied
+and no (index, sign) pair is built.  The product's generator tables are built
+in that form and handed to `SignedPermModule._from_plus`, which checks every
+relation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from math import factorial
-from operator import itemgetter, xor
+from operator import xor
 
 from . import integer_keys, perms
 from .rep_theory import SignedPermModule, character, trivial_multiplicity
@@ -92,6 +96,7 @@ class PartitionOrbit:
         return factorial(sum(self.block_sizes)) // self.stabilizer_order
 
 
+@lru_cache(maxsize=None)
 def partition_orbits(n: int) -> tuple:
     """One orbit per multiset of block sizes, i.e. per partition of the integer n."""
     orbits = []
@@ -259,14 +264,17 @@ class _LabelActions:
 
 def _compose_arity(a_labels: _LabelActions, b_labels: _LabelActions, signs: dict,
                    n: int) -> dict:
-    """Arity-n piece of A o B.  Basis elements are numbered orbit by orbit,
-    then coset, A-label and tensor label, so (coset c, A-label a, tensor x)
-    of an orbit is element base + (c * |A-labels| + a) * |tensors| + x; the
-    position of an element within its total degree keeps that order.  Each
-    generator's image of an element is a plus point of its total degree."""
-    by_degree: dict[int, list] = {}  # total degree -> element numbers in basis order
-    points: list[int] = []  # at 2e and 2e+1: element e's points +e and -e in its total degree
-    images = [[] for _ in range(n - 1)]  # per generator, element -> image of its plus point
+    """Arity-n piece of A o B.  Basis elements are ordered orbit by orbit,
+    then coset, A-label and tensor label; a coset block is the n_a * n_t
+    elements (A-label a, tensor x) of one coset c.  Within a total degree D
+    the block's elements are consecutive, so element (c, a, x) of an orbit
+    sits at position start_D + c * count_D + (its rank among the block's
+    degree-D elements), start_D counting the degree-D elements of earlier
+    orbits.  Each generator's image of a block is one gather from the plus
+    points of the target block, listed degree by degree, and each degree's
+    run of it is appended to that degree's table."""
+    sizes: dict[int, int] = {}  # total degree -> elements numbered so far
+    images = [{} for _ in range(n - 1)]  # per generator, degree -> image plus points
 
     for orbit in partition_orbits(n):
         k = len(orbit.block_sizes)
@@ -285,17 +293,31 @@ def _compose_arity(a_labels: _LabelActions, b_labels: _LabelActions, signs: dict
         for degs in block_deg:
             tensor_deg = [t + d for t in tensor_deg for d in degs]
             parities = [p + (d % 2,) for p in parities for d in degs]
-        n_a, n_t = len(a_deg), len(tensor_deg)
+        n_t = len(tensor_deg)
 
-        base = len(points) >> 1
-        e = base
-        for _ in range(orbit.orbit_size):
-            for da in a_deg:
-                for total in tensor_deg:
-                    elems = by_degree.setdefault(da + total, [])
-                    points += (2 * len(elems), 2 * len(elems) + 1)
-                    elems.append(e)
-                    e += 1
+        # a coset block listed degree by degree: order[q] is the element
+        # a * n_t + x at place q, and rank2[a * n_t + x] is 2q
+        degree = [da + dt for da in a_deg for dt in tensor_deg]
+        order = sorted(range(len(degree)), key=degree.__getitem__)
+        rank2 = [0] * len(order)
+        for q, i in enumerate(order):
+            rank2[i] = 2 * q
+        counts: dict[int, int] = {}  # degree -> elements per block, ascending
+        for i in order:
+            counts[degree[i]] = counts.get(degree[i], 0) + 1
+        runs, starts, lo = [], {}, 0  # runs: (degree, first place, end place)
+        for d, count in counts.items():
+            runs.append((d, lo, lo + count))
+            lo += count
+            starts[d] = sizes.get(d, 0)
+            sizes[d] = starts[d] + orbit.orbit_size * count
+        if not images:
+            continue
+
+        # per coset, the plus and minus points of its block in place order
+        points = [list(chain.from_iterable(
+            range(2 * (starts[d] + c * count), 2 * (starts[d] + (c + 1) * count))
+            for d, count in counts.items())) for c in range(orbit.orbit_size)]
 
         def tensor_action(pi, within):
             """Per tensor label, the plus point of its image: the blockwise
@@ -314,36 +336,25 @@ def _compose_arity(a_labels: _LabelActions, b_labels: _LabelActions, signs: dict
                 kos[p] = bit
             return list(map(xor, out, map(kos.__getitem__, parities)))
 
-        # per distinct h in G_E: its tensor action read off a block's points,
-        # without and with one more sign
-        tensor_takes: dict[tuple, tuple] = {}
+        # per distinct h in G_E: the gather of a block's image, read off the
+        # target block's points; the A-sign bit is folded into each index
+        gathers: dict[tuple, object] = {}
         for image, moves_t in zip(images, moves):
-            image += [None] * (e - len(image))
-            for c, (c2, pi, within) in enumerate(moves_t):
-                takes = tensor_takes.get((pi, within))
-                if takes is None:
+            for d, _, _ in runs:
+                image.setdefault(d, [])
+            for c2, pi, within in moves_t:
+                take = gathers.get((pi, within))
+                if take is None:
                     t = tensor_action(pi, within)
-                    takes = tensor_takes[(pi, within)] = (_take(t), _take([x ^ 1 for x in t]))
-                for a, ap in enumerate(a_labels.action(k, pi)):
-                    src = base + (c * n_a + a) * n_t
-                    dst = 2 * (base + (c2 * n_a + (ap >> 1)) * n_t)
-                    image[src:src + n_t] = takes[ap & 1](points[dst:dst + 2 * n_t])
+                    flat = [rank2[(ap >> 1) * n_t + (y >> 1)] + ((ap ^ y) & 1)
+                            for ap in a_labels.action(k, pi) for y in t]
+                    take = gathers[(pi, within)] = perms.gather(perms.gather(order)(flat))
+                out = take(points[c2])
+                for d, lo, hi in runs:
+                    image[d] += out[lo:hi]
 
-    result = {}
-    for total, elems in by_degree.items():
-        take = _take(elems)
-        result[total] = SignedPermModule._from_plus(n, len(elems),
-                                                    tuple(take(image) for image in images))
-    return result
-
-
-def _take(indices: list):
-    """seq -> tuple of seq[i] for i in indices, one C-level call when there
-    are two or more (itemgetter of one index returns the item itself)."""
-    if len(indices) == 1:
-        i = indices[0]
-        return lambda seq: (seq[i],)
-    return itemgetter(*indices)
+    return {d: SignedPermModule._from_plus(n, size, tuple(tuple(image[d]) for image in images))
+            for d, size in sizes.items()}
 
 
 @lru_cache(maxsize=None)

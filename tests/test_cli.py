@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from entriv import cli
 from entriv.cli import (MAX_CELL_RANGE, MAX_COMPLEX_CELLS, MAX_COMPOSE_BASIS, MAX_ENTRY_BITS,
-                        MAX_EULER_WORK, MAX_K, MAX_M, MAX_N, MAX_PRIME, MAX_SAMPLES, MAX_SMAX,
-                        MAX_SPHERE, MAX_T, MAX_WINDOW_WIDTH, Command, UsageError, _complex_size,
-                        main, parse, run)
+                        MAX_EULER_WORK, MAX_K, MAX_M, MAX_N, MAX_PRIME, MAX_SAMPLES, MAX_SEED,
+                        MAX_SMAX, MAX_SPHERE, MAX_T, MAX_WINDOW_WIDTH, Command, UsageError,
+                        _complex_size, main, parse, run)
 from entriv.core_algebra import IntMatrix, product_is_zero
 from entriv.extended_powers import FAMILIES
 
@@ -103,6 +103,11 @@ class TestCaps:
         ["steenrod", f"--sphere={MAX_SPHERE + 1}", "sq"],
         ["steenrod", "--sphere=200", "sq", "--k", "0"],
         ["steenrod", f"--k={MAX_K + 1}", "sq", "--sphere", "2"],
+        # a seed is read mod 2^64: -1 would draw the samples of seed 2^64 - 1
+        ["euler", "--seed=-1", "--m", "2", "--t", "3", "--samples", "1"],
+        ["euler", f"--seed={MAX_SEED + 1}", "--m", "2", "--t", "3", "--samples", "1"],
+        ["batch", "--seed=-1", "--manifest", "manifests/acceptance.json"],
+        ["batch", f"--seed={MAX_SEED + 1}", "--manifest", "manifests/acceptance.json"],
     ]
 
     @pytest.mark.parametrize("argv", OVERSIZED, ids=lambda a: " ".join(a[:2]))
@@ -121,6 +126,8 @@ class TestCaps:
         parse(["theta", "--n", "2", "--prime", str(MAX_PRIME - 58)])  # largest below 2^64
         parse(["euler", "--m", str(MAX_M), "--t", str(MAX_T), "--samples", "1"])
         parse(["steenrod", "sq", "--sphere", str(MAX_SPHERE), "--k", str(MAX_K)])
+        parse(["euler", "--m", "2", "--t", "3", "--samples", "1", "--seed", str(MAX_SEED)])
+        parse(["batch", "--manifest", "manifests/acceptance.json", "--seed", str(MAX_SEED)])
         # --k is capped for steenrod only
         parse(["stunted", "sq", "--range=0:4", "--k", str(MAX_K + 1)])
 
@@ -190,6 +197,19 @@ class TestRun:
         report = run(parse(["formality", "--input",
                             str(ROOT / "manifests/inputs/complex_rp2.json")]))
         assert report.passed and report.payload["certified"]
+
+    def test_formality_computes_the_input_homology_once(self, monkeypatch, capsys):
+        from entriv import core_algebra
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return homology(*args, **kwargs)
+
+        homology = core_algebra.homology
+        monkeypatch.setattr(core_algebra, "homology", counted)
+        assert main(["formality", "--input", str(ROOT / "manifests/inputs/complex_rp2.json")]) == 0
+        assert len(calls) == 2  # the input's homology, then the minimal model's
 
     def test_module_error_becomes_structured_failure(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,6 +1,7 @@
 import re
 from itertools import permutations
 from math import factorial
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -164,7 +165,95 @@ class TestSerialization:
         assert SignedPermModule.from_json(m.to_json()) == m
 
 
+def _full_length_check(dim, plus):
+    """The relation check on all 2*dim points: each generator's doubled
+    table, composed as x -> x o g by one itemgetter over all its points.  The
+    message of the first relation that fails, or None."""
+    doubled = [tuple(y for x in p for y in (x, x ^ 1)) for p in plus]
+    after = [itemgetter(*d) for d in doubled]
+    one = tuple(range(2 * dim))
+    for i, g in enumerate(doubled):
+        if after[i](g) != one:
+            return f"generator {i} is not an involution"
+        for j in range(i + 2, len(doubled)):
+            if after[j](g) != after[i](doubled[j]):
+                return f"generators {i},{j} do not commute"
+        if i + 1 < len(doubled):
+            h = doubled[i + 1]
+            if after[i](after[i + 1](g)) != after[i + 1](after[i](h)):
+                return f"braid relation fails at {i}"
+    return None
+
+
+def _plus_point_check(n, dim, plus):
+    """The message with which `_from_plus` rejects the tables, or None."""
+    try:
+        SignedPermModule._from_plus(n, dim, plus)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _corrupt(m, kind, i, a, b):
+    """m's plus tables with generator i corrupted: entries a and b swapped,
+    the sign bit of entry a flipped, or (kind "braid") replaced by the
+    identity, an involution commuting with everything that breaks a braid
+    relation with any neighbour that moves a point."""
+    plus = [list(p) for p in m.plus]
+    if kind == "swap":
+        plus[i][a], plus[i][b] = plus[i][b], plus[i][a]
+    elif kind == "sign":
+        plus[i][a] ^= 1
+    elif kind == "braid":
+        plus[i] = list(range(0, 2 * m.dim, 2))
+    return tuple(map(tuple, plus))
+
+
+def _fold_pairs(m, perm):
+    """Per basis vector, (image index, sign) under perm: the generators of
+    `perms.adjacent_word(perm)` applied to gens_perm pairs one letter at a
+    time, first letter first."""
+    images = [(j, 1) for j in range(m.dim)]
+    for i in perms.adjacent_word(perm):
+        images = [(m.gens_perm[i][k][0], s * m.gens_perm[i][k][1]) for k, s in images]
+    return images
+
+
 class TestPlusTables:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(2, 5),
+           st.sampled_from(["none", "swap", "sign", "braid"]), st.data())
+    def test_plus_point_check_matches_the_full_length_check(self, seed, n, kind, data):
+        m = random_monomial_module(CounterRng(seed), n, max_summands=3)
+        i = data.draw(st.integers(0, n - 2))
+        a = data.draw(st.integers(0, m.dim - 1))
+        b = data.draw(st.integers(0, m.dim - 1))
+        plus = _corrupt(m, kind, i, a, b)
+        got = _plus_point_check(n, m.dim, plus)
+        assert got == _full_length_check(m.dim, plus)
+        if kind == "none":
+            assert got is None
+
+    @pytest.mark.parametrize("kind, message", [
+        ("swap", "generator 0 is not an involution"),
+        ("sign", "generator 0 is not an involution"),
+        ("braid", "braid relation fails at 0"),
+    ])
+    def test_each_corruption_is_caught(self, kind, message):
+        # the natural action on 4 points, generator 0 corrupted at entries 0, 3
+        plus = _corrupt(perm_module(4), kind, 0, 0, 3)
+        assert _plus_point_check(4, 4, plus) == _full_length_check(4, plus) == message
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_act_plus_and_trace_match_a_fold_of_pairs(self, n):
+        rng = CounterRng(53 + n)
+        mods = [random_monomial_module(rng, n, max_summands=3) for _ in range(3)]
+        mods += [perm_module(n, sign_twist=True)] + ([regular(n)] if n <= 4 else [])
+        for m in mods:
+            for p in permutations(range(n)):
+                pairs = _fold_pairs(m, p)
+                assert m.act_plus(p) == tuple(2 * k + (s == -1) for k, s in pairs)
+                assert m.trace(p) == sum(s for j, (k, s) in enumerate(pairs) if k == j)
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32), st.integers(1, 5))
     def test_twist_matches_the_checked_constructor(self, seed, n):

@@ -278,6 +278,19 @@ class TestPlusTables:
             for _, m in by_degree:
                 assert SignedPermModule(m.n, m.dim, gens_perm=m.gens_perm) == m
 
+    def test_plus_tables_and_characters(self):
+        # pinned on the products above: each piece's plus tables, the basis
+        # order among them, and its characters
+        h = hashlib.sha256()
+        for seed, truncation in [(3, 5), (12, 5), (1, 6), (14, 6)]:
+            a, b = _seeded_pair(seed, truncation)
+            for arity, by_degree in compose(a, b, truncation).components:
+                for degree, m in by_degree:
+                    h.update(repr((arity, degree, m.plus)).encode())
+                    h.update(repr(character(m).values).encode())
+        assert h.hexdigest() == \
+            "120ba4bb8494c6bf119f67f9bb81c1e9e21d1fb2d12311f3ee5e2c75cf549cd4"
+
     def test_absent_pieces(self):
         a = trivial_seq(2, degree=1)
         assert (a.degrees(3), a.module(3, 1), a.dimension(3, 1)) == ([], None, 0)
