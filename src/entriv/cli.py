@@ -79,12 +79,13 @@ MAX_COMPOSE_BASIS = 100_000
 # the largest t fits
 MAX_EULER_WORK = 1_000_000
 # formality --input: matrix cells over all differentials, and bits of an entry.
-# Measured through main on one dense square differential (2-vCPU Xeon VM,
-# CPython 3.11): side 64 takes 0.3 s with entries in [-9, 9] and 1.7 s with
-# entries up to 2^16 in absolute value, side 100 with such entries 13 s.  The
-# entry cap also keeps every torsion order (at most Hadamard's bound,
-# 64 * (16 + 3) bits) far below the 4300 digits that rendering an integer
-# allows.
+# Measured on one dense square differential (2-vCPU Xeon VM, CPython 3.11,
+# medians of seeded draws): through main, side 64 takes 0.07 s with entries
+# in [-9, 9] and 0.17 s with entries up to 2^16 in absolute value; side 100
+# with such entries, over the cell cap, takes 0.75 s in the same homology and
+# splitting.  The entry cap also keeps every torsion order (at most
+# Hadamard's bound, 64 * (16 + 3) bits) far below the 4300 digits that
+# rendering an integer allows.
 MAX_COMPLEX_CELLS = 4096
 MAX_ENTRY_BITS = 16
 
@@ -498,7 +499,7 @@ def _run_euler(p):
                              f"over the cap of {MAX_M}")
         cfg = euler_section.Configuration.from_rational(
             [[_coordinate(x) for x in pt] for pt in rows])
-        value = euler_section.section_eval(cfg)
+        value = cfg.section
         if cfg.size <= 5:
             sigmas = list(permutations(range(cfg.size)))
         else:

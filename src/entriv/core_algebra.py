@@ -5,14 +5,15 @@ matrices, homology with Z / Q / F_p coefficients, and minimal models over
 hereditary base rings (every bounded complex splits as a sum of its
 homology, presented degreewise by free resolutions).
 
-The Smith diagonal has two routes that share no helper.  `smith_normal_form`
-builds L and R: it pivots on unit entries of sparse rows first, then takes
-the unit-free residual through alternating row and column Hermite forms,
-so every pivot stays within Hadamard's bound H of the input and L and R
-stay within H^2 on every input measured (its docstring has the bounds).
-`smith_diagonal`, which homology over Z reads, pivots on unit entries first
-and works the rest modulo a minor, so every entry stays within Hadamard's
-bound; the tests use `smith_normal_form` as its independent oracle.
+One kernel computes the Smith diagonal.  It pivots on unit entries of
+sparse rows first, then takes the unit-free residual through alternating
+row and column Hermite forms, so every pivot, and so every diagonal entry,
+stays within Hadamard's bound H of the input.  `smith_normal_form` carries
+L and R through it, and they stay within H^2 on every input measured (its
+docstring has the bounds).  `smith_diagonal`, which homology over Z reads,
+runs the same steps with empty transform rows, so its diagonal comes from
+the steps that `SmithNormalForm.verify` certifies; the tests cross it with
+sympy's Smith form and a gcd-of-minors oracle.
 
 All arithmetic is arbitrary-precision: the transforms of a dense 20 x 20
 matrix with entries in [-3, 12] already reach 162 bits.
@@ -21,6 +22,7 @@ matrix with entries in [-3, 12] already reach 162 bits.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import integer_keys
@@ -201,21 +203,38 @@ def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
       tests hold their inputs to H^2.  Without the kernel reduction
       non-square inputs reached 2.35 times the bit length of H.
     """
+    left, right = _identity_rows(m.rows), _identity_rows(m.cols)  # R by columns
+    diagonal = _smith(m, left, right)
+    return SmithNormalForm(diagonal,
+                           _computed(m.rows, m.rows, tuple(map(tuple, left))),
+                           _computed(m.cols, m.cols, tuple(zip(*right))))
+
+
+def smith_diagonal(m: IntMatrix) -> tuple:
+    """The diagonal of smith_normal_form(m): the same steps, with empty
+    transform rows, so that no step has a transform to carry."""
+    return _smith(m, [()] * m.rows, [()] * m.cols)
+
+
+def _smith(m: IntMatrix, left: list, right: list) -> tuple:
+    """The Smith diagonal of m by smith_normal_form's steps.  Each row step
+    is applied to the rows of `left` and each column step to `right` (held
+    by columns), which end as L and R in diagonal order."""
     rows = [(i, r) for i, r in enumerate({j: e for j, e in enumerate(row) if e}
                                          for row in m.entries) if r]
-    left, right = _identity_rows(m.rows), _identity_rows(m.cols)  # R by columns
     pivot_rows, pivot_cols = [], []
     while rows:
-        best = None  # (length, position, column) of the pivot
+        shortest = m.cols + 1  # the pivot's row length; `at` and `c` its position and column
         for k, (_, row) in enumerate(rows):
-            if best is None or len(row) < best[0]:
-                units = [j for j, e in row.items() if e == 1 or e == -1]
-                if units:
-                    best = (len(row), k, min(units))
-        if best is None:
+            if len(row) < shortest:
+                for j, e in row.items():
+                    if (e == 1 or e == -1) and (len(row) < shortest or j < c):
+                        shortest, at, c = len(row), k, j
+                if shortest == 1:
+                    break
+        if shortest > m.cols:
             break
-        _, k, c = best
-        i, pivot = rows.pop(k)
+        i, pivot = rows.pop(at)
         unit = pivot.pop(c)
         top = left[i]
         for r, row in rows:  # row r -= f * row i clears column c
@@ -227,11 +246,10 @@ def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
                         row[j] = x
                     else:
                         del row[j]
-                left[r] = [x - f * y for x, y in zip(left[r], top)]
+                left[r] = _minus(left[r], f, top)
         source = right[c]
         for j, e in pivot.items():  # column j -= e * unit * column c clears row i
-            f = e * unit
-            right[j] = [x - f * y for x, y in zip(right[j], source)]
+            right[j] = _minus(right[j], e * unit, source)
         if unit == -1:
             left[i] = [-x for x in top]
         pivot_rows.append(i)
@@ -239,18 +257,15 @@ def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
         rows = [(r, row) for r, row in rows if row]
     # L's rows and R's columns in diagonal order: the pivots, the residual,
     # then the rest; phase 2 changes only the residual's block
-    res_rows = [i for i, _ in rows]
     res_cols = sorted({j for _, row in rows for j in row})
-    left[:] = [left[i] for i in _order(pivot_rows + res_rows, m.rows)]
-    right[:] = [right[j] for j in _order(pivot_cols + res_cols, m.cols)]
+    _to_front(left, pivot_rows + [i for i, _ in rows])
+    _to_front(right, pivot_cols + res_cols)
     diagonal = [1] * len(pivot_rows)
     if rows:
         residual = [[row.get(j, 0) for j in res_cols] for _, row in rows]
         diagonal += _residual_smith(residual, left, right, len(pivot_rows))
     diagonal += [0] * (min(m.rows, m.cols) - len(diagonal))
-    return SmithNormalForm(tuple(diagonal),
-                           _computed(m.rows, m.rows, tuple(map(tuple, left))),
-                           _computed(m.cols, m.cols, tuple(zip(*right))))
+    return tuple(diagonal)
 
 
 def _computed(rows: int, cols: int, entries: tuple) -> IntMatrix:
@@ -270,10 +285,13 @@ def _identity_rows(n: int) -> list:
     return rows
 
 
-def _order(first: list, n: int) -> list:
-    """The indices `first`, then the rest of range(n) in increasing order."""
+def _to_front(t: list, first: list) -> None:
+    """Move the rows `first` of t to its front, the others after them in
+    their order; rows that carry nothing (smith_diagonal's) stay put."""
+    if not t or not t[0]:
+        return
     seen = set(first)
-    return first + [i for i in range(n) if i not in seen]
+    t[:] = [t[i] for i in first] + [row for i, row in enumerate(t) if i not in seen]
 
 
 def _residual_smith(a: list, left: list, right: list, offset: int) -> list:
@@ -288,33 +306,35 @@ def _residual_smith(a: list, left: list, right: list, offset: int) -> list:
     chain, and the rows of L (columns of R) that meet the diagonal are
     reduced modulo those that do not, a basis of the left (right) kernel.
     """
-    while True:
+    while not _is_diagonal(a):
         _hermite(a, left, offset)
         if _is_diagonal(a):
             break
         at = [list(col) for col in zip(*a)]
         _hermite(at, right, offset)
         a = [list(row) for row in zip(*at)]
-        if _is_diagonal(a):
-            break
     diag = [a[i][i] for i in range(min(len(a), len(a[0])))]
-    rank = sum(1 for d in diag if d)
-    for i in range(offset, offset + rank):
-        for j in range(i + 1, offset + rank):
-            x, y = diag[i - offset], diag[j - offset]
-            if y % x == 0:
-                continue
-            # diag(x, y) -> diag(g, lcm) with L = [[s, u], [-y/g, x/g]] and
-            # R = [[1, -u y/g], [1, s x/g]], where s x + u y = g
-            g, s, u = _bezout(x, y)
-            yg, xg = y // g, x // g
-            li, lj = left[i], left[j]
-            left[i] = [s * p + u * q for p, q in zip(li, lj)]
-            left[j] = [xg * q - yg * p for p, q in zip(li, lj)]
-            ri, rj = right[i], right[j]
-            right[i] = [p + q for p, q in zip(ri, rj)]
-            right[j] = [s * xg * q - u * yg * p for p, q in zip(ri, rj)]
-            diag[i - offset], diag[j - offset] = g, x * yg
+    # a Hermite form leaves the diagonal nonnegative; on a residual that was
+    # diagonal from the start, the row Hermite form would only negate rows
+    for i, d in enumerate(diag):
+        if d < 0:
+            diag[i] = -d
+            left[offset + i] = [-x for x in left[offset + i]]
+    rank = len(diag) - diag.count(0)
+    if any(diag[i + 1] % diag[i] for i in range(rank - 1)):  # not yet a chain
+        for i in range(rank):
+            for j in range(i + 1, rank):
+                x, y = diag[i], diag[j]
+                if y % x == 0:
+                    continue
+                # diag(x, y) -> diag(g, lcm) with L = [[s, u], [-y/g, x/g]] and
+                # R = [[1, -u y/g], [1, s x/g]], where s x + u y = g
+                g, s, u = _bezout(x, y)
+                yg, xg = y // g, x // g
+                li, lj = offset + i, offset + j
+                left[li], left[lj] = _mix(left[li], left[lj], s, u, -yg, xg)
+                right[li], right[lj] = _mix(right[li], right[lj], 1, 1, -u * yg, s * xg)
+                diag[i], diag[j] = g, x * yg
     _reduce_by_kernel(left, offset, rank, len(a))
     _reduce_by_kernel(right, offset, rank, len(a[0]))
     return diag
@@ -345,9 +365,8 @@ def _hermite(a: list, t: list, offset: int) -> None:
                 zeros.append(tv)
                 break
             c = v.index(lead)  # every entry before the first nonzero one is 0
-            while k < len(cols) and cols[k] < c:
-                k += 1
-            joined = not (k < len(cols) and cols[k] == c)
+            k = bisect_left(cols, c, k)
+            joined = k == len(cols) or cols[k] != c
             if joined:  # v leads in a column without a pivot: a new pivot row
                 if v[c] < 0:
                     v, tv = [-x for x in v], [-x for x in tv]
@@ -358,16 +377,13 @@ def _hermite(a: list, t: list, offset: int) -> None:
                 top, ttop, p, e = rows[k], trows[k], rows[k][c], v[c]
                 if e % p == 0:
                     q = e // p
-                    v = [y - q * x for x, y in zip(top, v)]
-                    tv = [y - q * x for x, y in zip(ttop, tv)]
+                    v, tv = _minus(v, q, top), _minus(tv, q, ttop)
                     continue
                 # (pivot row, v) <- (s pivot row + u v, (p v - e pivot row) / g)
                 g, s, u = _bezout(p, e)
                 eg, pg = e // g, p // g
-                rows[k] = [s * x + u * y for x, y in zip(top, v)]
-                trows[k] = [s * x + u * y for x, y in zip(ttop, tv)]
-                v = [pg * y - eg * x for x, y in zip(top, v)]
-                tv = [pg * y - eg * x for x, y in zip(ttop, tv)]
+                rows[k], v = _mix(top, v, s, u, -eg, pg)
+                trows[k], tv = _mix(ttop, tv, s, u, -eg, pg)
             # reduce the rows above modulo pivot row k, then every row that
             # changed (row k too) modulo the pivots after it; the others
             # were reduced before and are unchanged
@@ -378,8 +394,8 @@ def _hermite(a: list, t: list, offset: int) -> None:
                 for r in (range(k) if j == k else changed):
                     q = rows[r][cj] // pj
                     if q:
-                        rows[r] = [y - q * x for x, y in zip(top, rows[r])]
-                        trows[r] = [y - q * x for x, y in zip(ttop, trows[r])]
+                        rows[r] = _minus(rows[r], q, top)
+                        trows[r] = _minus(trows[r], q, ttop)
                         if j == k:
                             changed.append(r)
             if joined:
@@ -392,9 +408,9 @@ def _reduce_by_kernel(t: list, offset: int, rank: int, size: int) -> None:
     """Put rows offset + rank .. offset + size - 1 of t, a kernel basis, in
     Hermite form and reduce rows offset .. offset + rank - 1 modulo them."""
     kernel = t[offset + rank:offset + size]
-    if not kernel:
+    if not kernel or not kernel[0]:  # no kernel, or no transform (smith_diagonal)
         return
-    _hermite(kernel, [[] for _ in kernel], 0)  # no transform to track
+    _hermite(kernel, [()] * len(kernel), 0)  # no transform to track
     t[offset + rank:offset + size] = kernel
     for row_k in kernel:
         c = next(j for j, e in enumerate(row_k) if e)
@@ -402,7 +418,20 @@ def _reduce_by_kernel(t: list, offset: int, rank: int, size: int) -> None:
         for i in range(offset, offset + rank):
             q = t[i][c] // p
             if q:
-                t[i] = [y - q * x for x, y in zip(row_k, t[i])]
+                t[i] = _minus(t[i], q, row_k)
+
+
+def _minus(v, q: int, w) -> list:
+    """The row v - q w.  Empty rows stay empty: smith_diagonal's transform
+    rows carry nothing, so no step on them costs a pass over a row."""
+    return [x - q * y for x, y in zip(v, w)] if v else v
+
+
+def _mix(x, y, a: int, b: int, c: int, d: int) -> tuple:
+    """The rows (a x + b y, c x + d y) of a 2x2 step; empty rows stay empty."""
+    if not x:
+        return x, y
+    return [a * p + b * q for p, q in zip(x, y)], [c * p + d * q for p, q in zip(x, y)]
 
 
 def _is_diagonal(a: list) -> bool:
@@ -410,10 +439,7 @@ def _is_diagonal(a: list) -> bool:
 
 
 def _bezout(a: int, b: int) -> tuple:
-    """(g, s, u) with s a + u b = g = gcd(a, b) > 0, for a, b not both 0.
-
-    smith_normal_form's own: it is the tests' oracle for smith_diagonal,
-    so the two routes share no helper."""
+    """(g, s, u) with s a + u b = g = gcd(a, b) > 0, for a, b not both 0."""
     s0, s1, u0, u1 = 1, 0, 0, 1
     while b:
         q, r = divmod(a, b)
@@ -421,134 +447,6 @@ def _bezout(a: int, b: int) -> tuple:
         s0, s1 = s1, s0 - q * s1
         u0, u1 = u1, u0 - q * u1
     return (a, s0, u0) if a > 0 else (-a, -s0, -u0)
-
-
-def smith_diagonal(m: IntMatrix) -> tuple:
-    """The diagonal of smith_normal_form(m), by a route of its own whose
-    entries stay within Hadamard's bound.
-
-    Phase 1 pivots on a unit entry of the shortest sparse row that has one,
-    which keeps the fill-in low, while any unit is left.  Each pivot is a
-    diagonal 1, and the rows it is subtracted from keep minors of m as
-    entries, since every pivot so far is a unit.  Phase 2 diagonalises
-    the residual, which holds no unit, modulo a nonzero r x r minor D of it
-    (r its rank): see _residual_diagonal.
-    """
-    rows = [r for r in ({j: e for j, e in enumerate(row) if e} for row in m.entries) if r]
-    units = 0
-    while rows:
-        best = None  # (length, index, column) of a unit in the shortest row that has one
-        for i, row in enumerate(rows):
-            if best is None or len(row) < best[0]:
-                for j, e in row.items():
-                    if e == 1 or e == -1:
-                        best = (len(row), i, j)
-                        break
-        if best is None:
-            break
-        _, i, c = best
-        pivot = rows.pop(i)
-        unit = pivot.pop(c)
-        for row in rows:
-            f = row.pop(c, 0) * unit  # row -= f * pivot row, which clears column c
-            if f:
-                for j, e in pivot.items():
-                    x = row.get(j, 0) - f * e
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
-        rows = [row for row in rows if row]
-        units += 1
-    size = min(m.rows, m.cols)
-    if not rows:
-        return (1,) * units + (0,) * (size - units)
-    cols = sorted({j for row in rows for j in row})
-    residual = _residual_diagonal([[row.get(j, 0) for j in cols] for row in rows])
-    return (1,) * units + residual + (0,) * (size - units - len(residual))
-
-
-def _residual_diagonal(a: list) -> tuple:
-    """The nonzero Smith diagonal d_1 | ... | d_r of the nonzero integer
-    matrix a (row lists), worked modulo a minor (Domich, Kannan and Trotter).
-
-    _bareiss gives the rank r and a nonzero r x r minor D, so d_i | D for
-    i <= r.  Row and column steps that are unimodular over Z/D diagonalise
-    a mod D; residue x reads as gcd(x, D), so 0 reads as D, the image of
-    every d_i with i > r.  The residues in divisibility-chain form are
-    therefore d_1, ..., d_r, D, ..., D, and the first r are the answer.
-    """
-    nrows, ncols = len(a), len(a[0])
-    if nrows == 1 or ncols == 1:  # rank 1: d_1 is the gcd of the entries
-        return (math.gcd(*(x for row in a for x in row)),)
-    rank, _, det = _bareiss(IntMatrix.from_rows(a))
-    det = abs(det)
-    a = [[x % det for x in row] for row in a]
-    residues = []
-    for t in range(min(nrows, ncols)):
-        pivot_i = pivot_j = best = 0
-        for i in range(t, nrows):
-            row = a[i]
-            for j in range(t, ncols):
-                e = row[j]
-                if e and (not best or e < best):
-                    pivot_i, pivot_j, best = i, j, e
-        if not best:
-            residues += [det] * (min(nrows, ncols) - t)
-            break
-        a[t], a[pivot_i] = a[pivot_i], a[t]
-        for row in a[t:]:
-            row[t], row[pivot_j] = row[pivot_j], row[t]
-        while True:
-            top = a[t]
-            for i in range(t + 1, nrows):
-                row = a[i]
-                e = row[t]
-                if not e:
-                    continue
-                p = top[t]
-                if e % p == 0:  # subtract: a gcd step here would swap the rows for ever
-                    q = e // p
-                    a[i] = [(y - q * x) % det for x, y in zip(top, row)]
-                else:  # (row_t, row_i) <- (s row_t + u row_i, (p row_i - e row_t) / g)
-                    g, s, u = _xgcd(p, e)
-                    ep, pg = e // g, p // g
-                    a[t] = [(s * x + u * y) % det for x, y in zip(top, row)]
-                    a[i] = [(pg * y - ep * x) % det for x, y in zip(top, row)]
-                    top = a[t]
-            refilled = False
-            for j in range(t + 1, ncols):
-                e = top[j]
-                if not e:
-                    continue
-                p = top[t]
-                if e % p == 0:
-                    q = e // p
-                    for row in a[t:]:
-                        if row[t]:  # all of column t below row t is zero until a refill
-                            row[j] = (row[j] - q * row[t]) % det
-                else:  # the same step on columns t and j; it refills column t
-                    g, s, u = _xgcd(p, e)
-                    ep, pg = e // g, p // g
-                    for row in a[t:]:
-                        x, y = row[t], row[j]
-                        row[t], row[j] = (s * x + u * y) % det, (pg * y - ep * x) % det
-                    refilled = True
-            if not refilled:
-                break
-        residues.append(math.gcd(a[t][t], det))
-    return tuple(_divisibility_chain(residues)[:rank])
-
-
-def _xgcd(a: int, b: int) -> tuple:
-    """(g, s, u) with s a + u b = g = gcd(a, b), for a, b > 0."""
-    s0, s1, u0, u1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        s0, s1 = s1, s0 - q * s1
-        u0, u1 = u1, u0 - q * u1
-    return a, s0, u0
 
 
 def rank_z(m: IntMatrix) -> int:
@@ -596,21 +494,23 @@ def _bareiss(m: IntMatrix) -> tuple:
 
 
 def rank_mod_p(m: IntMatrix, p: int) -> int:
+    """Rank over F_p: elimination that clears only the rows below each pivot."""
     a = [[e % p for e in row] for row in m.entries]
     rank = 0
-    col = 0
     for col in range(m.cols):
-        pivot_row = next((i for i in range(rank, m.rows) if a[i][col] % p != 0), None)
+        pivot_row = next((i for i in range(rank, m.rows) if a[i][col]), None)
         if pivot_row is None:
             continue
         a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        inv = pow(a[rank][col], -1, p)
-        a[rank] = [(x * inv) % p for x in a[rank]]
-        for i in range(m.rows):
-            if i != rank and a[i][col]:
-                f = a[i][col]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        top = a[rank]
+        inv = pow(top[col], -1, p)
+        for i in range(rank + 1, m.rows):
+            if a[i][col]:
+                f = a[i][col] * inv
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], top)]
         rank += 1
+        if rank == m.rows:
+            break
     return rank
 
 

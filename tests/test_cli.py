@@ -247,6 +247,21 @@ class TestRun:
         assert not report.passed and report.claim == "structured failure"
         assert report.payload == {"error": "points 0 and 3 coincide"}
 
+    @pytest.mark.parametrize("rows", [[[1, "1/2"], [3, 4], [0, 2]],  # all 6 relabellings
+                                      [[k, k * k] for k in range(7)]])  # 24 drawn ones
+    def test_euler_config_evaluates_the_section_once_per_relabelling(self, tmp_path,
+                                                                      monkeypatch, rows):
+        from entriv import euler_section
+
+        calls = []
+        real = euler_section.section_eval
+        monkeypatch.setattr(euler_section, "section_eval", lambda c: calls.append(c) or real(c))
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(rows))
+        report = run(parse(["euler", "--config", str(config)]))
+        assert report.passed
+        assert len(calls) == 1 + report.payload["equivariance_checked"]
+
     @staticmethod
     def _fails_naming(argv, error, capsys):
         """main exits 1 with a structured failure whose error is `error`."""

@@ -14,8 +14,8 @@ from entriv import RepeatedKeyError, core_algebra
 from entriv.core_algebra import (ChainComplex, GradedAbelianGroup, IntMatrix,
                                  elementary_complex, formality_splitting, homology,
                                  invariant_factors, is_prime, random_chain_complex,
-                                 random_unimodular, product_is_zero, rank_q, ring_prime,
-                                 smith_diagonal, smith_normal_form)
+                                 random_unimodular, product_is_zero, rank_mod_p, rank_q,
+                                 ring_prime, smith_diagonal, smith_normal_form)
 from entriv.rng import CounterRng
 from entriv.stunted_ktheory import StuntedCellComplex, stunted_integral_homology
 
@@ -82,7 +82,7 @@ class TestSmithNormalForm:
         assert snf.diagonal == minor_gcd_diagonal(m)
 
     def test_sympy_smith_diagonal_oracle(self):
-        sympy = pytest.importorskip("sympy")
+        import sympy
         from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
         rng = CounterRng(29)
@@ -248,7 +248,7 @@ class TestSmithDiagonal:
         assert smith_diagonal(m) == smith_normal_form(m).diagonal
 
     def test_sympy_oracle(self):
-        sympy = pytest.importorskip("sympy")
+        import sympy
         from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
         rng = CounterRng(53)
@@ -344,6 +344,14 @@ class TestSmithDiagonal:
         calls.clear()
         homology(cx, "F2")
         assert calls == ["rank_mod_p"]
+
+
+class TestRankModP:
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(small_matrices, small_products), st.sampled_from([2, 3, 5]))
+    def test_counts_the_smith_invariants_p_does_not_divide(self, rows, p):
+        m = IntMatrix.from_rows(rows)
+        assert rank_mod_p(m, p) == sum(1 for d in smith_diagonal(m) if d % p)
 
 
 class TestHomology:
