@@ -291,6 +291,8 @@ def _validate(verb: str, params: dict):
             if work > MAX_EULER_WORK:
                 raise UsageError(f"euler work samples * t * {per_point} = {work} exceeds "
                                  f"the cap of {MAX_EULER_WORK}")
+    if verb in ("steenrod", "stunted") and params["mode"] == "sq" and params["k"] < 0:
+        raise UsageError(f"{verb} sq requires --k >= 0")
     if verb == "steenrod":
         if params["mode"] == "sq" and (params.get("sphere") is None or params["sphere"] < 1):
             raise UsageError("steenrod sq requires --sphere >= 1")

@@ -176,20 +176,22 @@ class SectionCertificate:
 
 
 def _draw_axes(rng: CounterRng, m: int, t_size: int, grid: bool) -> tuple:
-    """t_size distinct points drawn as rng.fraction draws them (numerator, then
-    denominator; point by point, axis by axis), returned per axis over the lcm
-    L of that axis's denominators: (axes, dens), point i being
-    (axes[0][i] / dens[0], ..., axes[m-1][i] / dens[m-1]).  A coincidence
-    redraws the whole configuration, at most MAX_DRAWS times."""
+    """t_size distinct points drawn in one rng.randints call, as rng.fraction
+    would draw them (numerator, then denominator; point by point, axis by
+    axis), returned per axis over the lcm L of that axis's denominators:
+    (axes, dens), point i being (axes[0][i] / dens[0], ...,
+    axes[m-1][i] / dens[m-1]).  A coincidence redraws the whole
+    configuration, at most MAX_DRAWS times."""
     max_num, max_den = (1000, 1) if grid else (10 ** 6, 1000)
-    randint = rng.randint
+    bounds = [(-max_num, max_num), (1, max_den)] * (m * t_size)
     for _ in range(MAX_DRAWS):
-        draws = [[(randint(-max_num, max_num), randint(1, max_den)) for _ in range(m)]
-                 for _ in range(t_size)]
+        draws = rng.randints(bounds)
+        nums, denominators = draws[0::2], draws[1::2]  # point-major, m per point
         axes, dens = [], []
-        for column in zip(*draws):
-            den = math.lcm(*[b for _, b in column])
-            axes.append([a * (den // b) for a, b in column])
+        for axis in range(m):
+            column = denominators[axis::m]
+            den = math.lcm(*column)
+            axes.append([a * (den // b) for a, b in zip(nums[axis::m], column)])
             dens.append(den)
         # over a common L per axis, points are equal iff their numerators are;
         # a coincidence is rare, unless the grid is small beside t_size

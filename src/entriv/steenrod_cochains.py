@@ -12,12 +12,17 @@ first cochain on the union of the even intervals and the second on the odd
 intervals (consecutive intervals share their endpoint).  This is one of
 several conventions that agree on cohomology but not on cochains; tests pin
 exact cochain-level outputs so a formula change cannot slip through.
+
+The two faces a cut reads depend only on the model, so each SimplicialSet
+builds, on first use per (n, i, |x|, |y|), a table of the nondegenerate
+(even face, odd face) pairs of every n-simplex and keeps it for its
+lifetime; a product then only tests supports.  A table holds at most one
+pair per (simplex, cut), the cuts a single product runs through anyway.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .core_algebra import ChainComplex, GradedAbelianGroup, homology
@@ -33,6 +38,8 @@ class SimplicialSet:
     def __post_init__(self):
         object.__setattr__(self, "_dim_of", {})
         object.__setattr__(self, "_faces_of", dict(self.faces))
+        # (n, i, |x|, |y|) -> cut-face table of cup_i, built on first use
+        object.__setattr__(self, "_cut_tables", {})
         for dim, names in self.simplices:
             for name in names:
                 self._dim_of[name] = dim
@@ -226,16 +233,45 @@ def cup_i(sset: SimplicialSet, x: Cochain, y: Cochain, i: int) -> Cochain:
     if i > min(x.degree, y.degree):
         raise ValueError("i exceeds a cochain degree")
     n = x.degree + y.degree - i
-    names = sset.names(n)
-    blocks = _cut_blocks(n, i, x.degree, y.degree) if names else ()
+    xs, ys = x.support, y.support
     support = set()
-    for name in names:
-        if _cup_i_value(sset, name, x, y, blocks):
+    for name, pairs in _cut_faces(sset, n, i, x.degree, y.degree):
+        total = 0
+        for even, odd in pairs:  # the second cochain is read only where the first is 1
+            if even in xs and odd in ys:
+                total ^= 1
+        if total:
             support.add(name)
     return Cochain(n, frozenset(support))
 
 
-@lru_cache(maxsize=1024)
+def _cut_faces(sset: SimplicialSet, n: int, i: int, p: int, q: int) -> tuple:
+    """(name, ((even base, odd base), ...)) for each n-simplex with a cut
+    whose even and odd faces are both nondegenerate, one pair per such cut.
+    A normalized cochain vanishes on a degenerate face, so no other cut can
+    count.  Built once per model and key; a degree with no simplices
+    enumerates no cuts."""
+    key = (n, i, p, q)
+    table = sset._cut_tables.get(key)
+    if table is not None:
+        return table
+    names = sset.names(n)
+    blocks = _cut_blocks(n, i, p, q) if names else ()
+    subsets = {subset for block in blocks for subset in block}
+    table = []
+    for name in names:
+        bases = {}  # vertex subset -> base name, or None when degenerate
+        for subset in subsets:
+            word, target = sset.vertex_subface(name, subset)
+            bases[subset] = None if word else target
+        pairs = tuple((bases[evens], bases[odds]) for evens, odds in blocks
+                      if bases[evens] is not None and bases[odds] is not None)
+        if pairs:
+            table.append((name, pairs))
+    table = sset._cut_tables[key] = tuple(table)
+    return table
+
+
 def _cut_blocks(n: int, i: int, p: int, q: int) -> tuple:
     """(even vertices, odd vertices) of every cut sequence 0 <= a_0 < ... <
     a_i <= n whose even intervals span p + 1 vertices and odd ones q + 1."""
@@ -251,25 +287,6 @@ def _cut_blocks(n: int, i: int, p: int, q: int) -> tuple:
         if len(evens) == p + 1 and len(odds) == q + 1:
             blocks.append((tuple(sorted(evens)), tuple(sorted(odds))))
     return tuple(blocks)
-
-
-def _cup_i_value(sset: SimplicialSet, name: str, x: Cochain, y: Cochain,
-                 blocks: tuple) -> int:
-    total = 0
-    cache: dict[tuple, NormalSimplex] = {}
-
-    def evaluate(cochain, subset):
-        ns = cache.get(subset)
-        if ns is None:
-            ns = sset.vertex_subface(name, subset)
-            cache[subset] = ns
-        word, base = ns
-        return 0 if word else cochain(base)
-
-    for evens, odds in blocks:
-        if evaluate(x, evens) and evaluate(y, odds):
-            total ^= 1
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -466,6 +466,16 @@ class TestMain:
         assert main(["ku-ses", "--prime", "2", "--n", "0"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["steenrod", "sq", "--sphere", "0"],
+        ["steenrod", "sq", "--sphere", "2", "--k", "-1"],
+        ["stunted", "sq", "--range=0:4", "--k", "-1"],
+    ], ids=" ".join)
+    def test_value_below_its_lower_bound_is_a_usage_error(self, argv, capsys):
+        # caught by the parser, not left to fail inside the computation
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+
     @pytest.mark.parametrize("target", ["missing/dir/r.json", "."])
     def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, target):
         # a path under a missing directory, and a directory itself

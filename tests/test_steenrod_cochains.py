@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from entriv.core_algebra import rank_mod_p
 from entriv.rng import CounterRng
-from entriv.steenrod_cochains import (Cochain, SimplicialSet, coboundary, cocycle_basis,
+from entriv.steenrod_cochains import (Cochain, SimplicialSet, _cut_blocks, _cut_faces,
+                                      coboundary, cocycle_basis,
                                       cohomology_class, cup_i, h_dim,
                                       nontrivial_class_representative, rp2_model,
                                       sphere_model, sq, triviality_witness,
@@ -200,6 +201,72 @@ class TestKernelGolden:
         model = _boundary_of_simplex(5)
         assert [len(model.names(k)) for k in range(5)] == [6, 15, 20, 15, 6]
         assert model.homology("F2").component(4) == (1, ())
+
+
+def _interval_formula(model, x, y, i):
+    """x cup_i y summed over _cut_blocks, each face read off vertex_subface
+    as the formula states it: a degenerate face counts as 0."""
+    n = x.degree + y.degree - i
+    support = set()
+    for name in model.names(n):
+        total = 0
+        for evens, odds in _cut_blocks(n, i, x.degree, y.degree):
+            even_word, even = model.vertex_subface(name, evens)
+            odd_word, odd = model.vertex_subface(name, odds)
+            if not even_word and not odd_word and even in x.support and odd in y.support:
+                total ^= 1
+        if total:
+            support.add(name)
+    return frozenset(support)
+
+
+_CUT_MODELS = {"rp2": rp2_model, "s2": lambda: sphere_model(2),
+               "s3": lambda: sphere_model(3), "s4": lambda: sphere_model(4),
+               "d5": lambda: _boundary_of_simplex(5)}
+
+
+class TestCutFaces:
+    """cup_i reads a cut-face table that each model builds once per degree
+    key; the sphere models have degenerate faces, which the table drops."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(sorted(_CUT_MODELS)), st.integers(0, 2 ** 32))
+    def test_table_matches_the_interval_formula(self, model_name, seed):
+        model = _CUT_MODELS[model_name]()
+        rng = CounterRng(seed)
+        top = model.top_dimension()
+        cases = [(random_cochain(model, p, rng), random_cochain(model, q, rng), i)
+                 for p in range(top + 1) for q in range(top + 1)
+                 for i in range(min(p, q) + 1)]
+        expected = [_interval_formula(model, x, y, i) for x, y, i in cases]
+        for _ in ("fresh", "warm"):
+            assert [cup_i(model, x, y, i).support for x, y, i in cases] == expected
+
+    def test_repeated_product_reads_no_faces(self, monkeypatch):
+        model = rp2_model()
+        calls = []
+        subface = SimplicialSet.vertex_subface
+        monkeypatch.setattr(SimplicialSet, "vertex_subface",
+                            lambda self, *args: calls.append(args) or subface(self, *args))
+        rng = CounterRng(4)
+        x, y = random_cochain(model, 1, rng), Cochain.create(1, model.names(1))
+        first = cup_i(model, x, y, 0)
+        assert calls
+        calls.clear()
+        assert cup_i(model, x, y, 0) == first
+        cup_i(model, y, x, 0)  # other cochains of the same degrees
+        assert not calls
+        # another model builds its own table
+        cup_i(rp2_model(), x, y, 0)
+        assert calls
+
+    def test_sphere_tables_keep_only_nondegenerate_faces(self):
+        # on S^3 every face of t below degree 3 but the vertex is degenerate
+        model = sphere_model(3)
+        assert _cut_faces(model, 3, 0, 0, 3) == (("t", (("v", "t"),)),)
+        assert _cut_faces(model, 3, 0, 3, 0) == (("t", (("t", "v"),)),)
+        assert all(_cut_faces(model, 3, i, p, 3 + i - p) == ()
+                   for i in range(3) for p in range(max(1, i), 3) if 3 + i - p < 3)
 
 
 def _f2_digest(model, seed):
