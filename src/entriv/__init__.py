@@ -4,6 +4,11 @@ operations and Hochschild homology of square-zero extensions."""
 
 __version__ = "0.1.0"
 
+# compose: the largest arity a composition product is built to, where its
+# pieces already reach dimension 21294.  Declared here, not in sym_seq, so
+# that the CLI bounds --truncate without loading a computation module.
+MAX_MATERIALIZED_ARITY = 6
+
 
 class RepeatedKeyError(ValueError):
     """Two keys of an input document name one integer, as "0" and "00" do."""

@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from . import RepeatedKeyError
+from . import MAX_MATERIALIZED_ARITY, RepeatedKeyError
 
 # Each verb imports its computation modules when it runs, so that a cold
 # start loads only what that verb needs.
@@ -56,8 +56,9 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-# Declared size caps, checked at parse time.  Degree windows are walked
-# degree by degree; a stunted cell range is printed as a square matrix.
+# Declared size caps, checked at parse time; VERBS gives each integer option
+# its bounds.  Degree windows are walked degree by degree; a stunted cell
+# range is printed as a square matrix.
 MAX_WINDOW_WIDTH = 100_000  # hi - lo of a degree window, given or default
 MAX_CELL_RANGE = 128  # b - a of a stunted cell range
 MAX_N = 64
@@ -67,7 +68,7 @@ MAX_PRIME = 2 ** 64 - 1  # below 2^64 the Miller-Rabin bases of is_prime are a p
 MAX_M = 16  # euler: ambient dimension
 MAX_T = 1000  # euler: points per configuration
 MAX_SPHERE = 64  # steenrod sq: sphere dimension
-MAX_K = 64  # steenrod: Sq^k, which vanishes above the degree
+MAX_K = 64  # steenrod sq: Sq^k of a degree-n class is zero for k > n, and n <= MAX_SPHERE
 # euler and batch --seed: CounterRng reads a seed mod 2^64, so a seed outside
 # [0, MAX_SEED] would draw the samples of another seed under its own name
 MAX_SEED = 2 ** 64 - 1
@@ -112,112 +113,96 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# Each verb's help text and options.  An option is (flag, default or
+# REQUIRED, spec), with an optional dict of further add_argument keywords;
+# a flag without dashes is positional.  The spec is an integer's (lo, hi)
+# bounds, a tuple of choices, a text parser, or None for a switch.  Every
+# integer bound is declared here and nowhere else; parse checks each one.
+REQUIRED = ...
+_PRIME = (2, MAX_PRIME)
+_SEED = (0, MAX_SEED)
+_COMMON = (("--format", None, ("json", "md")), ("--out", None, str))
+VERBS = {
+    "extpow": ("list one extended-power homology basis", (
+        ("--prime", REQUIRED, _PRIME), ("--n", REQUIRED, (0, MAX_N)),
+        ("--family", REQUIRED, str,  # checked by _validate
+         {"help": "extended-power family; an unknown name lists them"}),
+        ("--window", None, _window))),
+    "ses": ("verify one of the two extended-power sequences", (
+        ("--prime", REQUIRED, _PRIME), ("--n", REQUIRED, (1, MAX_N)),
+        ("--which", REQUIRED, ("first", "second")), ("--window", None, _window))),
+    "pushout": ("kernel comparison for the square of families", (
+        ("--prime", REQUIRED, _PRIME), ("--n", REQUIRED, (1, MAX_N)),
+        ("--window", None, _window))),
+    "moore": ("two-cell family vs the mod-p Moore spectrum", (
+        ("--prime", REQUIRED, _PRIME),)),
+    "transfer": ("one-class difference of the widest families", (
+        ("--prime", REQUIRED, _PRIME), ("--window", (-2, 40), _window))),
+    "ku-ses": ("certify the K-theory short exact sequence", (
+        ("--prime", REQUIRED, _PRIME), ("--n", REQUIRED, (2, MAX_N)))),
+    "theta": ("eigenvalue of theta on a Bott power", (
+        ("--n", REQUIRED, (1, MAX_N)), ("--prime", REQUIRED, _PRIME))),
+    "witness": ("smash-nilpotence detection report", (
+        ("--prime", REQUIRED, _PRIME), ("--n", REQUIRED, (1, MAX_N)))),
+    # Sq^k is zero on a range of at most MAX_CELL_RANGE cells once k exceeds it
+    "stunted": ("stunted projective computations", (
+        ("mode", REQUIRED, ("sq", "homology")),
+        ("--range", REQUIRED, _cell_range, {"dest": "cells"}),
+        ("--k", 1, (0, MAX_CELL_RANGE)))),
+    "steenrod": ("Steenrod squares on sphere models", (
+        ("mode", REQUIRED, ("sq", "witness")), ("--sphere", None, (1, MAX_SPHERE)),
+        ("--k", 0, (0, MAX_K)), ("--n", None, (1, MAX_N)))),
+    "compose": ("composition product of two sequence files", (
+        ("--input", REQUIRED, str, {"nargs": 2}),
+        ("--truncate", REQUIRED, (1, MAX_MATERIALIZED_ARITY)))),
+    # a negative --k desuspends
+    "suspend": ("operadic suspension of a sequence file", (
+        ("--input", REQUIRED, str), ("--k", REQUIRED, (-MAX_N, MAX_N)))),
+    "hh": ("Hochschild homology of R[x]/x^2", (
+        ("--ring", REQUIRED, ("Z", "Q", "F2", "F3")), ("--n", REQUIRED, (1, MAX_N)),
+        ("--smax", REQUIRED, (0, MAX_SMAX)), ("--golden", None, str))),
+    "euler": ("section nonvanishing: sampled sweep or one configuration", (
+        ("--m", None, (1, MAX_M)), ("--t", None, (2, MAX_T)),
+        ("--samples", 1000, (1, MAX_SAMPLES)), ("--seed", 0, _SEED),
+        ("--float", False, None, {"dest": "float_mode",
+                                  "help": "draw coordinates from the integers in [-1000, 1000]"}),
+        ("--config", None, str,
+         {"help": "JSON file: array of point arrays (integers or 'a/b' strings)"}))),
+    "formality": ("minimal model of a chain complex file", (
+        ("--input", REQUIRED, str),)),
+    "batch": ("run a JSON manifest of commands", (
+        ("--manifest", REQUIRED, str), ("--seed", None, _SEED))),
+}
+
+
+def _is_bounds(spec) -> bool:
+    return type(spec) is tuple and type(spec[0]) is int
+
+
+# verb -> (name, lo, hi) of each integer option, read off VERBS once
+_BOUNDS = {verb: tuple((option[0][2:], *option[2]) for option in options
+                        if _is_bounds(option[2]))
+           for verb, (_, options) in VERBS.items()}
+
+
 def build_parser(add_help: bool = True) -> _Parser:
     parser = _Parser(prog="entriv", description=__doc__, add_help=add_help)
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def verb(name, text):
-        return sub.add_parser(name, help=text, add_help=add_help)
-
-    def common(p):
-        p.add_argument("--format", choices=("json", "md"), default=None)
-        p.add_argument("--out", default=None)
-
-    p = verb("extpow", "list one extended-power homology basis")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--family", required=True,  # checked by _validate
-                   help="extended-power family; an unknown name lists them")
-    p.add_argument("--window", type=_window, default=None)
-    common(p)
-
-    p = verb("ses", "verify one of the two extended-power sequences")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--which", choices=("first", "second"), required=True)
-    p.add_argument("--window", type=_window, default=None)
-    common(p)
-
-    p = verb("pushout", "kernel comparison for the square of families")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--window", type=_window, default=None)
-    common(p)
-
-    p = verb("moore", "two-cell family vs the mod-p Moore spectrum")
-    p.add_argument("--prime", type=int, required=True)
-    common(p)
-
-    p = verb("transfer", "one-class difference of the widest families")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--window", type=_window, default=(-2, 40))
-    common(p)
-
-    p = verb("ku-ses", "certify the K-theory short exact sequence")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-
-    p = verb("theta", "eigenvalue of theta on a Bott power")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--prime", type=int, required=True)
-    common(p)
-
-    p = verb("witness", "smash-nilpotence detection report")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-
-    p = verb("stunted", "stunted projective computations")
-    p.add_argument("mode", choices=("sq", "homology"))
-    p.add_argument("--range", dest="cells", type=_cell_range, required=True)
-    p.add_argument("--k", type=int, default=1)
-    common(p)
-
-    p = verb("steenrod", "Steenrod squares on sphere models")
-    p.add_argument("mode", choices=("sq", "witness"))
-    p.add_argument("--sphere", type=int, default=None)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--n", type=int, default=None)
-    common(p)
-
-    p = verb("compose", "composition product of two sequence files")
-    p.add_argument("--input", nargs=2, required=True)
-    p.add_argument("--truncate", type=int, required=True)
-    common(p)
-
-    p = verb("suspend", "operadic suspension of a sequence file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--k", type=int, required=True)
-    common(p)
-
-    p = verb("hh", "Hochschild homology of R[x]/x^2")
-    p.add_argument("--ring", choices=("Z", "Q", "F2", "F3"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--smax", type=int, required=True)
-    p.add_argument("--golden", default=None)
-    common(p)
-
-    p = verb("euler", "section nonvanishing: sampled sweep or one configuration")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--float", dest="float_mode", action="store_true",
-                   help="draw coordinates from the integers in [-1000, 1000]")
-    p.add_argument("--config", default=None,
-                   help="JSON file: array of point arrays (integers or 'a/b' strings)")
-    common(p)
-
-    p = verb("formality", "minimal model of a chain complex file")
-    p.add_argument("--input", required=True)
-    common(p)
-
-    p = verb("batch", "run a JSON manifest of commands")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    common(p)
-
+    for verb, (text, options) in VERBS.items():
+        p = sub.add_parser(verb, help=text, add_help=add_help)
+        for flag, default, spec, *extra in options + _COMMON:
+            kwargs = dict(*extra)
+            if spec is None:
+                kwargs["action"] = "store_true"
+            elif _is_bounds(spec):
+                kwargs.update(type=int, help=f"in [{spec[0]}, {spec[1]}]")
+            elif type(spec) is tuple:
+                kwargs["choices"] = spec
+            else:
+                kwargs["type"] = spec
+            if flag.startswith("-"):
+                kwargs.update({"required": True} if default is REQUIRED else {"default": default})
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -235,69 +220,47 @@ def parse(argv, add_help: bool = True) -> Command:
         parser = _PARSERS[add_help] = build_parser(add_help)
     ns = parser.parse_args(argv)
     params = {k: v for k, v in vars(ns).items() if k not in ("verb", "format", "out")}
-    _validate(ns.verb, params)
-    return Command(ns.verb, params, ns.format, ns.out)
-
-
-def _validate(verb: str, params: dict):
-    caps = [("prime", MAX_PRIME), ("n", MAX_N), ("smax", MAX_SMAX),
-            ("samples", MAX_SAMPLES), ("m", MAX_M), ("t", MAX_T), ("sphere", MAX_SPHERE)]
-    if verb == "steenrod":
-        caps.append(("k", MAX_K))
-    for key, cap in caps:
-        if params.get(key) is not None and params[key] > cap:
-            raise UsageError(f"--{key} {params[key]} exceeds the cap of {cap}")
-    seed = params.get("seed")
-    if seed is not None and not 0 <= seed <= MAX_SEED:
-        raise UsageError(f"--seed {seed} is outside the cap [0, {MAX_SEED}]")
+    for key, lo, hi in _BOUNDS[ns.verb]:
+        value = params[key]
+        if value is not None and not lo <= value <= hi:
+            raise UsageError(f"--{key} {value} is outside the cap [{lo}, {hi}]")
     prime = params.get("prime")
     if prime is not None:
         from . import core_algebra
         if not core_algebra.is_prime(prime):
             raise UsageError(f"--prime {prime} is not a prime")
+    _validate(ns.verb, params)
+    return Command(ns.verb, params, ns.format, ns.out)
+
+
+def _validate(verb: str, params: dict):
+    """The rules that join parameters or need a computation module; each
+    option's own bounds are in VERBS."""
     if verb == "extpow":
         from . import extended_powers
         if params["family"] not in extended_powers.FAMILIES:
             raise UsageError(f"--family {params['family']!r} is not one of "
                              f"{', '.join(extended_powers.FAMILIES)}")
-    if verb == "ku-ses" and params["n"] < 2:
-        raise UsageError("ku-ses requires --n >= 2")
-    if verb in ("ses", "pushout") and params["n"] < 1:
-        raise UsageError(f"{verb} requires --n >= 1")
-    if verb in ("ses", "pushout") and params["window"] is None:
+    elif verb in ("ses", "pushout") and params["window"] is None:
         from . import extended_powers
-        lo, hi = extended_powers.default_window(prime, params["n"])
+        lo, hi = extended_powers.default_window(params["prime"], params["n"])
         if hi - lo > MAX_WINDOW_WIDTH:
-            raise UsageError(f"the default window of {verb} at --prime {prime} is wider "
-                             f"than the cap of {MAX_WINDOW_WIDTH}; pass --window")
-    if verb == "transfer" and not params["window"][0] <= -1 <= params["window"][1]:
+            raise UsageError(f"the default window of {verb} at --prime {params['prime']} is "
+                             f"wider than the cap of {MAX_WINDOW_WIDTH}; pass --window")
+    elif verb == "transfer" and not params["window"][0] <= -1 <= params["window"][1]:
         raise UsageError("the transfer claim is about degree -1; --window must contain it")
-    if verb == "extpow" and params["n"] < 0:
-        raise UsageError("extpow requires --n >= 0")
-    if verb == "witness" and params["n"] < 1:
-        raise UsageError("witness requires --n >= 1")
-    if verb == "theta" and params["n"] < 1:
-        raise UsageError("theta requires --n >= 1")
-    if verb == "hh" and (params["n"] < 1 or params["smax"] < 0):
-        raise UsageError("hh requires --n >= 1 and --smax >= 0")
-    if verb == "euler":
-        if params.get("config") is None:
-            if params.get("m") is None or params.get("t") is None:
-                raise UsageError("euler requires --m and --t (or --config FILE)")
-            if params["m"] < 1 or params["t"] < 2 or params["samples"] < 1:
-                raise UsageError("euler requires --m >= 1, --t >= 2, --samples >= 1")
-            per_point = "t" if params["float_mode"] else "m"
-            work = params["samples"] * params["t"] * params[per_point]
-            if work > MAX_EULER_WORK:
-                raise UsageError(f"euler work samples * t * {per_point} = {work} exceeds "
-                                 f"the cap of {MAX_EULER_WORK}")
-    if verb in ("steenrod", "stunted") and params["mode"] == "sq" and params["k"] < 0:
-        raise UsageError(f"{verb} sq requires --k >= 0")
-    if verb == "steenrod":
-        if params["mode"] == "sq" and (params.get("sphere") is None or params["sphere"] < 1):
-            raise UsageError("steenrod sq requires --sphere >= 1")
-        if params["mode"] == "witness" and (params.get("n") is None or params["n"] < 1):
-            raise UsageError("steenrod witness requires --n >= 1")
+    elif verb == "euler" and params["config"] is None:
+        if params["m"] is None or params["t"] is None:
+            raise UsageError("euler requires --m and --t (or --config FILE)")
+        per_point = "t" if params["float_mode"] else "m"
+        work = params["samples"] * params["t"] * params[per_point]
+        if work > MAX_EULER_WORK:
+            raise UsageError(f"euler work samples * t * {per_point} = {work} exceeds "
+                             f"the cap of {MAX_EULER_WORK}")
+    elif verb == "steenrod":
+        needed = "sphere" if params["mode"] == "sq" else "n"
+        if params[needed] is None:
+            raise UsageError(f"steenrod {params['mode']} requires --{needed}")
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +391,8 @@ def _run_compose(p):
         a = sym_seq.SymSeq.from_json(json.load(fh))
     with open(p["input"][1]) as fh:
         b = sym_seq.SymSeq.from_json(json.load(fh))
-    # the raw sums are cheap, so they size the product before it is built;
-    # compose itself rejects a truncation over its materialization cap
-    arities = range(1, min(p["truncate"], sym_seq.MAX_MATERIALIZED_ARITY) + 1)
+    # the raw sums are cheap, so they size the product before it is built
+    arities = range(1, p["truncate"] + 1)
     raw = {n: sym_seq.compose_dimensions_raw(a, b, n) for n in arities}
     basis = sum(sum(dims.values()) for dims in raw.values())
     if basis > MAX_COMPOSE_BASIS:
@@ -462,7 +424,7 @@ def _run_hh(p):
     small = hochschild.small_resolution_hh(p["ring"], p["n"], p["smax"])
     ok = bar == small
     payload = {"table": small.to_json(), "bar_equals_small_resolution": ok}
-    if p.get("golden"):
+    if p["golden"] is not None:  # "" too, which fails to open
         with open(p["golden"]) as fh:
             golden = hochschild.BigradedGroup.from_json(json.load(fh))
         matches = golden == small
@@ -486,7 +448,7 @@ def _coordinate(x):
 def _run_euler(p):
     from . import euler_section
 
-    if p.get("config"):
+    if p["config"] is not None:  # "" too, which fails to open
         from itertools import permutations
 
         with open(p["config"]) as fh:

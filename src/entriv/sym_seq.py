@@ -44,10 +44,8 @@ from itertools import chain
 from math import factorial
 from operator import xor
 
-from . import integer_keys, perms
+from . import MAX_MATERIALIZED_ARITY, integer_keys, perms
 from .rep_theory import SignedPermModule, character, trivial_multiplicity
-
-MAX_MATERIALIZED_ARITY = 6
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ class TestCaps:
         parse(["steenrod", "sq", "--sphere", str(MAX_SPHERE), "--k", str(MAX_K)])
         parse(["euler", "--m", "2", "--t", "3", "--samples", "1", "--seed", str(MAX_SEED)])
         parse(["batch", "--manifest", "manifests/acceptance.json", "--seed", str(MAX_SEED)])
-        # --k is capped for steenrod only
+        # stunted --k is capped by the cell range, not by MAX_K
         parse(["stunted", "sq", "--range=0:4", "--k", str(MAX_K + 1)])
 
     def test_caps_admit_the_acceptance_manifest(self):
@@ -157,6 +157,62 @@ class TestCaps:
     def test_euler_work_cap_admits_its_bound(self):
         parse(["euler", "--m", "10", "--t", "1000", "--samples", str(MAX_EULER_WORK // 10000)])
         parse(["euler", "--m", "16", "--t", "1000", "--samples", "1", "--float"])
+
+
+# A valid command for every verb; TestVerbTable appends one --flag=value
+# after it, which replaces the value given here.
+_VALID = {
+    "extpow": ["--prime", "3", "--n", "1", "--family", FAMILIES[0], "--window=0:10"],
+    "ses": ["--prime", "3", "--n", "1", "--which", "first", "--window=0:10"],
+    "pushout": ["--prime", "3", "--n", "1", "--window=0:10"],
+    "moore": ["--prime", "3"],
+    "transfer": ["--prime", "3"],
+    "ku-ses": ["--prime", "3", "--n", "2"],
+    "theta": ["--n", "1", "--prime", "3"],
+    "witness": ["--prime", "3", "--n", "1"],
+    "stunted": ["sq", "--range=0:4"],
+    "steenrod": ["sq", "--sphere", "2"],
+    "compose": ["--input", "manifests/inputs/pair_a.json", "manifests/inputs/pair_b.json",
+                "--truncate", "2"],
+    "suspend": ["--input", "manifests/inputs/pair_a.json", "--k", "1"],
+    "hh": ["--ring", "Z", "--n", "1", "--smax", "0"],
+    "euler": ["--m", "1", "--t", "2", "--samples", "1"],
+    "formality": ["--input", "manifests/inputs/complex_rp2.json"],
+    "batch": ["--manifest", "manifests/acceptance.json"],
+}
+_INTEGER_OPTIONS = [(verb, flag, spec) for verb, (_, options) in cli.VERBS.items()
+                    for flag, _, spec, *_ in options
+                    if type(spec) is tuple and type(spec[0]) is int]
+
+
+class TestVerbTable:
+    def test_every_verb_has_a_valid_command_and_a_handler(self):
+        assert set(_VALID) == set(cli.VERBS)
+        assert set(cli.VERBS) - {"batch"} == set(cli._HANDLERS)
+        for verb, argv in _VALID.items():
+            parse([verb, *argv])
+
+    @pytest.mark.parametrize("verb, flag, spec", _INTEGER_OPTIONS,
+                             ids=[f"{verb} {flag}" for verb, flag, _ in _INTEGER_OPTIONS])
+    def test_integer_option_bounds(self, verb, flag, spec, capsys):
+        lo, hi = spec
+        for value in (lo - 1, hi + 1):
+            start = time.perf_counter()
+            assert main([verb, *_VALID[verb], f"{flag}={value}"]) == 2
+            assert time.perf_counter() - start < 0.5
+            assert "cap" in capsys.readouterr().err
+        largest = MAX_PRIME - 58 if flag == "--prime" else hi  # the largest prime below 2^64
+        for value in (lo, largest):
+            assert parse([verb, *_VALID[verb], f"{flag}={value}"]).params[flag[2:]] == value
+
+    @pytest.mark.parametrize("verb", list(cli.VERBS))
+    def test_help_names_each_bound(self, verb, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main([verb, "-h"])
+        assert exit_.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # help lines may wrap
+        for flag, spec in [(f, s) for v, f, s in _INTEGER_OPTIONS if v == verb]:
+            assert f"{flag} {flag[2:].upper()} in [{spec[0]}, {spec[1]}]" in text
 
 
 class TestRun:
@@ -485,6 +541,14 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.startswith("usage error: cannot write --out: ")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["euler", "--config", ""],  # not the sampled sweep, which has no --m and --t
+        ["hh", "--ring", "Z", "--n", "1", "--smax", "0", "--golden", ""],  # not skipped
+    ], ids=" ".join)
+    def test_empty_file_name_is_a_structured_failure(self, argv, capsys):
+        assert main(argv) == 1
+        assert "No such file" in json.loads(capsys.readouterr().out)["payload"]["error"]
 
     def test_failing_command_exits_one(self, tmp_path):
         bad = tmp_path / "bad.json"
