@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 
@@ -434,10 +435,11 @@ def _run_hh(p):
 
 
 def _coordinate(x):
-    """One --config coordinate, read exactly: an integer or an 'a/b' string."""
+    """One --config coordinate, read exactly: an integer or an 'a/b' string,
+    never a decimal, padded or exponent one ('1e3000000' has 3000001 digits)."""
     from fractions import Fraction
 
-    if type(x) in (int, str):
+    if type(x) is int or (type(x) is str and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", x)):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
@@ -548,13 +550,13 @@ def run_batch(cmd: Command) -> Report:
     failures = []
     for idx, entry in enumerate(manifest):
         argv = entry.get("argv") if isinstance(entry, dict) else entry
-        if not isinstance(argv, list):
-            raise UsageError(f"manifest entry {idx} has no argv list")
-        argv = [str(a) for a in argv]
-        if cmd.params.get("seed") is not None and argv[:1] == ["euler"]:
-            # right after the verb, so that a seed the entry sets comes later and wins
-            argv[1:1] = ["--seed", str(cmd.params["seed"])]
         try:
+            if not isinstance(argv, list):
+                raise UsageError(f"manifest entry {idx} has no argv list")
+            argv = [str(a) for a in argv]
+            if cmd.params.get("seed") is not None and argv[:1] == ["euler"]:
+                # right after the verb, so that a seed the entry sets comes later and wins
+                argv[1:1] = ["--seed", str(cmd.params["seed"])]
             entry_cmd = parse(argv, add_help=False)
             if entry_cmd.verb == "batch":  # a manifest naming itself would recurse
                 raise UsageError("a manifest entry cannot itself be batch")
@@ -563,8 +565,8 @@ def run_batch(cmd: Command) -> Report:
                                  "batch renders every report into its own")
             rpt = run(entry_cmd)
         except UsageError as exc:  # a bad entry fails alone; the others still run
-            rpt = Report(argv[0] if argv else "", {"argv": argv}, False, "usage error",
-                         {"error": str(exc)})
+            rpt = Report(argv[0] if isinstance(argv, list) and argv else "", {"argv": argv},
+                         False, "usage error", {"error": str(exc)})
         reports.append(rpt.to_json())
         if not rpt.passed:
             failures.append(idx)

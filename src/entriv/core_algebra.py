@@ -15,6 +15,10 @@ runs the same steps with empty transform rows, so its diagonal comes from
 the steps that `SmithNormalForm.verify` certifies; the tests cross it with
 sympy's Smith form and a gcd-of-minors oracle.
 
+One kernel eliminates over F_p, `echelon_mod_p`, on sparse rows with tags:
+`rank_mod_p` is its pivot count, and steenrod_cochains reads mod-2 cocycle
+bases and class representatives off its kernel tags and pivot rows.
+
 All arithmetic is arbitrary-precision: the transforms of a dense 20 x 20
 matrix with entries in [-3, 12] already reach 162 bits.
 """
@@ -493,25 +497,40 @@ def _bareiss(m: IntMatrix) -> tuple:
     return rank, sign, prev
 
 
+def echelon_mod_p(rows, p: int) -> tuple:
+    """Forward elimination over F_p of (row, tag) pairs, each a dict from an
+    index to a nonzero coefficient mod p.  Each row in turn is cleared at its
+    least index by the pivot kept there, until it is empty or its lead is
+    new; the tag takes the same operations, so it names the input rows the
+    result combines.  Returns (pivots, kernel): lead -> (row, tag) for the
+    rows kept, scaled to lead with 1, and the tags of the rows that reduced
+    to zero, in input order."""
+    pivots: dict = {}
+    kernel = []
+    for row, tag in rows:
+        row, tag = dict(row), dict(tag)
+        while row:
+            lead = min(row)
+            c = row[lead]
+            if lead not in pivots:
+                inv = pow(c, -1, p)
+                pivots[lead] = ({i: v * inv % p for i, v in row.items()},
+                                {t: v * inv % p for t, v in tag.items()})
+                break
+            for vec, other in zip((row, tag), pivots[lead]):  # vec -= c * other
+                for i, v in other.items():
+                    vec[i] = (vec.get(i, 0) - c * v) % p
+                    if not vec[i]:
+                        del vec[i]
+        else:
+            kernel.append(tag)
+    return pivots, kernel
+
+
 def rank_mod_p(m: IntMatrix, p: int) -> int:
-    """Rank over F_p: elimination that clears only the rows below each pivot."""
-    a = [[e % p for e in row] for row in m.entries]
-    rank = 0
-    for col in range(m.cols):
-        pivot_row = next((i for i in range(rank, m.rows) if a[i][col]), None)
-        if pivot_row is None:
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        top = a[rank]
-        inv = pow(top[col], -1, p)
-        for i in range(rank + 1, m.rows):
-            if a[i][col]:
-                f = a[i][col] * inv
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], top)]
-        rank += 1
-        if rank == m.rows:
-            break
-    return rank
+    """Rank over F_p: the pivot count of echelon_mod_p on the rows of m."""
+    rows = (({j: r for j, e in enumerate(row) if (r := e % p)}, {}) for row in m.entries)
+    return len(echelon_mod_p(rows, p)[0])
 
 
 # ---------------------------------------------------------------------------

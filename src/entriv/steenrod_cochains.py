@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core_algebra import ChainComplex, GradedAbelianGroup, homology
+from .core_algebra import ChainComplex, GradedAbelianGroup, echelon_mod_p, homology
 
 NormalSimplex = tuple  # (degeneracy word, strictly decreasing, base name)
 
@@ -293,30 +293,12 @@ def _cut_blocks(n: int, i: int, p: int, q: int) -> tuple:
 # mod-2 cohomology and Steenrod squares
 
 
-def _gf2_echelon(rows, order: dict) -> tuple:
-    """Forward elimination over F_2 of (support set, tag set) pairs.
-
-    Each row in turn is cleared at its least element (by `order`) with the
-    pivot row kept there, until it is empty or its least element is new; the
-    tag set takes the same additions, so it names the input rows the result
-    sums.  Returns (pivots, kernel): least element -> (row, tag) for the rows
-    kept, and the tags of the rows that reduced to zero, in input order.
-    """
-    pivots: dict = {}
-    kernel = []
-    for vec, tag in rows:
-        row, tag = set(vec), set(tag)
-        while row:
-            lead = min(row, key=order.__getitem__)
-            if lead not in pivots:
-                pivots[lead] = (row, tag)
-                break
-            pivot_row, pivot_tag = pivots[lead]
-            row ^= pivot_row
-            tag ^= pivot_tag
-        else:
-            kernel.append(tag)
-    return pivots, kernel
+def _coboundary_rows(sset: SimplicialSet, degree: int) -> list:
+    """The coboundary of each degree-d simplex, in order, as a row over F_2
+    indexed by position among the (d+1)-simplices, tagged with its name."""
+    above = {nm: k for k, nm in enumerate(sset.names(degree + 1))}
+    return [({above[f]: 1 for f in coboundary(sset, Cochain.create(degree, [nm])).support},
+             {nm: 1}) for nm in sset.names(degree)]
 
 
 @dataclass(frozen=True)
@@ -332,17 +314,15 @@ def cohomology_class(sset: SimplicialSet, x: Cochain) -> CohomologyClass:
     """Reduce a cocycle modulo coboundaries to a canonical representative."""
     if not coboundary(sset, x).is_zero():
         raise ValueError("not a cocycle")
-    order = {name: k for k, name in enumerate(sset.names(x.degree))}
-    pivots, _ = _gf2_echelon(
-        ((coboundary(sset, Cochain.create(x.degree - 1, [nm])).support, ())
-         for nm in sset.names(x.degree - 1)), order)
-    # a pivot row holds only elements after its lead, so one pass in ascending
+    pivots, _ = echelon_mod_p(_coboundary_rows(sset, x.degree - 1), 2)
+    # a pivot row holds only indices after its lead, so one pass in ascending
     # lead order leaves the unique representative that meets no lead
-    row = set(x.support)
-    for lead in sorted(pivots, key=order.__getitem__):
+    names = sset.names(x.degree)
+    row = {k for k, nm in enumerate(names) if nm in x.support}
+    for lead in sorted(pivots):
         if lead in row:
-            row ^= pivots[lead][0]
-    return CohomologyClass(x.degree, tuple(sorted(row, key=order.__getitem__)))
+            row.symmetric_difference_update(pivots[lead][0])
+    return CohomologyClass(x.degree, tuple(names[k] for k in sorted(row)))
 
 
 def h_dim(sset: SimplicialSet, degree: int) -> int:
@@ -353,11 +333,8 @@ def h_dim(sset: SimplicialSet, degree: int) -> int:
 def cocycle_basis(sset: SimplicialSet, degree: int) -> list:
     """A basis of ker(delta) in degree d, as Cochains (kernel of the
     coboundary matrix over F_2)."""
-    above = {nm: k for k, nm in enumerate(sset.names(degree + 1))}
-    _, kernel = _gf2_echelon(
-        ((coboundary(sset, Cochain.create(degree, [nm])).support, (nm,))
-         for nm in sset.names(degree)), above)
-    return [Cochain.create(degree, combo) for combo in kernel]
+    _, kernel = echelon_mod_p(_coboundary_rows(sset, degree), 2)
+    return [Cochain.create(degree, tag) for tag in kernel]
 
 
 def nontrivial_class_representative(sset: SimplicialSet, degree: int) -> Cochain | None:

@@ -350,6 +350,9 @@ class TestRun:
         ([[True], [2]], "coordinate True is neither an integer nor an 'a/b' string"),
         ([["1/0"], [2]], "coordinate '1/0' is neither an integer nor an 'a/b' string"),
         ([1, 2], "--config must hold a JSON array of point arrays"),
+        # an exponent string of 9 bytes would otherwise build a 3,000,001-digit numerator
+        ([["1e3000000"], [2]], "coordinate '1e3000000' is neither an integer nor an 'a/b' string"),
+        ([["2.5"], [1]], "coordinate '2.5' is neither an integer nor an 'a/b' string"),
     ])
     def test_config_numbers_are_not_truncated(self, tmp_path, capsys, rows, error):
         config = tmp_path / "c.json"
@@ -760,10 +763,20 @@ class TestBatch:
         assert first["pass"] is True and first["payload"]["certificate"]["snf"]["diagonal"] == [1, 9]
         assert last["pass"] is True
 
-    def test_entry_without_argv_is_a_usage_error(self, tmp_path):
+    def test_entry_without_argv_is_a_usage_error(self, tmp_path, capsys):
+        # each entry with no argv list fails alone; the others still run
         manifest = tmp_path / "m.json"
-        manifest.write_text(json.dumps([{"args": ["theta"]}]))
-        assert main(["batch", "--manifest", str(manifest)]) == 2
+        manifest.write_text(json.dumps([
+            {"args": ["theta"]}, {"argv": ["theta", "--n", "2", "--prime", "3"]},
+            {"x": 1}, 5, ["theta", "--n", "2", "--prime", "5"]]))
+        assert main(["batch", "--manifest", str(manifest)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["payload"]["failed_indices"] == [0, 2, 3]
+        reports = out["payload"]["reports"]
+        for idx in (0, 2, 3):
+            assert (reports[idx]["verb"], reports[idx]["claim"]) == ("", "usage error")
+            assert reports[idx]["payload"]["error"] == f"manifest entry {idx} has no argv list"
+        assert reports[1]["pass"] is True and reports[4]["pass"] is True
 
     def test_seed_inheritance(self, tmp_path):
         manifest = tmp_path / "m.json"

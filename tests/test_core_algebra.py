@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from entriv import RepeatedKeyError, core_algebra
 from entriv.core_algebra import (ChainComplex, GradedAbelianGroup, IntMatrix,
-                                 elementary_complex, formality_splitting, homology,
+                                 echelon_mod_p, elementary_complex, formality_splitting, homology,
                                  invariant_factors, is_prime, random_chain_complex,
                                  random_unimodular, product_is_zero, rank_mod_p, rank_q,
                                  ring_prime, smith_diagonal, smith_normal_form)
@@ -352,6 +352,37 @@ class TestRankModP:
     def test_counts_the_smith_invariants_p_does_not_divide(self, rows, p):
         m = IntMatrix.from_rows(rows)
         assert rank_mod_p(m, p) == sum(1 for d in smith_diagonal(m) if d % p)
+
+
+class TestEchelonModP:
+    """echelon_mod_p against an independent oracle: sympy's rank over GF(p),
+    and every tag applied to the input rows it names."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(small_matrices, small_products), st.sampled_from([2, 3, 5, 7]))
+    def test_against_sympy_and_the_input_rows(self, rows, p):
+        from sympy import GF, ZZ
+        from sympy.polys.matrices import DomainMatrix
+
+        rows = [list(row) for row in rows]
+        cols = len(rows[0])
+        assert rank_mod_p(IntMatrix.from_rows(rows), p) == \
+            DomainMatrix.from_list(rows, ZZ).convert_to(GF(p)).rank()
+
+        def combine(tag):  # the sum of the input rows the tag names, mod p
+            return [sum(c * rows[i][j] for i, c in tag.items()) % p for j in range(cols)]
+
+        pivots, kernel = echelon_mod_p(
+            [({j: e % p for j, e in enumerate(row) if e % p}, {i: 1})
+             for i, row in enumerate(rows)], p)
+        for tag in kernel:
+            assert combine(tag) == [0] * cols
+        for lead, (row, tag) in pivots.items():
+            assert min(row) == lead and row[lead] == 1
+            assert combine(tag) == [row.get(j, 0) for j in range(cols)]
+        # row i only takes pivots kept before it, so its tag's last index is i
+        tags = [tag for _, tag in pivots.values()] + kernel
+        assert sorted(max(tag) for tag in tags) == list(range(len(rows)))
 
 
 class TestHomology:

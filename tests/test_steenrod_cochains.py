@@ -340,6 +340,24 @@ class TestF2Golden:
             assert len(cocycle_basis(model, d)) == len(model.names(d)) - rank
 
 
+@pytest.mark.parametrize("model", [rp2_model(), *map(sphere_model, (1, 2, 3, 4)),
+                                   _boundary_of_simplex(4), _boundary_of_simplex(5)],
+                         ids=["rp2", "s1", "s2", "s3", "s4", "d4", "d5"])
+def test_cochain_classes_follow_universal_coefficients(model):
+    """dim H^d(X; F_2) from cocycle bases equals the universal-coefficient
+    reading of H_*(X; Z), which runs the Smith kernel: the free rank of H_d
+    plus the even torsion orders of H_d and H_{d-1}."""
+    integral = model.homology("Z")
+    cocycles = [len(cocycle_basis(model, d)) for d in range(model.top_dimension() + 1)]
+    for d, z in enumerate(cocycles):
+        # the coboundaries of degree d are the image of delta_{d-1}, of rank
+        # N_{d-1} - |Z^{d-1}|
+        boundaries = len(model.names(d - 1)) - cocycles[d - 1] if d else 0
+        free, torsion = integral.component(d)
+        even = [t for t in torsion + integral.component(d - 1)[1] if t % 2 == 0]
+        assert z - boundaries == free + len(even)
+
+
 class TestSq:
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_sq0_is_identity(self, n):
