@@ -11,6 +11,14 @@ single sign convention the resolution path depends on.
 
 Internal degrees: a bar word a_0 (x) ... (x) a_s sits in the sum of its
 degrees; the resolution generator in homological degree s sits in -n*s.
+
+An algebra builds one product table, products[i][j] = e_i * e_j normalized
+(mod p over F_p), and every product reads it: the unit, associativity and
+commutativity checks, multiply, mult_entry, the tensor square and the bar
+differential.  The bar route's memory guard bounds, from dim, the reduced
+dimension r and smax alone, the words W_s = dim * r^s plus the cells
+W_s * W_(s-1) of the dense blocks it fills, for s <= smax + 1, and refuses
+before building anything when that exceeds BAR_BASIS_CAP.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from dataclasses import dataclass
 from . import RepeatedKeyError
 from .core_algebra import ChainComplex, GradedAbelianGroup, homology, ring_prime
 
+# the bar route's words plus the cells of its dense differential blocks
 BAR_BASIS_CAP = 200_000
 
 
@@ -39,35 +48,32 @@ class GradedUnitalAlgebra:
             raise ValueError("basis/degree/table sizes disagree")
         if self.degrees[self.unit] != 0:
             raise ValueError("unit must sit in degree 0")
+        products = []  # products[i][j] is e_i * e_j, normalized: every product reads it
         for i in range(dim):
             if len(self.mult[i]) != dim:
                 raise ValueError("multiplication table is not square")
+            products.append([])
             for j in range(dim):
+                vec: dict[int, object] = {}
                 for k, c in self.mult[i][j]:
                     if self.degrees[k] != self.degrees[i] + self.degrees[j]:
                         raise ValueError("multiplication is not graded")
-            if (self._vec(self.mult[self.unit][i]) != self._unit_vec(i)
-                    or self._vec(self.mult[i][self.unit]) != self._unit_vec(i)):
+                    vec[k] = vec.get(k, 0) + c
+                products[i].append(self._normalize(vec))
+        object.__setattr__(self, "products", products)
+        for i in range(dim):
+            if products[self.unit][i] != {i: 1} or products[i][self.unit] != {i: 1}:
                 raise ValueError("unit axiom fails")
         for i in range(dim):
             for j in range(dim):
                 for k in range(dim):
-                    if self._assoc_defect(i, j, k):
+                    lhs = self.multiply(products[i][j], {k: 1})
+                    if lhs != self.multiply({i: 1}, products[j][k]):
                         raise ValueError(f"associativity fails at ({i},{j},{k})")
                 sign = -1 if (self.degrees[i] * self.degrees[j]) % 2 else 1
-                lhs = self._vec(self.mult[i][j])
-                rhs = {t: sign * c for t, c in self._vec(self.mult[j][i]).items()}
-                if self._normalize(lhs) != self._normalize(rhs):
+                rhs = {t: sign * c for t, c in products[j][i].items()}
+                if products[i][j] != self._normalize(rhs):
                     raise ValueError(f"graded commutativity fails at ({i},{j})")
-
-    def _unit_vec(self, i):
-        return self._normalize({i: 1})
-
-    def _vec(self, terms):
-        out: dict[int, object] = {}
-        for k, c in terms:
-            out[k] = out.get(k, 0) + c
-        return self._normalize(out)
 
     def _normalize(self, vec):
         p = self._prime
@@ -79,30 +85,20 @@ class GradedUnitalAlgebra:
                 out[k] = c
         return out
 
-    def _assoc_defect(self, i, j, k):
-        lhs: dict[int, object] = {}
-        for t, c in self.mult[i][j]:
-            for u, d in self.mult[t][k]:
-                lhs[u] = lhs.get(u, 0) + c * d
-        rhs: dict[int, object] = {}
-        for t, c in self.mult[j][k]:
-            for u, d in self.mult[i][t]:
-                rhs[u] = rhs.get(u, 0) + c * d
-        return self._normalize(lhs) != self._normalize(rhs)
-
     @property
     def dim(self):
         return len(self.basis)
 
     def mult_entry(self, i: int, j: int) -> tuple:
         """Product of basis elements i, j as (index, coeff) terms, normalized."""
-        return tuple(sorted(self._vec(self.mult[i][j]).items()))
+        return tuple(sorted(self.products[i][j].items()))
 
     def multiply(self, vec_a: dict, vec_b: dict) -> dict:
         out: dict[int, object] = {}
         for i, c in vec_a.items():
+            row = self.products[i]
             for j, d in vec_b.items():
-                for k, e in self.mult[i][j]:
+                for k, e in row[j].items():
                     out[k] = out.get(k, 0) + c * d * e
         return self._normalize(out)
 
@@ -135,13 +131,11 @@ class GradedUnitalAlgebra:
                 for k in range(dim):
                     for l in range(dim):
                         sign = -1 if (self.degrees[j] * self.degrees[k]) % 2 else 1
-                        terms: dict[int, object] = {}
-                        for u, c in self.mult[i][k]:
-                            for v, d in self.mult[j][l]:
-                                idx = u * dim + v
-                                terms[idx] = terms.get(idx, 0) + sign * c * d
+                        # the pairs (u, v) are distinct, so no index repeats
                         row.append(tuple(sorted(
-                            (idx, c) for idx, c in terms.items() if c)))
+                            (u * dim + v, sign * c * d)
+                            for u, c in self.products[i][k].items()
+                            for v, d in self.products[j][l].items())))
                 table.append(tuple(row))
         return GradedUnitalAlgebra(self.ring, names, degrees, unit, tuple(table))
 
@@ -239,8 +233,14 @@ def bar_hochschild(algebra: GradedUnitalAlgebra, smax: int) -> BigradedGroup:
     if smax < 0:
         raise ValueError("smax must be >= 0")
     reduced = [i for i in range(algebra.dim) if i != algebra.unit]
-    if reduced and len(reduced) ** (smax + 1) > BAR_BASIS_CAP:
-        raise ValueError("bar basis would exceed the configured cap")
+    # W_s = dim * r^s words in degree s, and the blocks that
+    # _homology_by_internal_degree fills hold at most W_s * W_(s-1) cells
+    size = width = algebra.dim
+    for _ in range(smax + 1):
+        size += width * len(reduced) * (1 + width)
+        width *= len(reduced)
+        if size > BAR_BASIS_CAP:
+            raise ValueError("bar basis would exceed the configured cap")
 
     def basis(s):
         words = [()]
@@ -255,13 +255,14 @@ def bar_hochschild(algebra: GradedUnitalAlgebra, smax: int) -> BigradedGroup:
     def differential(s):
         """The columns of b: C_s -> C_{s-1}, each a dict row -> coeff."""
         rows = {w: r for r, w in enumerate(bases[s - 1])}
+        products = algebra.products
         columns = []
         for word in bases[s]:
             entries: dict[int, object] = {}
             degs = [algebra.degrees[i] for i in word]
             for i in range(s):
                 sign = -1 if i % 2 else 1
-                for k, c in algebra.mult[word[i]][word[i + 1]]:
+                for k, c in products[word[i]][word[i + 1]].items():
                     if i > 0 and k == algebra.unit:
                         continue  # normalized: inner units vanish
                     r = rows[word[:i] + (k,) + word[i + 2:]]
@@ -269,7 +270,7 @@ def bar_hochschild(algebra: GradedUnitalAlgebra, smax: int) -> BigradedGroup:
             # cyclic face: move the last letter to the front
             koszul = -1 if (degs[-1] * sum(degs[:-1])) % 2 else 1
             sign = (-1 if s % 2 else 1) * koszul
-            for k, c in algebra.mult[word[-1]][word[0]]:
+            for k, c in products[word[-1]][word[0]].items():
                 r = rows[(k,) + word[1:-1]]
                 entries[r] = entries.get(r, 0) + sign * c
             columns.append(entries)

@@ -296,9 +296,15 @@ def _cut_blocks(n: int, i: int, p: int, q: int) -> tuple:
 def _coboundary_rows(sset: SimplicialSet, degree: int) -> list:
     """The coboundary of each degree-d simplex, in order, as a row over F_2
     indexed by position among the (d+1)-simplices, tagged with its name."""
-    above = {nm: k for k, nm in enumerate(sset.names(degree + 1))}
-    return [({above[f]: 1 for f in coboundary(sset, Cochain.create(degree, [nm])).support},
-             {nm: 1}) for nm in sset.names(degree)]
+    rows = {nm: {} for nm in sset.names(degree)}
+    # one pass over the faces one degree up; vertices have no faces
+    for k, name in enumerate(sset.names(degree + 1)):
+        for target, word in sset._faces_of.get(name, ()):
+            if not word:  # a normalized cochain vanishes on degenerate faces
+                row = rows[target]
+                if row.pop(k, None) is None:
+                    row[k] = 1
+    return [(row, {nm: 1}) for nm, row in rows.items()]
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from entriv.cli import MAX_SMAX
 from entriv.hochschild import (BigradedGroup, GradedUnitalAlgebra, bar_hochschild,
                                loop_space_table, small_resolution_hh)
 
@@ -24,6 +25,50 @@ class TestAlgebra:
         with pytest.raises(ValueError):
             GradedUnitalAlgebra("Z", ("1", "x"), (0, -2), 0,
                                 ((((0, 1),), ((1, 1),)), (((1, 1),), ((1, 1),))))
+
+    def test_rejects_broken_unit(self):
+        with pytest.raises(ValueError, match="unit axiom fails"):
+            GradedUnitalAlgebra("Z", ("1", "x"), (0, -2), 0,
+                                ((((0, 1),), ()), ((), ())))
+
+    def test_rejects_noncommutative(self):
+        # upper-triangular 2x2 matrices over Z on 1, e = e11, f = e12:
+        # associative, unital and graded, but e*f = f while f*e = 0
+        with pytest.raises(ValueError, match="graded commutativity fails"):
+            GradedUnitalAlgebra("Z", ("1", "e", "f"), (0, 0, 0), 0,
+                                ((((0, 1),), ((1, 1),), ((2, 1),)),
+                                 (((1, 1),), ((1, 1),), ((2, 1),)),
+                                 (((2, 1),), (), ())))
+
+    @pytest.mark.parametrize("ring", ("Z", "Q", "F2", "F3"))
+    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    def test_tensor_square_entries(self, ring, n):
+        a = GradedUnitalAlgebra.square_zero(ring, n)
+        env = a.tensor_square()
+        p = int(ring[1:]) if ring.startswith("F") else None
+
+        def normalized(vec):
+            return tuple(sorted((k, c % p if p else c) for k, c in vec.items()
+                                if (c % p if p else c)))
+
+        dim = a.dim
+        for i in range(dim):
+            for j in range(dim):
+                for k in range(dim):
+                    for l in range(dim):
+                        sign = -1 if (a.degrees[j] * a.degrees[k]) % 2 else 1
+                        want = {}
+                        for u, c in a.mult_entry(i, k):
+                            for v, d in a.mult_entry(j, l):
+                                want[u * dim + v] = want.get(u * dim + v, 0) + sign * c * d
+                        assert env.mult_entry(i * dim + j, k * dim + l) == normalized(want)
+        for alg in (a, env):
+            for i in range(alg.dim):
+                for j in range(alg.dim):
+                    raw = {}
+                    for k, c in alg.mult[i][j]:
+                        raw[k] = raw.get(k, 0) + c
+                    assert alg.mult_entry(i, j) == normalized(raw)
 
     def test_tensor_square_is_valid_and_koszul(self):
         for n in (1, 2):
@@ -57,6 +102,27 @@ class TestBarComplex:
              (((2, 1),), (), ())))
         with pytest.raises(ValueError):
             bar_hochschild(big, 40)  # 2^41 words, over BAR_BASIS_CAP
+
+    def test_memory_guard_bounds_dense_blocks(self):
+        # at smax = 14 the words number under the cap, but one internal-degree
+        # block of the differential would be 2^15 x 2^15; the bound on words
+        # plus dense cells refuses it before any word is built
+        big = GradedUnitalAlgebra(
+            "F2", ("1", "a", "b"), (0, -1, -1), 0,
+            ((((0, 1),), ((1, 1),), ((2, 1),)),
+             (((1, 1),), (), ()),
+             (((2, 1),), (), ())))
+        for smax in (7, 14, 16):
+            with pytest.raises(ValueError, match="exceed the configured cap"):
+                bar_hochschild(big, smax)
+        assert bar_hochschild(big, 6).group_at(0, 0) == (1, ())
+
+    @pytest.mark.parametrize("ring", ("Z", "Q", "F2", "F3"))
+    def test_memory_guard_admits_every_cli_hh(self, ring):
+        # the CLI reaches only square_zero, whose bound is 2 + 6 (smax + 1)
+        for n in (1, 2):
+            table = bar_hochschild(GradedUnitalAlgebra.square_zero(ring, n), MAX_SMAX)
+            assert table.group_at(MAX_SMAX, -n * (MAX_SMAX + 1)) == (1, ())
 
     def test_odd_n_has_no_differential(self):
         table = bar_hochschild(GradedUnitalAlgebra.square_zero("Z", 3), 5)
