@@ -13,11 +13,10 @@ intervals (consecutive intervals share their endpoint).  This is one of
 several conventions that agree on cohomology but not on cochains; tests pin
 exact cochain-level outputs so a formula change cannot slip through.
 
-The two faces a cut reads depend only on the model, so each SimplicialSet
-builds, on first use per (n, i, |x|, |y|), a table of the nondegenerate
-(even face, odd face) pairs of every n-simplex and keeps it for its
-lifetime; a product then only tests supports.  A table holds at most one
-pair per (simplex, cut), the cuts a single product runs through anyway.
+A model keeps what its faces determine in one dict of tables, each built on
+first use: per degree, the signed, normalized incidence, which chains,
+coboundaries and the F_2 elimination (kept per degree too) read; per
+(n, i, |x|, |y|), the nondegenerate (even, odd) face pair of each cut.
 """
 
 from __future__ import annotations
@@ -38,10 +37,12 @@ class SimplicialSet:
     def __post_init__(self):
         object.__setattr__(self, "_dim_of", {})
         object.__setattr__(self, "_faces_of", dict(self.faces))
-        # (n, i, |x|, |y|) -> cut-face table of cup_i, built on first use
-        object.__setattr__(self, "_cut_tables", {})
+        # ("incidence" or "echelon", d) or ("cuts", n, i, |x|, |y|) -> table
+        object.__setattr__(self, "_tables", {})
         for dim, names in self.simplices:
             for name in names:
+                if name in self._dim_of:
+                    raise ValueError(f"simplex {name} is listed twice")
                 self._dim_of[name] = dim
         self._validate()
 
@@ -53,6 +54,9 @@ class SimplicialSet:
         return SimplicialSet(simp, fc)
 
     def _validate(self):
+        for name in self._faces_of:
+            if name not in self._dim_of:
+                raise ValueError(f"faces given for {name}, which is not a simplex")
         for dim, names in self.simplices:
             for name in names:
                 if dim == 0:
@@ -135,25 +139,28 @@ class SimplicialSet:
 
     # -- chains -------------------------------------------------------------
 
+    def incidence(self, d: int) -> dict:
+        """d-simplex -> {(d+1)-simplex tau: sum of (-1)^i over the faces d_i tau
+        it is}; degenerate faces count 0 (normalized), zero entries are
+        dropped.  The model keeps the dicts: read them, do not modify them."""
+        table = self._tables.get(("incidence", d))
+        if table is None:
+            table = self._tables[("incidence", d)] = {name: {} for name in self.names(d)}
+            for tau in self.names(d + 1):
+                for i, (target, word) in enumerate(self._faces_of.get(tau, ())):
+                    if not word:
+                        row = table[target]
+                        row[tau] = row.get(tau, 0) + (-1) ** i
+                        if not row[tau]:
+                            del row[tau]
+        return table
+
     def chain_complex(self) -> ChainComplex:
-        """Normalized cellular chains over Z (degenerate faces dropped)."""
-        ranks = {}
-        index = {}
-        for d, names in self.simplices:
-            ranks[d] = len(names)
-            for i, name in enumerate(names):
-                index[name] = i
-        diffs = {}
-        for d, names in self.simplices:
-            if d == 0 or d - 1 not in ranks:
-                continue
-            mat = [[0] * len(names) for _ in range(ranks[d - 1])]
-            for col, name in enumerate(names):
-                for i in range(d + 1):
-                    word, target = self.face(((), name), i)
-                    if not word:  # degenerate faces vanish in normalized chains
-                        mat[index[target]][col] += (-1) ** i
-            diffs[d] = mat
+        """Normalized chains over Z: d_d is the incidence of degree d - 1."""
+        ranks = {d: len(names) for d, names in self.simplices}
+        diffs = {d: [[row.get(tau, 0) for tau in names]
+                     for row in self.incidence(d - 1).values()]
+                 for d, names in self.simplices if d - 1 in ranks}
         return ChainComplex.create(ranks, diffs)
 
     def homology(self, coefficients="Z") -> GradedAbelianGroup:
@@ -215,15 +222,17 @@ def zero_cochain(degree: int) -> Cochain:
 
 
 def coboundary(sset: SimplicialSet, x: Cochain) -> Cochain:
-    support = set()
-    for name in sset.names(x.degree + 1):
-        total = 0
-        for target, word in sset._faces_of[name]:  # d_0 ... d_(|x|+1) of name
-            if not word and target in x.support:
-                total ^= 1
-        if total:
-            support.add(name)
-    return Cochain(x.degree + 1, frozenset(support))
+    """The XOR of the odd entries of the incidence rows in x's support."""
+    rows = sset.incidence(x.degree)
+    odd = set()
+    for name in x.support:
+        for tau, c in rows[name].items():
+            if c % 2:
+                if tau in odd:
+                    odd.remove(tau)
+                else:
+                    odd.add(tau)
+    return Cochain(x.degree + 1, frozenset(odd))
 
 
 def cup_i(sset: SimplicialSet, x: Cochain, y: Cochain, i: int) -> Cochain:
@@ -251,10 +260,9 @@ def _cut_faces(sset: SimplicialSet, n: int, i: int, p: int, q: int) -> tuple:
     A normalized cochain vanishes on a degenerate face, so no other cut can
     count.  Built once per model and key; a degree with no simplices
     enumerates no cuts."""
-    key = (n, i, p, q)
-    table = sset._cut_tables.get(key)
-    if table is not None:
-        return table
+    key = ("cuts", n, i, p, q)
+    if key in sset._tables:
+        return sset._tables[key]
     names = sset.names(n)
     blocks = _cut_blocks(n, i, p, q) if names else ()
     subsets = {subset for block in blocks for subset in block}
@@ -268,7 +276,7 @@ def _cut_faces(sset: SimplicialSet, n: int, i: int, p: int, q: int) -> tuple:
                       if bases[evens] is not None and bases[odds] is not None)
         if pairs:
             table.append((name, pairs))
-    table = sset._cut_tables[key] = tuple(table)
+    table = sset._tables[key] = tuple(table)
     return table
 
 
@@ -293,18 +301,15 @@ def _cut_blocks(n: int, i: int, p: int, q: int) -> tuple:
 # mod-2 cohomology and Steenrod squares
 
 
-def _coboundary_rows(sset: SimplicialSet, degree: int) -> list:
-    """The coboundary of each degree-d simplex, in order, as a row over F_2
-    indexed by position among the (d+1)-simplices, tagged with its name."""
-    rows = {nm: {} for nm in sset.names(degree)}
-    # one pass over the faces one degree up; vertices have no faces
-    for k, name in enumerate(sset.names(degree + 1)):
-        for target, word in sset._faces_of.get(name, ()):
-            if not word:  # a normalized cochain vanishes on degenerate faces
-                row = rows[target]
-                if row.pop(k, None) is None:
-                    row[k] = 1
-    return [(row, {nm: 1}) for nm, row in rows.items()]
+def _echelon(sset: SimplicialSet, degree: int) -> tuple:
+    """echelon_mod_p of the incidence rows mod 2, each tagged with its simplex."""
+    key = ("echelon", degree)
+    if key not in sset._tables:
+        column = {tau: k for k, tau in enumerate(sset.names(degree + 1))}
+        rows = [({column[tau]: 1 for tau, c in row.items() if c % 2}, {name: 1})
+                for name, row in sset.incidence(degree).items()]
+        sset._tables[key] = echelon_mod_p(rows, 2)
+    return sset._tables[key]
 
 
 @dataclass(frozen=True)
@@ -320,7 +325,7 @@ def cohomology_class(sset: SimplicialSet, x: Cochain) -> CohomologyClass:
     """Reduce a cocycle modulo coboundaries to a canonical representative."""
     if not coboundary(sset, x).is_zero():
         raise ValueError("not a cocycle")
-    pivots, _ = echelon_mod_p(_coboundary_rows(sset, x.degree - 1), 2)
+    pivots, _ = _echelon(sset, x.degree - 1)
     # a pivot row holds only indices after its lead, so one pass in ascending
     # lead order leaves the unique representative that meets no lead
     names = sset.names(x.degree)
@@ -339,8 +344,7 @@ def h_dim(sset: SimplicialSet, degree: int) -> int:
 def cocycle_basis(sset: SimplicialSet, degree: int) -> list:
     """A basis of ker(delta) in degree d, as Cochains (kernel of the
     coboundary matrix over F_2)."""
-    _, kernel = echelon_mod_p(_coboundary_rows(sset, degree), 2)
-    return [Cochain.create(degree, tag) for tag in kernel]
+    return [Cochain.create(degree, tag) for tag in _echelon(sset, degree)[1]]
 
 
 def nontrivial_class_representative(sset: SimplicialSet, degree: int) -> Cochain | None:

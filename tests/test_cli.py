@@ -1,10 +1,13 @@
 import contextlib
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
+import os
 import pathlib
 import re
+import subprocess
 import time
 
 import pytest
@@ -932,3 +935,27 @@ class TestJsonFuzz:
         for name in inputs:
             cells, bits = _complex_size(json.loads((ROOT / name).read_text()))
             assert cells <= MAX_COMPLEX_CELLS and bits <= MAX_ENTRY_BITS
+
+
+@pytest.mark.parametrize("outer", [None, "elsewhere"])
+def test_acceptance_script_runs_from_a_checkout(monkeypatch, outer):
+    """Both subprocesses import the package from this checkout's src, and the
+    batch run names the manifest relative to the root it runs in."""
+    spec = importlib.util.spec_from_file_location("run_acceptance",
+                                                  ROOT / "scripts" / "run_acceptance.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    if outer is None:
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONPATH", outer)
+    calls = []
+    monkeypatch.setattr(subprocess, "call", lambda argv, **kw: calls.append((argv, kw)) or 0)
+    assert script.main() == 0
+    (tests, tests_kw), (batch, batch_kw) = calls
+    expected = os.pathsep.join([str(ROOT / "src")] + ([outer] if outer else []))
+    assert tests_kw["env"]["PYTHONPATH"] == batch_kw["env"]["PYTHONPATH"] == expected
+    assert tests[1:] == ["-m", "pytest", str(ROOT / "tests" / "test_acceptance.py"), "-q", "-s"]
+    assert batch[1:] == ["-m", "entriv.cli", "batch", "--manifest", "manifests/acceptance.json",
+                         "--out", str(ROOT / "acceptance_report.json")]
+    assert batch_kw["cwd"] == ROOT

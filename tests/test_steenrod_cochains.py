@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entriv import steenrod_cochains
 from entriv.core_algebra import rank_mod_p
 from entriv.rng import CounterRng
 from entriv.steenrod_cochains import (Cochain, SimplicialSet, _cut_blocks, _cut_faces,
@@ -50,6 +51,18 @@ class TestModels:
     def test_validation_rejects_missing_faces(self):
         with pytest.raises(ValueError):
             SimplicialSet.create({0: ["v"], 1: [("e")]}, {"e": [("v", ())]})
+
+    @pytest.mark.parametrize("simplices, faces, message", [
+        ({0: ["a", "b"], 1: ["e", "e"]}, {"e": [("b", ()), ("a", ())]},
+         "simplex e is listed twice"),
+        ({0: ["a"], 1: ["a"]}, {"a": [("a", ()), ("a", ())]}, "simplex a is listed twice"),
+        ({0: ["v"]}, {"ghost": [("v", ()), ("v", ())]},
+         "faces given for ghost, which is not a simplex"),
+    ], ids=["name twice in a degree", "name in two degrees", "faces of no simplex"])
+    def test_validation_rejects_malformed_names(self, simplices, faces, message):
+        # the incidence table is keyed by name, so a name must be one simplex
+        with pytest.raises(ValueError, match=message):
+            SimplicialSet.create(simplices, faces)
 
 
 def _vertex_list(ns):
@@ -292,6 +305,15 @@ def _f2_digest(model, seed):
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
+def _rp2_nerve():
+    """The minimal RP^2, the 2-skeleton of the nerve of Z/2: d_0 e2 = d_2 e2
+    = e1 and d_1 e2 = s_0 e0, so e1 is twice, with sign +1, in the boundary
+    of e2, and the two faces of e1 cancel."""
+    return SimplicialSet.create({0: ["e0"], 1: ["e1"], 2: ["e2"]},
+                                {"e1": [("e0", ()), ("e0", ())],
+                                 "e2": [("e1", ()), ("e0", (0,)), ("e1", ())]})
+
+
 _F2_MODELS = {"rp2": rp2_model, "d4": lambda: _boundary_of_simplex(4),
               "d5": lambda: _boundary_of_simplex(5), "s1": lambda: sphere_model(1),
               "s2": lambda: sphere_model(2), "s3": lambda: sphere_model(3)}
@@ -341,8 +363,9 @@ class TestF2Golden:
 
 
 @pytest.mark.parametrize("model", [rp2_model(), *map(sphere_model, (1, 2, 3, 4)),
-                                   _boundary_of_simplex(4), _boundary_of_simplex(5)],
-                         ids=["rp2", "s1", "s2", "s3", "s4", "d4", "d5"])
+                                   _boundary_of_simplex(4), _boundary_of_simplex(5),
+                                   _rp2_nerve()],
+                         ids=["rp2", "s1", "s2", "s3", "s4", "d4", "d5", "rp2_nerve"])
 def test_cochain_classes_follow_universal_coefficients(model):
     """dim H^d(X; F_2) from cocycle bases equals the universal-coefficient
     reading of H_*(X; Z), which runs the Smith kernel: the free rank of H_d
@@ -356,6 +379,56 @@ def test_cochain_classes_follow_universal_coefficients(model):
         free, torsion = integral.component(d)
         even = [t for t in torsion + integral.component(d - 1)[1] if t % 2 == 0]
         assert z - boundaries == free + len(even)
+
+
+class TestIncidence:
+    """Chains, coboundaries and the F_2 classes read one signed incidence
+    table per degree, and the F_2 elimination runs once per degree."""
+
+    @pytest.mark.parametrize("model_name", sorted(_F2_MODELS) + ["rp2_nerve"])
+    def test_coboundary_is_the_face_sum(self, model_name):
+        # (delta x)(sigma) = sum_i x(d_i sigma) mod 2, each face read through
+        # SimplicialSet.face; a degenerate face counts 0
+        model = {**_F2_MODELS, "rp2_nerve": _rp2_nerve}[model_name]()
+        rng = CounterRng(11)
+        for d in range(model.top_dimension() + 1):
+            for _ in range(8):
+                x = random_cochain(model, d, rng)
+                expected = set()
+                for name in model.names(d + 1):
+                    faces = (model.face(((), name), i) for i in range(d + 2))
+                    if sum(not word and base in x.support for word, base in faces) % 2:
+                        expected.add(name)
+                assert coboundary(model, x).support == expected
+
+    def test_nerve_rp2_reduces_an_incidence_of_two(self):
+        model = _rp2_nerve()
+        assert model.incidence(0) == {"e0": {}}
+        assert model.incidence(1) == {"e1": {"e2": 2}}
+        hz = model.homology("Z")
+        assert [hz.component(d) for d in (0, 1, 2)] == [(1, ()), (0, (2,)), (0, ())]
+        assert [len(cocycle_basis(model, d)) for d in (0, 1, 2)] == [1, 1, 1]
+        w = Cochain.create(1, ["e1"])
+        assert coboundary(model, w).is_zero()
+        square = sq(model, 1, w)
+        assert square == cohomology_class(model, cup_i(model, w, w, 0))
+        assert not square.is_zero()
+
+    def test_each_degree_is_eliminated_once(self, monkeypatch):
+        eliminated = []
+        echelon = steenrod_cochains.echelon_mod_p
+        monkeypatch.setattr(steenrod_cochains, "echelon_mod_p",
+                            lambda rows, p: eliminated.append(len(rows)) or echelon(rows, p))
+        model = _boundary_of_simplex(5)
+        basis = cocycle_basis(model, 2)  # the 20 triangles' rows
+        classes = [cohomology_class(model, x) for x in basis]  # the 15 edges' rows
+        assert eliminated == [20, 15]
+        assert cocycle_basis(model, 2) == basis
+        assert [cohomology_class(model, x) for x in basis] == classes
+        assert eliminated == [20, 15]
+        fresh = _boundary_of_simplex(5)  # another model eliminates its own
+        assert [cohomology_class(fresh, x) for x in cocycle_basis(fresh, 2)] == classes
+        assert eliminated == [20, 15, 20, 15]
 
 
 class TestSq:
