@@ -9,8 +9,12 @@ and the construction visibly commutes with relabelling the points.
 Arithmetic is exact throughout: coincidence is equality, and a value
 vanishes only when every component is exactly zero.  Each axis is put over
 the lcm L of its denominators, and centring runs on the integer numerators
-a_i as t a_i - sum(a), which is t L times the centred coordinate.  The
-sampled certificate never leaves the integers: it draws the numerators,
+a_i as t a_i - sum(a), which is t L times the centred coordinate.  A section
+value keeps, per axis, those centred numerators over the scale t L, the pair
+divided by its gcd: in lowest terms, equal values have equal integers, so
+evaluating, relabelling and comparing sections builds no Fraction.  The
+Fractions are built only when the components are read.  The sampled
+certificate never leaves the integers either: it draws the numerators,
 checks distinctness by hashing them, and reads its verdict from the centred
 numerators.
 """
@@ -72,10 +76,6 @@ class Configuration:
             i, j = _first_equal_pair(self.points)
             raise ValueError(f"points {i} and {j} coincide")
 
-    @property
-    def m(self) -> int:
-        return len(self.points[0])
-
     @cached_property
     def section(self) -> "SectionValue":
         """section_eval of this configuration, computed once."""
@@ -90,32 +90,56 @@ class Configuration:
         return Configuration(tuple(tuple(Fraction(x) for x in pt) for pt in rows))
 
     def permuted(self, sigma: tuple) -> "Configuration":
-        """Point i moves to slot sigma[i]."""
-        pts = [None] * self.size
-        for i, pt in enumerate(self.points):
-            pts[sigma[i]] = pt
-        return Configuration(tuple(pts))
+        """Point i moves to slot sigma[i].  A bijection of distinct points
+        gives distinct points, so only sigma is checked, not the points."""
+        t = self.size
+        if len(sigma) != t or set(sigma) != set(range(t)):
+            raise ValueError(f"{tuple(sigma)} is not a permutation of range({t})")
+        pts = [None] * t
+        for i, pt in zip(sigma, self.points):
+            pts[i] = pt
+        out = object.__new__(Configuration)
+        object.__setattr__(out, "points", tuple(pts))
+        return out
 
 
 @dataclass(frozen=True)
 class SectionValue:
-    components: tuple  # m tuples, each of length |T|, each summing to zero
+    """Axis k's components are numerators[k][i] / scales[k], in lowest terms:
+    each scale is positive and coprime to its axis's numerators (an axis of
+    zeros has scale 1).  Each rational vector has one such form, so two
+    values are equal iff their integers are."""
+    numerators: tuple  # m tuples, each of |T| integers summing to zero
+    scales: tuple  # m positive integers
+
+    @staticmethod
+    def reduced(axes) -> "SectionValue":
+        """The value whose axes are the (numerators, scale) pairs given, for
+        any positive scales, put in lowest terms."""
+        nums_out, scales = [], []
+        for nums, scale in axes:
+            g = math.gcd(scale, *nums)
+            nums_out.append(tuple(nums) if g == 1 else tuple([a // g for a in nums]))
+            scales.append(scale // g)
+        return SectionValue(tuple(nums_out), tuple(scales))
+
+    @cached_property
+    def components(self) -> tuple:
+        """m tuples of |T| Fractions, built on first read."""
+        return tuple(tuple([Fraction(a, scale) for a in nums])
+                     for nums, scale in zip(self.numerators, self.scales))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for comp in self.components for x in comp)
-
-    def norm_squared(self) -> Fraction:
-        nums, den = _common_numerators([x for comp in self.components for x in comp])
-        return Fraction(sum(a * a for a in nums), den * den)
+        return not any(map(any, self.numerators))
 
     def permuted(self, sigma: tuple) -> "SectionValue":
         comps = []
-        for comp in self.components:
-            out = [None] * len(comp)
-            for i, x in enumerate(comp):
-                out[sigma[i]] = x
+        for nums in self.numerators:
+            out = [None] * len(nums)
+            for i, a in zip(sigma, nums):
+                out[i] = a
             comps.append(tuple(out))
-        return SectionValue(tuple(comps))
+        return SectionValue(tuple(comps), self.scales)
 
 
 def section_eval(c: Configuration) -> SectionValue:
@@ -125,28 +149,34 @@ def section_eval(c: Configuration) -> SectionValue:
     if c.size < 2:
         raise ValueError("configuration must contain at least two points")
     t = c.size
-    comps = []
-    for axis in range(c.m):
-        # x_i - mean = (t a_i - sum a) / (t L) with x_i = a_i / L
-        nums, den = _common_numerators([pt[axis] for pt in c.points])
-        comps.append(tuple(Fraction(x, t * den) for x in _centred(nums)))
-    return SectionValue(tuple(comps))
+    # x_i - mean = (t a_i - sum a) / (t L) with x_i = a_i / L
+    return SectionValue.reduced([(_centred(nums), t * den) for nums, den
+                                 in map(_common_numerators, zip(*c.points))])
 
 
 @dataclass(frozen=True)
 class EquivarianceReport:
     sigma: tuple
     equal: bool
-    lhs: tuple
-    rhs: tuple
+    lhs_value: SectionValue  # section(sigma . c)
+    rhs_value: SectionValue  # sigma . section(c)
+
+    @property
+    def lhs(self) -> tuple:
+        return self.lhs_value.components
+
+    @property
+    def rhs(self) -> tuple:
+        return self.rhs_value.components
 
 
 def equivariance_test(c: Configuration, sigma: tuple) -> EquivarianceReport:
-    """section(sigma . c) == sigma . section(c), compared exactly."""
+    """section(sigma . c) == sigma . section(c), compared exactly: the left
+    side is evaluated afresh on the relabelled points, and both sides are in
+    lowest terms, so comparing their integers compares their Fractions."""
     lhs = section_eval(c.permuted(sigma))
     rhs = c.section.permuted(sigma)
-    return EquivarianceReport(sigma, lhs.components == rhs.components,
-                              lhs.components, rhs.components)
+    return EquivarianceReport(sigma, lhs == rhs, lhs, rhs)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,12 @@ several conventions that agree on cohomology but not on cochains; tests pin
 exact cochain-level outputs so a formula change cannot slip through.
 
 A model keeps what its faces determine in one dict of tables, each built on
-first use: per degree, the signed, normalized incidence, which chains,
-coboundaries and the F_2 elimination (kept per degree too) read; per
-(n, i, |x|, |y|), the nondegenerate (even, odd) face pair of each cut.
+first use: per degree, the simplex names, against which every cochain that
+coboundary or cup_i reads is checked, and the signed, normalized incidence,
+which chains, coboundaries and the F_2 elimination (kept per degree too)
+read; per coefficients, the homology of the chains; per (n, i, |x|, |y|),
+the nondegenerate (even, odd) face pair of each cut.  A cochain whose
+support names anything but a simplex of its degree is a ValueError.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ class SimplicialSet:
     def __post_init__(self):
         object.__setattr__(self, "_dim_of", {})
         object.__setattr__(self, "_faces_of", dict(self.faces))
-        # ("incidence" or "echelon", d) or ("cuts", n, i, |x|, |y|) -> table
+        # ("names" | "incidence" | "echelon", d), ("homology", coefficients)
+        # or ("cuts", n, i, |x|, |y|) -> table
         object.__setattr__(self, "_tables", {})
         for dim, names in self.simplices:
             for name in names:
@@ -164,7 +168,11 @@ class SimplicialSet:
         return ChainComplex.create(ranks, diffs)
 
     def homology(self, coefficients="Z") -> GradedAbelianGroup:
-        return homology(self.chain_complex(), coefficients)
+        """Homology of the normalized chains, computed once per coefficients."""
+        key = ("homology", coefficients)
+        if key not in self._tables:
+            self._tables[key] = homology(self.chain_complex(), coefficients)
+        return self._tables[key]
 
 
 def sphere_model(n: int) -> SimplicialSet:
@@ -221,8 +229,20 @@ def zero_cochain(degree: int) -> Cochain:
     return Cochain(degree, frozenset())
 
 
+def _check_support(sset: SimplicialSet, x: Cochain) -> None:
+    """Raise ValueError unless every name in x's support is a simplex of x's
+    degree: one subset test against the degree's names, kept by the model."""
+    names = sset._tables.get(("names", x.degree))
+    if names is None:
+        names = sset._tables[("names", x.degree)] = frozenset(sset.names(x.degree))
+    if not x.support <= names:
+        stray = min(x.support - names, key=str)
+        raise ValueError(f"cochain support {stray!r} is not a {x.degree}-simplex")
+
+
 def coboundary(sset: SimplicialSet, x: Cochain) -> Cochain:
     """The XOR of the odd entries of the incidence rows in x's support."""
+    _check_support(sset, x)
     rows = sset.incidence(x.degree)
     odd = set()
     for name in x.support:
@@ -241,6 +261,8 @@ def cup_i(sset: SimplicialSet, x: Cochain, y: Cochain, i: int) -> Cochain:
         raise ValueError("i must be >= 0")
     if i > min(x.degree, y.degree):
         raise ValueError("i exceeds a cochain degree")
+    _check_support(sset, x)
+    _check_support(sset, y)
     n = x.degree + y.degree - i
     xs, ys = x.support, y.support
     support = set()
@@ -337,8 +359,9 @@ def cohomology_class(sset: SimplicialSet, x: Cochain) -> CohomologyClass:
 
 
 def h_dim(sset: SimplicialSet, degree: int) -> int:
-    comp = sset.homology("F2").component(degree)
-    return comp[0]
+    """dim H_d(X; F_2) of the chain complex: a route apart from the cochain
+    eliminations that cohomology_class reads, which triviality_witness crosses."""
+    return sset.homology("F2").component(degree)[0]
 
 
 def cocycle_basis(sset: SimplicialSet, degree: int) -> list:

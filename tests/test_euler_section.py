@@ -1,11 +1,12 @@
 import hashlib
 import json
+import math
 import time
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from entriv import euler_section
@@ -16,6 +17,11 @@ from entriv.rng import CounterRng
 
 rationals = st.fractions(min_value=-100, max_value=100,
                          max_denominator=20)
+
+
+def norm_squared(value: SectionValue) -> Fraction:
+    """The squared Euclidean norm of a section value, from its Fractions."""
+    return sum((x * x for comp in value.components for x in comp), Fraction(0))
 
 
 class TestSectionEval:
@@ -107,6 +113,52 @@ class TestEquivariance:
         for _ in range(30):
             assert equivariance_test(cfg, rng.permutation(6)).equal
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_integer_values_agree_with_their_fractions(self, data):
+        m, t = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 6))
+        # few denominators, so that they repeat; one axis may be constant
+        coordinate = st.builds(Fraction, st.integers(-60, 60), st.sampled_from([1, 2, 3, 6]))
+        axes = [data.draw(st.lists(coordinate, min_size=t, max_size=t)) for _ in range(m)]
+        if m > 1 and data.draw(st.booleans()):
+            axes[data.draw(st.integers(0, m - 1))] = [Fraction(-5, 3)] * t
+        points = list(zip(*axes))
+        assume(len(set(points)) == t)
+        cfg = Configuration(tuple(points))
+        sigma = tuple(data.draw(st.permutations(range(t))))
+        report = equivariance_test(cfg, sigma)
+        assert report.equal and report.lhs == report.rhs
+        value, moved = section_eval(cfg), section_eval(cfg.permuted(sigma))
+        assert (value == moved) == (value.components == moved.components)
+        assert value.components == tuple(tuple(x - sum(xs) / t for x in xs) for xs in axes)
+        # the same Fractions over a scale k times too large reduce to value
+        k = data.draw(st.integers(2, 30))
+        scales = [k * math.lcm(*[x.denominator for x in comp]) for comp in value.components]
+        rebuilt = SectionValue.reduced(
+            [([int(x * scale) for x in comp], scale)
+             for comp, scale in zip(value.components, scales)])
+        assert rebuilt == value and rebuilt.components == value.components
+
+    def test_a_centring_that_rotates_is_caught(self, monkeypatch):
+        # both sides run through _centred; one that rotates its output does
+        # not commute with relabelling, and some sigma must show it
+        centred = euler_section._centred
+
+        def rotated(nums):
+            out = centred(nums)
+            return out[1:] + out[:1]
+
+        monkeypatch.setattr(euler_section, "_centred", rotated)
+        cfg = Configuration.from_rational([[0, 0], [1, 0], [0, 1]])
+        verdicts = [equivariance_test(cfg, s).equal for s in permutations(range(3))]
+        assert verdicts[0] and not all(verdicts)
+
+    @pytest.mark.parametrize("sigma", [(0, 0, 1), (1, 0), (0, 1, 2, 3)])
+    def test_relabelling_must_permute_the_points(self, sigma):
+        cfg = Configuration.from_rational([[0, 0], [1, 0], [0, 1]])
+        with pytest.raises(ValueError, match="is not a permutation of range"):
+            cfg.permuted(sigma)
+
 
 class TestCertificate:
     def test_minimal_case(self):
@@ -138,8 +190,9 @@ class TestCertificate:
         assert cert.passed
 
     def test_vanishing_sample_is_counted(self, monkeypatch):
-        zero = SectionValue(((Fraction(0), Fraction(0)),))
-        assert zero.is_zero() and zero.norm_squared() == 0
+        zero = SectionValue.reduced([((0, 0), 7)])
+        assert zero == SectionValue(((0, 0),), (1,))
+        assert zero.is_zero() and norm_squared(zero) == 0
         # the certificate centres on integers; a centring that returns zeros
         # must count every sample as a failure and make the norms non-positive
         monkeypatch.setattr(euler_section, "_centred", lambda nums: [0] * len(nums))
@@ -220,7 +273,7 @@ def _section_digest(m, t, seed):
     for _ in range(5):
         value = section_eval(random_configuration(rng, m, t))
         rows.append([[str(x) for x in comp] for comp in value.components])
-        rows.append(str(value.norm_squared()))
+        rows.append(str(norm_squared(value)))
     cert = nullhomotopy_certificate(m, t, samples=20, seed=seed)
     rows.append(cert.to_json())
     return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest(), cert.passed

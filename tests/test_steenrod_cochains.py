@@ -124,6 +124,18 @@ class TestCupI:
         with pytest.raises(ValueError):
             cup_i(m, x, x, 2)
 
+    @pytest.mark.parametrize("names, stray", [(["zz", "12"], "zz"), (["12", "1"], "1")])
+    def test_support_off_the_model_is_rejected(self, names, stray):
+        # a name that is no simplex, or a simplex of another degree
+        m = rp2_model()
+        x, y = Cochain.create(1, names), Cochain.create(1, ["12"])
+        message = f"cochain support '{stray}' is not a 1-simplex"
+        for read in (lambda: cup_i(m, x, y, 0), lambda: cup_i(m, y, x, 1),
+                     lambda: coboundary(m, x), lambda: cohomology_class(m, x),
+                     lambda: sq(m, 1, x)):
+            with pytest.raises(ValueError, match=message):
+                read()
+
     @pytest.mark.parametrize("model_name", ["s1", "s2", "s3", "rp2"])
     def test_coboundary_identity(self, model_name):
         model = {"s1": sphere_model(1), "s2": sphere_model(2),
@@ -446,6 +458,16 @@ class TestSq:
         gen = Cochain.create(n, ["t"])
         assert sq(m, n, gen).is_zero()
         assert h_dim(m, 2 * n) == 0
+
+    def test_h_dim_computes_the_homology_once(self, monkeypatch):
+        computed = []
+        real = steenrod_cochains.homology
+        monkeypatch.setattr(steenrod_cochains, "homology",
+                            lambda c, ring: computed.append(ring) or real(c, ring))
+        model = _boundary_of_simplex(8)  # a triangulated 7-sphere
+        assert [h_dim(model, d) for d in range(9)] == [1, 0, 0, 0, 0, 0, 0, 1, 0]
+        assert computed == ["F2"]
+        assert h_dim(_boundary_of_simplex(8), 7) == 1 and computed == ["F2", "F2"]
 
     def test_square_into_an_empty_degree_builds_no_cuts(self):
         # x cup_57 x on S^63 lives in degree 69, which has no simplices;
