@@ -63,7 +63,7 @@ def _centred(nums: list) -> list:
 
 @dataclass(frozen=True)
 class Configuration:
-    points: tuple  # |T| tuples of m Fraction coordinates
+    points: tuple  # |T| tuples of m int or Fraction coordinates
 
     def __post_init__(self):
         if len(self.points) < 1:
@@ -71,6 +71,11 @@ class Configuration:
         m = len(self.points[0])
         if any(len(pt) != m for pt in self.points):
             raise ValueError("points of mixed dimension")
+        for i, pt in enumerate(self.points):
+            for j, x in enumerate(pt):
+                if type(x) not in (int, Fraction):  # not isinstance: a bool is refused too
+                    raise ValueError(f"coordinate {j} of point {i} is {x!r}, "
+                                     "not an int or a Fraction")
         # coincidence is equality, found by hashing in O(|T|)
         if len(set(map(tuple, self.points))) < len(self.points):
             i, j = _first_equal_pair(self.points)

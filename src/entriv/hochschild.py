@@ -11,14 +11,26 @@ single sign convention the resolution path depends on.
 
 Internal degrees: a bar word a_0 (x) ... (x) a_s sits in the sum of its
 degrees; the resolution generator in homological degree s sits in -n*s.
+Each route hands its degrees and differential columns to one assembly,
+which groups the basis by (t, s) in a single pass and builds one chain
+complex per internal degree t over the s where t has cells.
+
+Word numbering: with the r reduced letters (every basis element but the
+unit) ranked 0 .. r-1, the bar word (a_0; w_1 .. w_s) of degree s is number
+a_0 * r^s + sum rank(w_i) * r^(s-i).  The words of degree s extend those of
+degree s - 1 by one letter, and each face finds its row by this mixed-radix
+arithmetic.  The resolution uses one element of the tensor square per
+parity of s (one for odd n), so it builds one action matrix per distinct
+element and checks w(s+1) w(s) = 0 once per distinct consecutive pair.
 
 An algebra builds one product table, products[i][j] = e_i * e_j normalized
 (mod p over F_p), and every product reads it: the unit, associativity and
-commutativity checks, multiply, mult_entry, the tensor square and the bar
-differential.  The bar route's memory guard bounds, from dim, the reduced
-dimension r and smax alone, the words W_s = dim * r^s plus the cells
-W_s * W_(s-1) of the dense blocks it fills, for s <= smax + 1, and refuses
-before building anything when that exceeds BAR_BASIS_CAP.
+commutativity checks, multiply, mult_entry, the tensor square, the bar
+differential and the resolution's action matrices.  The bar route's memory
+guard bounds, from dim, the reduced dimension r and smax alone, the words
+W_s = dim * r^s plus the cells W_s * W_(s-1) of the dense blocks it fills,
+for s <= smax + 1, and refuses before building anything when that exceeds
+BAR_BASIS_CAP.
 """
 
 from __future__ import annotations
@@ -65,10 +77,19 @@ class GradedUnitalAlgebra:
             if products[self.unit][i] != {i: 1} or products[i][self.unit] != {i: 1}:
                 raise ValueError("unit axiom fails")
         for i in range(dim):
+            row_i = products[i]
             for j in range(dim):
                 for k in range(dim):
-                    lhs = self.multiply(products[i][j], {k: 1})
-                    if lhs != self.multiply({i: 1}, products[j][k]):
+                    # (e_i e_j) e_k and e_i (e_j e_k), read off the table's rows
+                    lhs: dict[int, object] = {}
+                    for m, c in row_i[j].items():
+                        for q, e in products[m][k].items():
+                            lhs[q] = lhs.get(q, 0) + c * e
+                    rhs: dict[int, object] = {}
+                    for m, c in products[j][k].items():
+                        for q, e in row_i[m].items():
+                            rhs[q] = rhs.get(q, 0) + c * e
+                    if self._normalize(lhs) != self._normalize(rhs):
                         raise ValueError(f"associativity fails at ({i},{j},{k})")
                 sign = -1 if (self.degrees[i] * self.degrees[j]) % 2 else 1
                 rhs = {t: sign * c for t, c in products[j][i].items()}
@@ -110,10 +131,6 @@ class GradedUnitalAlgebra:
         return GradedUnitalAlgebra(
             ring, ("1", "x"), (0, -n), 0,
             ((((0, 1),), ((1, 1),)), (((1, 1),), ())))
-
-    @staticmethod
-    def base_ring(ring: str) -> "GradedUnitalAlgebra":
-        return GradedUnitalAlgebra(ring, ("1",), (0,), 0, ((((0, 1),),),))
 
     def tensor_square(self) -> "GradedUnitalAlgebra":
         """A (x) A with the Koszul multiplication (a(x)b)(c(x)d) =
@@ -195,28 +212,37 @@ def _homology_by_internal_degree(ring: str, smax: int, degrees: dict,
     degrees[s][i] is the internal degree of basis element i of C_s, for
     s = 0 .. smax + 1; columns[s][j] maps row -> coefficient of the
     differential C_s -> C_(s-1) on basis element j.  Each internal degree t
-    is a separate chain complex.
+    is a separate chain complex.  One pass over the degrees groups the basis
+    into cells[t][s], the elements of C_s in internal degree t, and records
+    each element's place in its cell; each t with a cell in some s <= smax
+    then builds its complex only over the s where it has cells.
     """
-    by_degree = []  # by_degree[s][t]: the basis elements of C_s in internal degree t
+    cells: dict[int, dict] = {}  # cells[t][s]: the basis elements of C_s in internal degree t
+    place = []  # place[s][i]: the position of element i of C_s in its cell
     for s in range(smax + 2):
-        groups: dict[int, list] = {}
-        for i, d in enumerate(degrees[s]):
-            groups.setdefault(d, []).append(i)
-        by_degree.append(groups)
+        place.append([])
+        for i, t in enumerate(degrees[s]):
+            cell = cells.setdefault(t, {}).setdefault(s, [])
+            place[s].append(len(cell))
+            cell.append(i)
     result = {}
-    for t in sorted({t for s in range(smax + 1) for t in by_degree[s]}):
-        idx = {s: by_degree[s].get(t, []) for s in range(smax + 2)}
-        ranks = {s: len(basis) for s, basis in idx.items() if basis}
+    for t in sorted(cells):
+        by_s = cells[t]
+        if min(by_s) > smax:
+            continue
         mats = {}
-        for s in range(1, smax + 2):
-            if not idx[s] or not idx[s - 1]:
+        for s, idx in by_s.items():
+            below = by_s.get(s - 1)
+            if below is None:
                 continue
-            rowpos = {r: a for a, r in enumerate(idx[s - 1])}
-            rows = [[0] * len(idx[s]) for _ in idx[s - 1]]
-            for b, col in enumerate(idx[s]):
+            rows = [[0] * len(idx) for _ in below]
+            for b, col in enumerate(idx):
                 for r, c in columns[s][col].items():
-                    rows[rowpos[r]][b] = c
+                    if degrees[s - 1][r] != t:
+                        raise AssertionError("differential does not preserve internal degree")
+                    rows[place[s - 1][r]][b] = c
             mats[s] = rows
+        ranks = {s: len(idx) for s, idx in by_s.items()}
         h = homology(ChainComplex.create(ranks, mats), ring)
         for s, free, torsion in h.components:
             if s <= smax:
@@ -242,41 +268,55 @@ def bar_hochschild(algebra: GradedUnitalAlgebra, smax: int) -> BigradedGroup:
         if size > BAR_BASIS_CAP:
             raise ValueError("bar basis would exceed the configured cap")
 
-    def basis(s):
-        words = [()]
-        for _ in range(s):
-            words = [w + (i,) for w in words for i in reduced]
-        return [(a0,) + w for a0 in range(algebra.dim) for w in words]
+    r = len(reduced)
+    rank = {letter: q for q, letter in enumerate(reduced)}
+    power = [r ** e for e in range(smax + 2)]
+    products, deg, unit = algebra.products, algebra.degrees, algebra.unit
+    # inner[u][v]: the terms of e_u e_v that survive in a bar word, (rank, coefficient)
+    inner = [[tuple((rank[k], c) for k, c in products[u][v].items() if k != unit)
+              for v in range(algebra.dim)] for u in range(algebra.dim)]
 
-    bases = {s: basis(s) for s in range(smax + 2)}
-    degrees = {s: [sum(algebra.degrees[i] for i in word) for word in bases[s]]
-               for s in bases}
-
-    def differential(s):
+    def differential(s, tails, tail_degrees):
         """The columns of b: C_s -> C_{s-1}, each a dict row -> coeff."""
-        rows = {w: r for r, w in enumerate(bases[s - 1])}
-        products = algebra.products
         columns = []
-        for word in bases[s]:
-            entries: dict[int, object] = {}
-            degs = [algebra.degrees[i] for i in word]
-            for i in range(s):
-                sign = -1 if i % 2 else 1
-                for k, c in products[word[i]][word[i + 1]].items():
-                    if i > 0 and k == algebra.unit:
-                        continue  # normalized: inner units vanish
-                    r = rows[word[:i] + (k,) + word[i + 2:]]
-                    entries[r] = entries.get(r, 0) + sign * c
-            # cyclic face: move the last letter to the front
-            koszul = -1 if (degs[-1] * sum(degs[:-1])) % 2 else 1
-            sign = (-1 if s % 2 else 1) * koszul
-            for k, c in products[word[-1]][word[0]].items():
-                r = rows[(k,) + word[1:-1]]
-                entries[r] = entries.get(r, 0) + sign * c
-            columns.append(entries)
+        lead = power[s - 1]  # the row of (a_0; v) is a_0 * lead + (the number of v)
+        for a0 in range(algebra.dim):
+            for num, (tail, tail_deg) in enumerate(zip(tails, tail_degrees)):
+                entries: dict[int, object] = {}
+                # a_0 w_1: drop w_1's digit, the leading one
+                for k, c in products[a0][tail[0]].items():
+                    row = k * lead + num % lead
+                    entries[row] = entries.get(row, 0) + c
+                # w_i w_(i+1), 0 < i < s: two digits merge into one
+                for i in range(1, s):
+                    terms = inner[tail[i - 1]][tail[i]]
+                    if not terms:
+                        continue
+                    sign = -1 if i % 2 else 1
+                    high, low = num // power[s - i + 1], num % power[s - i - 1]
+                    base = a0 * lead + high * power[s - i] + low
+                    for q, c in terms:
+                        row = base + q * power[s - i - 1]
+                        entries[row] = entries.get(row, 0) + sign * c
+                # cyclic face: move the last letter to the front
+                last = deg[tail[-1]]
+                koszul = -1 if (last * (deg[a0] + tail_deg - last)) % 2 else 1
+                sign = (-1 if s % 2 else 1) * koszul
+                for k, c in products[tail[-1]][a0].items():
+                    row = k * lead + num // r
+                    entries[row] = entries.get(row, 0) + sign * c
+                columns.append(entries)
         return columns
 
-    columns = {s: differential(s) for s in range(1, smax + 2)}
+    # the tails w_1 .. w_s of degree s, the last letter varying fastest
+    tails, tail_degrees = [()], [0]
+    degrees, columns = {}, {}
+    for s in range(smax + 2):
+        if s:
+            tails = [w + (i,) for w in tails for i in reduced]
+            tail_degrees = [d + deg[i] for d in tail_degrees for i in reduced]
+            columns[s] = differential(s, tails, tail_degrees)
+        degrees[s] = [deg[a0] + d for a0 in range(algebra.dim) for d in tail_degrees]
     return _homology_by_internal_degree(algebra.ring, smax, degrees, columns)
 
 
@@ -296,17 +336,22 @@ def small_resolution_hh(ring: str, n: int, smax: int) -> BigradedGroup:
     y = {1 * dim + 0: 1}  # x (x) 1
     z = {0 * dim + 1: 1}  # 1 (x) x
 
-    def w_elem(s: int) -> dict:
-        """y - z at every step for odd n; y - z and y + z alternately for even n."""
-        sign = -1 if n % 2 == 1 or s % 2 == 1 else 1
+    def phase(s: int) -> int:
+        """Which element step s uses: y - z (phase 1) at every step for odd n;
+        y - z and y + z (phase 0) alternately for even n."""
+        return 1 if n % 2 else s % 2
+
+    elements = {}
+    for key in {phase(1), phase(2)}:
         out = dict(y)
         for k, c in z.items():
-            out[k] = out.get(k, 0) + sign * c
-        return env._normalize(out)
+            out[k] = out.get(k, 0) + (-1 if key else 1) * c
+        elements[key] = env._normalize(out)
 
-    # consecutive differentials must compose to zero in the tensor square
-    for s in range(1, smax + 3):
-        if env.multiply(w_elem(s + 1), w_elem(s)):
+    # consecutive differentials must compose to zero in the tensor square;
+    # the steps are 2-periodic, so s = 1, 2 give every consecutive pair
+    for later, earlier in {(phase(s + 1), phase(s)) for s in (1, 2)}:
+        if env.multiply(elements[later], elements[earlier]):
             raise AssertionError("periodic resolution elements do not compose to zero")
 
     def action_matrix(w: dict):
@@ -317,14 +362,14 @@ def small_resolution_hh(ring: str, n: int, smax: int) -> BigradedGroup:
             for uv, c in w.items():
                 u, v = divmod(uv, dim)
                 sign = -1 if (algebra.degrees[v] * algebra.degrees[a_idx]) % 2 else 1
-                left = algebra.multiply({u: 1}, {a_idx: 1})
-                full = algebra.multiply(left, {v: 1})
-                for k, e in full.items():
-                    col[k] = col.get(k, 0) + sign * c * e
+                for m, d in algebra.products[u][a_idx].items():
+                    for k, e in algebra.products[m][v].items():
+                        col[k] = col.get(k, 0) + sign * c * d * e
             cols.append(algebra._normalize(col))
         return cols  # cols[a_idx] : dict row -> coeff
 
-    mats_by_s = {s: action_matrix(w_elem(s)) for s in range(1, smax + 2)}
+    actions = {key: action_matrix(w) for key, w in elements.items()}
+    mats_by_s = {s: actions[phase(s)] for s in range(1, smax + 2)}
     # the generator in homological degree s sits in internal degree -n*s
     degrees = {s: [d - n * s for d in algebra.degrees] for s in range(smax + 2)}
     return _homology_by_internal_degree(ring, smax, degrees, mats_by_s)

@@ -80,6 +80,14 @@ class TestSectionEval:
         with pytest.raises(ValueError, match="points 0 and 3 coincide"):
             Configuration.from_rational([a, b, b, a])
 
+    @pytest.mark.parametrize("bad", (0.1, True, "1"))
+    def test_rejects_coordinates_not_int_or_fraction(self, bad):
+        # the first bad coordinate is named, not the float 0.5 after it
+        with pytest.raises(ValueError, match=f"coordinate 1 of point 1 is {bad!r}, not an int"):
+            Configuration(((0, Fraction(1, 2)), (3, bad), (0.5, 0.25)))
+        # from_rational reads its input through Fraction
+        assert Configuration.from_rational([[0, 0], [1, 2]]).points == ((0, 0), (1, 2))
+
     def test_near_coincident_exact(self):
         eps = Fraction(1, 10 ** 12)
         c = Configuration.from_rational([[0, 0], [eps, 0]])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 
@@ -8,6 +9,30 @@ from entriv.hochschild import (BigradedGroup, GradedUnitalAlgebra, bar_hochschil
                                loop_space_table, small_resolution_hh)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "hochschild_s6.json"
+
+
+def base_ring(ring: str) -> GradedUnitalAlgebra:
+    """R itself, concentrated in degree 0: the bar complex has no reduced letters."""
+    return GradedUnitalAlgebra(ring, ("1",), (0,), 0, ((((0, 1),),),))
+
+
+def group_ring_of_z2(ring: str) -> GradedUnitalAlgebra:
+    """R[Z/2] on 1, g with |g| = 0 and g^2 = 1."""
+    return GradedUnitalAlgebra(ring, ("1", "g"), (0, 0), 0,
+                               ((((0, 1),), ((1, 1),)), (((1, 1),), ((0, 1),))))
+
+
+def two_letters() -> GradedUnitalAlgebra:
+    """F2 on 1, a, b with |a| = |b| = -1 and all products of a, b zero."""
+    return GradedUnitalAlgebra(
+        "F2", ("1", "a", "b"), (0, -1, -1), 0,
+        ((((0, 1),), ((1, 1),), ((2, 1),)),
+         (((1, 1),), (), ()),
+         (((2, 1),), (), ())))
+
+
+def digest(table: BigradedGroup) -> str:
+    return hashlib.sha256(json.dumps(table.to_json(), sort_keys=True).encode()).hexdigest()
 
 
 class TestAlgebra:
@@ -84,7 +109,7 @@ class TestAlgebra:
 class TestBarComplex:
     def test_base_ring(self):
         for ring in ("Z", "Q", "F2", "F3"):
-            table = bar_hochschild(GradedUnitalAlgebra.base_ring(ring), 5)
+            table = bar_hochschild(base_ring(ring), 5)
             assert table.entries == ((((0, 0), (1, ()))),)
 
     def test_hh0_is_the_algebra(self):
@@ -193,6 +218,53 @@ class TestCrossOracle:
             two_tor = sum(1 for q in z_tor if q % 2 == 0)
             two_below = sum(1 for q in below_tor if q % 2 == 0)
             assert free == z_free + two_tor + two_below
+
+
+class TestPinnedTables:
+    """sha256 of to_json() with sorted keys, pinned from the routes that
+    built every bar word from scratch and found faces through a dict.  The
+    group ring and two_letters cover units inside words and words of two
+    letters, which square-zero never reaches."""
+
+    SQUARE_ZERO_S36 = {
+        ("Z", 1): "2f0a5f1be900345ebb0ad77d707eda230b721a42c316fe5776a28f438a944aa1",
+        ("Z", 2): "a8a7c4fe1621cdb028b79678972925250de466775cf346d910bc2dd7caa22aa2",
+        ("Z", 3): "a2d8603dbd18f67a3d46fd09bee3a19a918a0fd7d28fc9bc178a9e6e49bd577b",
+        ("Z", 4): "82e3bffcfb0d9ac0f4dab4269b5f2fe30eacb2e470a388139e08ebf4c4abdeaf",
+        ("Q", 1): "2f0a5f1be900345ebb0ad77d707eda230b721a42c316fe5776a28f438a944aa1",
+        ("Q", 2): "e026e9ee06225c4bcc527a76371be4fba632937a3e9bbb24a11baac9b6e50da9",
+        ("Q", 3): "a2d8603dbd18f67a3d46fd09bee3a19a918a0fd7d28fc9bc178a9e6e49bd577b",
+        ("Q", 4): "76a88a21a8c59350c79de5e6da2a66e81a1e723da3a89d0e908f78b1d5908f47",
+        ("F2", 1): "2f0a5f1be900345ebb0ad77d707eda230b721a42c316fe5776a28f438a944aa1",
+        ("F2", 2): "b3a1bd533e0942bab20bff34a290aff4d44580b5eb289826115f5c53de07ee24",
+        ("F2", 3): "a2d8603dbd18f67a3d46fd09bee3a19a918a0fd7d28fc9bc178a9e6e49bd577b",
+        ("F2", 4): "e3ad871e881b8dfb898db20230379ac4a0d85bef079d119b21aad3bb6dc8fd33",
+        ("F3", 1): "2f0a5f1be900345ebb0ad77d707eda230b721a42c316fe5776a28f438a944aa1",
+        ("F3", 2): "e026e9ee06225c4bcc527a76371be4fba632937a3e9bbb24a11baac9b6e50da9",
+        ("F3", 3): "a2d8603dbd18f67a3d46fd09bee3a19a918a0fd7d28fc9bc178a9e6e49bd577b",
+        ("F3", 4): "76a88a21a8c59350c79de5e6da2a66e81a1e723da3a89d0e908f78b1d5908f47",
+    }
+    GROUP_RING_S5 = {
+        "Z": "6337f08669f8d838eb034f1f10480f9fbcd4fc5d3c95dfdc529d21dd35b6de6b",
+        "Q": "5ee067dcc2feaaadab94614ce2eb6cb9f4ba2e5549e9026a8c659fc7411f18bf",
+        "F2": "7fc755d07f83eec807d4d6df223d6b980acac3f4e7e8208bf1dbdf4cec85739c",
+        "F3": "5ee067dcc2feaaadab94614ce2eb6cb9f4ba2e5549e9026a8c659fc7411f18bf",
+    }
+    TWO_LETTERS_S6 = "24d64983dc33eb3b3519980f11831f2dfc8cb0f4b1284e8da9d42e3ebb3de849"
+
+    @pytest.mark.parametrize("ring", ("Z", "Q", "F2", "F3"))
+    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    def test_square_zero_at_smax_36(self, ring, n):
+        want = self.SQUARE_ZERO_S36[(ring, n)]
+        assert digest(bar_hochschild(GradedUnitalAlgebra.square_zero(ring, n), 36)) == want
+        assert digest(small_resolution_hh(ring, n, 36)) == want
+
+    @pytest.mark.parametrize("ring", ("Z", "Q", "F2", "F3"))
+    def test_group_ring_of_z2(self, ring):
+        assert digest(bar_hochschild(group_ring_of_z2(ring), 5)) == self.GROUP_RING_S5[ring]
+
+    def test_two_letters(self):
+        assert digest(bar_hochschild(two_letters(), 6)) == self.TWO_LETTERS_S6
 
 
 class TestLoopTable:
