@@ -1,19 +1,22 @@
 """Exact linear algebra over Z and F_p.
 
-Smith normal form with unimodular transforms, chain complexes of integer
-matrices, homology with Z / Q / F_p coefficients, and minimal models over
-hereditary base rings (every bounded complex splits as a sum of its
-homology, presented degreewise by free resolutions).
+Smith normal form with unimodular transforms, chain complexes over Z,
+homology with Z / Q / F_p coefficients, and minimal models over hereditary
+base rings (every bounded complex splits as a sum of its homology,
+presented degreewise by free resolutions).  Every reducer, and every
+differential of a ChainComplex, holds a matrix as sparse rows: tuples of
+(column, entry) pairs, nonzero entries only, columns increasing.  IntMatrix
+is the dense form at the boundary.
 
 One kernel computes the Smith diagonal.  It pivots on unit entries of
 sparse rows first, then takes the unit-free residual through alternating
 row and column Hermite forms, so every pivot, and so every diagonal entry,
 stays within Hadamard's bound H of the input.  `smith_normal_form` carries
 L and R through it, and they stay within H^2 on every input measured (its
-docstring has the bounds).  `smith_diagonal`, which homology over Z reads,
-runs the same steps with empty transform rows, so its diagonal comes from
-the steps that `SmithNormalForm.verify` certifies; the tests cross it with
-sympy's Smith form and a gcd-of-minors oracle.
+docstring has the bounds).  `smith_diagonal`, and homology over Z on a
+differential's rows, run the same steps with empty transform rows, so the
+diagonal comes from the steps that `SmithNormalForm.verify` certifies; the
+tests cross it with sympy's Smith form and a gcd-of-minors oracle.
 
 One kernel eliminates over F_p, `echelon_mod_p`, on sparse rows with tags:
 `rank_mod_p` is its pivot count, and steenrod_cochains reads mod-2 cocycle
@@ -126,26 +129,37 @@ class IntMatrix:
         """Fraction-free (Bareiss) determinant; square matrices only."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        rank, sign, last_pivot = _bareiss(self)
+        rank, sign, last_pivot = _bareiss(self.to_lists(), self.cols)
         return sign * last_pivot if rank == self.rows else 0
 
     def to_lists(self):
         return [list(row) for row in self.entries]
 
 
-def product_is_zero(a: IntMatrix, b: IntMatrix) -> bool:
-    """a * b == 0 over Z, row by row, multiplying only nonzero entries and
-    stopping at the first nonzero row of the product."""
-    if a.cols != b.rows:
-        raise ValueError("shape mismatch in product")
-    b_rows = [[(j, w) for j, w in enumerate(row) if w] for row in b.entries]
-    # a square (a is b) reuses the nonzero entries already read off b
-    a_rows = b_rows if a is b else ([(k, v) for k, v in enumerate(row) if v]
-                                    for row in a.entries)
-    for row in a_rows:
+def _sparse(m: IntMatrix) -> tuple:
+    """The rows of m as tuples of (column, entry) pairs, nonzero entries only."""
+    return tuple(tuple((j, e) for j, e in enumerate(row) if e) for row in m.entries)
+
+
+def _dense(rows, ncols: int) -> list:
+    """The ncols-column row lists of sparse rows."""
+    return [[entries.get(j, 0) for j in range(ncols)] for entries in map(dict, rows)]
+
+
+def product_is_zero(a, b) -> bool:
+    """a * b == 0 over Z, for IntMatrix a and b or for sparse rows: row by
+    row, multiplying only nonzero entries and stopping at the first nonzero
+    row of the product."""
+    if isinstance(a, IntMatrix):
+        if a.cols != b.rows:
+            raise ValueError("shape mismatch in product")
+        square = a is b  # a square reuses the rows read off b
+        b = _sparse(b)
+        a = b if square else _sparse(a)
+    for row in a:
         product: dict = {}
         for k, v in row:
-            for j, w in b_rows[k]:
+            for j, w in b[k]:
                 product[j] = product.get(j, 0) + v * w
         if any(product.values()):
             return False
@@ -163,12 +177,9 @@ class SmithNormalForm:
     right: IntMatrix
 
     def verify(self, m: IntMatrix) -> bool:
-        prod = self.left.mul(m).mul(self.right)
-        for i in range(prod.rows):
-            for j in range(prod.cols):
-                want = self.diagonal[i] if i == j and i < len(self.diagonal) else 0
-                if prod.entries[i][j] != want:
-                    return False
+        want = [((i, d),) if d else () for i, d in enumerate(self.diagonal)]
+        if _sparse(self.left.mul(m).mul(self.right)) != tuple(want + [()] * (m.rows - len(want))):
+            return False
         for i in range(len(self.diagonal) - 1):
             a, b = self.diagonal[i], self.diagonal[i + 1]
             if a < 0 or b < 0 or (a == 0 and b != 0) or (a != 0 and b % a != 0):
@@ -208,7 +219,7 @@ def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
       non-square inputs reached 2.35 times the bit length of H.
     """
     left, right = _identity_rows(m.rows), _identity_rows(m.cols)  # R by columns
-    diagonal = _smith(m, left, right)
+    diagonal = _smith(_sparse(m), m.cols, left, right)
     return SmithNormalForm(diagonal,
                            _computed(m.rows, m.rows, tuple(map(tuple, left))),
                            _computed(m.cols, m.cols, tuple(zip(*right))))
@@ -217,18 +228,18 @@ def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
 def smith_diagonal(m: IntMatrix) -> tuple:
     """The diagonal of smith_normal_form(m): the same steps, with empty
     transform rows, so that no step has a transform to carry."""
-    return _smith(m, [()] * m.rows, [()] * m.cols)
+    return _smith(_sparse(m), m.cols, [()] * m.rows, [()] * m.cols)
 
 
-def _smith(m: IntMatrix, left: list, right: list) -> tuple:
-    """The Smith diagonal of m by smith_normal_form's steps.  Each row step
-    is applied to the rows of `left` and each column step to `right` (held
-    by columns), which end as L and R in diagonal order."""
-    rows = [(i, r) for i, r in enumerate({j: e for j, e in enumerate(row) if e}
-                                         for row in m.entries) if r]
+def _smith(sparse: tuple, ncols: int, left: list, right: list) -> tuple:
+    """The Smith diagonal of the ncols-column matrix of `sparse` rows by
+    smith_normal_form's steps.  Each row step is applied to the rows of
+    `left` and each column step to `right` (held by columns), which end as
+    L and R in diagonal order."""
+    rows = [(i, dict(r)) for i, r in enumerate(sparse) if r]
     pivot_rows, pivot_cols = [], []
     while rows:
-        shortest = m.cols + 1  # the pivot's row length; `at` and `c` its position and column
+        shortest = ncols + 1  # the pivot's row length; `at` and `c` its position and column
         for k, (_, row) in enumerate(rows):
             if len(row) < shortest:
                 for j, e in row.items():
@@ -236,7 +247,7 @@ def _smith(m: IntMatrix, left: list, right: list) -> tuple:
                         shortest, at, c = len(row), k, j
                 if shortest == 1:
                     break
-        if shortest > m.cols:
+        if shortest > ncols:
             break
         i, pivot = rows.pop(at)
         unit = pivot.pop(c)
@@ -268,7 +279,7 @@ def _smith(m: IntMatrix, left: list, right: list) -> tuple:
     if rows:
         residual = [[row.get(j, 0) for j in res_cols] for _, row in rows]
         diagonal += _residual_smith(residual, left, right, len(pivot_rows))
-    diagonal += [0] * (min(m.rows, m.cols) - len(diagonal))
+    diagonal += [0] * (min(len(sparse), ncols) - len(diagonal))
     return tuple(diagonal)
 
 
@@ -459,20 +470,20 @@ def rank_z(m: IntMatrix) -> int:
 
 def rank_q(m: IntMatrix) -> int:
     """Rank over Q by fraction-free (Bareiss) elimination."""
-    return _bareiss(m)[0]
+    return _bareiss(m.to_lists(), m.cols)[0]
 
 
-def _bareiss(m: IntMatrix) -> tuple:
-    """(rank, sign of the row swaps, last pivot) of fraction-free elimination.
+def _bareiss(a: list, ncols: int) -> tuple:
+    """(rank, sign of the row swaps, last pivot) of fraction-free elimination
+    of the ncols-column matrix of row lists a, which it changes.
 
     Each column's pivot is its first nonzero entry at or below the current
     row.  Every division by the previous pivot is exact, so entries stay
-    minors of m; on a square matrix of full rank the last pivot is
-    sign * det(m).  Only the entries right of the pivot column are updated:
+    minors of a; on a square matrix of full rank the last pivot is
+    sign * det(a).  Only the entries right of the pivot column are updated:
     no later step reads the others.
     """
-    a = [list(row) for row in m.entries]
-    nrows, ncols = m.rows, m.cols
+    nrows = len(a)
     rank, sign, prev = 0, 1, 1
     for col in range(ncols):
         for pivot_row in range(rank, nrows):
@@ -527,9 +538,11 @@ def echelon_mod_p(rows, p: int) -> tuple:
     return pivots, kernel
 
 
-def rank_mod_p(m: IntMatrix, p: int) -> int:
-    """Rank over F_p: the pivot count of echelon_mod_p on the rows of m."""
-    rows = (({j: r for j, e in enumerate(row) if (r := e % p)}, {}) for row in m.entries)
+def rank_mod_p(m, p: int) -> int:
+    """Rank over F_p of an IntMatrix or of sparse rows (a differential of a
+    ChainComplex): the pivot count of echelon_mod_p on its rows."""
+    sparse = _sparse(m) if isinstance(m, IntMatrix) else m
+    rows = (({j: r for j, e in row if (r := e % p)}, {}) for row in sparse)
     return len(echelon_mod_p(rows, p)[0])
 
 
@@ -594,10 +607,13 @@ class GradedAbelianGroup:
 @dataclass(frozen=True)
 class ChainComplex:
     ranks: tuple  # sorted tuple of (degree, rank > 0)
-    differentials: tuple  # sorted tuple of (degree n, IntMatrix d_n : C_n -> C_{n-1})
+    differentials: tuple  # sorted tuple of (degree n, sparse rows of d_n : C_n -> C_{n-1})
 
     @staticmethod
     def create(ranks: dict, differentials: dict) -> "ChainComplex":
+        """A differential is an IntMatrix, dense rows, or rows {column: entry}
+        as this package's complexes hand them over; a zero one is left out.
+        Each distinct input object is read once, however many degrees it fills."""
         kept, degrees = {}, set()
         for key, r in ranks.items():
             if type(r) is not int:
@@ -611,19 +627,21 @@ class ChainComplex:
         if len(degrees) < len(ranks):
             integer_keys(ranks, "degree")  # raises RepeatedKeyError naming both keys
         ranks = kept
-        diffs = {}
+        diffs, read = {}, {}  # read: id of an input object -> _read_differential of it
         for n, mat in integer_keys(differentials, "degree").items():
-            if not isinstance(mat, IntMatrix):
-                mat = IntMatrix.from_rows(mat)
-            if mat.rows == 0 or mat.cols == 0 or mat.is_zero():
+            if id(mat) not in read:
+                read[id(mat)] = _read_differential(mat)
+            if read[id(mat)] is None:
                 continue
-            if mat.cols != ranks.get(n, 0) or mat.rows != ranks.get(n - 1, 0):
-                raise ValueError(f"differential d_{n} has shape {mat.rows}x{mat.cols}, "
-                                 f"expected {ranks.get(n - 1, 0)}x{ranks.get(n, 0)}")
-            diffs[n] = mat
-        for n, mat in diffs.items():
+            rows, ncols, exact = read[id(mat)]
+            shape = ranks.get(n - 1, 0), ranks.get(n, 0)
+            if len(rows) != shape[0] or ncols > shape[1] or exact and ncols != shape[1]:
+                raise ValueError(f"differential d_{n} has shape {len(rows)}x{ncols}, "
+                                 f"expected {shape[0]}x{shape[1]}")
+            diffs[n] = rows
+        for n, rows in diffs.items():
             nxt = diffs.get(n + 1)
-            if nxt is not None and not product_is_zero(mat, nxt):
+            if nxt is not None and not product_is_zero(rows, nxt):
                 raise ValueError(f"d_{n} o d_{n + 1} is nonzero")
         return ChainComplex(tuple(sorted(ranks.items())), tuple(sorted(diffs.items())))
 
@@ -631,8 +649,10 @@ class ChainComplex:
         return [deg for deg, _ in self.ranks]
 
     def to_json(self) -> dict:
+        ranks = dict(self.ranks)
         return {"ranks": {str(n): r for n, r in self.ranks},
-                "differentials": {str(n): m.to_lists() for n, m in self.differentials}}
+                "differentials": {str(n): _dense(rows, ranks[n])
+                                  for n, rows in self.differentials}}
 
     @staticmethod
     def from_json(data) -> "ChainComplex":
@@ -647,27 +667,54 @@ class ChainComplex:
         return ChainComplex.create(ranks, diffs)
 
 
+def _read_differential(mat):
+    """(sparse rows, columns, exact) of a differential given to create, None
+    for a zero one: an IntMatrix or dense rows (checked as IntMatrix checks
+    them) have exactly their columns, rows {column: entry} at least those."""
+    if not isinstance(mat, IntMatrix):
+        if mat and isinstance(mat[0], dict):
+            rows, width = [], 0
+            for row in mat:
+                kept = []
+                for j, e in row.items():
+                    if type(j) is not int or j < 0:
+                        raise ValueError(f"matrix column {j!r} is not a nonnegative integer")
+                    if type(e) is not int:
+                        raise ValueError(f"matrix entry {e!r} is not an integer")
+                    if e:
+                        kept.append((j, e))
+                        width = max(width, j + 1)
+                kept.sort()
+                rows.append(tuple(kept))
+            return (tuple(rows), width, False) if width else None
+        mat = IntMatrix.from_rows(mat)
+    rows = _sparse(mat)
+    return (rows, mat.cols, True) if any(rows) else None
+
+
 def homology(c: ChainComplex, coefficients: Ring = "Z") -> GradedAbelianGroup:
     """H_n = ker d_n / im d_{n+1}.
 
-    Each distinct nonzero differential is reduced once per call, however
-    many degrees it appears in: to its Smith diagonal over Z (rank and
-    torsion orders), by fraction-free elimination over Q and by elimination
-    mod p over F_p (rank); an absent differential has rank 0.
+    Each distinct nonzero differential is reduced once per call from its
+    rows, however many degrees it appears in: to its Smith diagonal over Z
+    (rank and torsion orders), by fraction-free elimination over Q and by
+    elimination mod p over F_p (rank); an absent differential has rank 0.
     """
     p = ring_prime(coefficients)
+    ranks = dict(c.ranks)
     reduced = {}  # n -> (rank of d_n, torsion of coker d_n over Z)
-    by_matrix = {}  # the same reduction for every differential equal to mat
-    for n, mat in c.differentials:
-        if mat not in by_matrix:
+    by_rows = {}  # the same reduction for every differential with these rows
+    for n, rows in c.differentials:
+        if rows not in by_rows:
             if p is not None:
-                by_matrix[mat] = (rank_mod_p(mat, p), ())
+                by_rows[rows] = (rank_mod_p(rows, p), ())
             elif coefficients == "Q":
-                by_matrix[mat] = (rank_q(mat), ())
+                by_rows[rows] = (_bareiss(_dense(rows, ranks[n]), ranks[n])[0], ())
             else:
-                diag = [d for d in smith_diagonal(mat) if d != 0]
-                by_matrix[mat] = (len(diag), tuple(d for d in diag if d > 1))
-        reduced[n] = by_matrix[mat]
+                diag = [d for d in _smith(rows, ranks[n], [()] * len(rows), [()] * ranks[n])
+                        if d != 0]
+                by_rows[rows] = (len(diag), tuple(d for d in diag if d > 1))
+        reduced[n] = by_rows[rows]
     components = []
     absent = (0, ())
     for n, dim in c.ranks:
@@ -700,9 +747,9 @@ def elementary_complex(free_at: dict, torsion_at: dict) -> ChainComplex:
     for n, orders in torsion_at.items():  # d_{n+1}: the sources of H_n's torsion onto its targets
         target = free_at.get(n, 0)
         source = free_at.get(n + 1, 0) + len(torsion_at.get(n + 1, ()))
-        diffs[n + 1] = mat = [[0] * ranks[n + 1] for _ in range(ranks[n])]
+        diffs[n + 1] = rows = [{} for _ in range(ranks[n])]
         for i, d in enumerate(orders):
-            mat[target + i][source + i] = d
+            rows[target + i][source + i] = d
     return ChainComplex.create(ranks, diffs)
 
 
@@ -724,56 +771,3 @@ def split_homology(h: GradedAbelianGroup):
     minimal = elementary_complex({deg: free for deg, free, _ in h.components},
                                  {deg: torsion for deg, _, torsion in h.components})
     return minimal, homology(minimal, "Z") == h
-
-
-# ---------------------------------------------------------------------------
-# randomized inputs for property tests and sweeps
-
-
-def random_unimodular(n: int, rng, ops: int = 6, bound: int = 2) -> tuple:
-    """(u, u^-1) for u a product of elementary shears and swaps.
-
-    Each row operation on u is matched by the inverse column operation on
-    u^-1, so u * u^-1 = 1 stays true throughout and no draw is spent on it.
-    """
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    inv = [row[:] for row in m]
-    for _ in range(ops):
-        i = rng.below(n)
-        j = rng.below(n)
-        if i == j:
-            continue
-        if rng.below(4) == 0:
-            m[i], m[j] = m[j], m[i]
-            for row in inv:
-                row[i], row[j] = row[j], row[i]
-        else:
-            q = rng.sign() * rng.randint(1, bound)
-            m[i] = [x + q * y for x, y in zip(m[i], m[j])]
-            for row in inv:
-                row[j] -= q * row[i]
-    return IntMatrix.from_rows(m), IntMatrix.from_rows(inv)
-
-
-def random_chain_complex(rng, max_degree: int = 3, max_rank: int = 6,
-                         entry_bound: int = 9) -> ChainComplex:
-    """A bounded complex with d o d = 0 and small entries.
-
-    An elementary_complex of a random graded group, sheared by a few
-    elementary basis changes in each degree, redrawn until every rank and
-    entry stays within its bound.
-    """
-    while True:
-        free_at, torsion_at = {}, {}
-        for deg in range(max_degree + 1):
-            free_at[deg] = rng.below(3)
-            torsion_at[deg] = [rng.randint(2, 6) for _ in range(rng.below(3))] \
-                if deg < max_degree else []
-        cx = elementary_complex(free_at, torsion_at)
-        if any(r > max_rank for _, r in cx.ranks):
-            continue
-        # basis changes: d_n -> U_{n-1} d_n U_n^{-1}
-        us = {deg: random_unimodular(rank, rng, ops=3, bound=1) for deg, rank in cx.ranks}
-        diffs = {deg: us[deg - 1][0].mul(mat).mul(us[deg][1]) for deg, mat in cx.differentials}
-        if all(abs(e) <= entry_bound for m in diffs.values() for row in m.entries for e in row):
-            return ChainComplex.create(dict(cx.ranks), diffs)

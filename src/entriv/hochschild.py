@@ -28,9 +28,9 @@ An algebra builds one product table, products[i][j] = e_i * e_j normalized
 commutativity checks, multiply, mult_entry, the tensor square, the bar
 differential and the resolution's action matrices.  The bar route's memory
 guard bounds, from dim, the reduced dimension r and smax alone, the words
-W_s = dim * r^s plus the cells W_s * W_(s-1) of the dense blocks it fills,
-for s <= smax + 1, and refuses before building anything when that exceeds
-BAR_BASIS_CAP.
+W_s = dim * r^s plus W_s * W_(s-1), which bounds the fill that eliminating
+one block of the differential C_s -> C_(s-1) can reach, for s <= smax + 1,
+and refuses before building anything when that exceeds BAR_BASIS_CAP.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from . import RepeatedKeyError
 from .core_algebra import ChainComplex, GradedAbelianGroup, homology, ring_prime
 
-# the bar route's words plus the cells of its dense differential blocks
+# the bar route's words plus the cells that eliminating its differential blocks can fill
 BAR_BASIS_CAP = 200_000
 
 
@@ -235,7 +235,7 @@ def _homology_by_internal_degree(ring: str, smax: int, degrees: dict,
             below = by_s.get(s - 1)
             if below is None:
                 continue
-            rows = [[0] * len(idx) for _ in below]
+            rows = [{} for _ in below]
             for b, col in enumerate(idx):
                 for r, c in columns[s][col].items():
                     if degrees[s - 1][r] != t:
@@ -259,8 +259,8 @@ def bar_hochschild(algebra: GradedUnitalAlgebra, smax: int) -> BigradedGroup:
     if smax < 0:
         raise ValueError("smax must be >= 0")
     reduced = [i for i in range(algebra.dim) if i != algebra.unit]
-    # W_s = dim * r^s words in degree s, and the blocks that
-    # _homology_by_internal_degree fills hold at most W_s * W_(s-1) cells
+    # W_s = dim * r^s words in degree s; eliminating one block of the
+    # differential C_s -> C_(s-1) fills at most W_s * W_(s-1) cells
     size = width = algebra.dim
     for _ in range(smax + 1):
         size += width * len(reduced) * (1 + width)

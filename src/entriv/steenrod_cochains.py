@@ -160,11 +160,13 @@ class SimplicialSet:
         return table
 
     def chain_complex(self) -> ChainComplex:
-        """Normalized chains over Z: d_d is the incidence of degree d - 1."""
+        """Normalized chains over Z: d_d is the incidence of degree d - 1, one
+        row {column: entry} per (d-1)-simplex."""
         ranks = {d: len(names) for d, names in self.simplices}
-        diffs = {d: [[row.get(tau, 0) for tau in names]
+        column = {tau: j for _, names in self.simplices for j, tau in enumerate(names)}
+        diffs = {d: [{column[tau]: e for tau, e in row.items()}
                      for row in self.incidence(d - 1).values()]
-                 for d, names in self.simplices if d - 1 in ranks}
+                 for d, _ in self.simplices if d - 1 in ranks}
         return ChainComplex.create(ranks, diffs)
 
     def homology(self, coefficients="Z") -> GradedAbelianGroup:

@@ -49,7 +49,7 @@ class StuntedCellComplex:
 
     def chain_complex(self) -> ChainComplex:
         ranks = {j: 1 for j in range(self.bottom, self.top + 1)}
-        two = IntMatrix.from_rows([[2]])  # the odd differentials are zero: left out
+        two = ({0: 2},)  # the 1x1 matrix (2); the odd differentials are zero: left out
         diffs = {j: two for j in range(self.bottom + 1, self.top + 1) if j % 2 == 0}
         return ChainComplex.create(ranks, diffs)
 

@@ -2,13 +2,16 @@
 
 Random monomial modules are assembled from primitives (trivial, sign, the
 natural permutation action, regular) and direct sums, so every generated
-action satisfies the symmetric-group relations by construction.
+action satisfies the symmetric-group relations by construction.  Random
+chain complexes are elementary complexes of random graded groups, sheared
+by unimodular basis changes, so d o d = 0 and the homology stays known.
 """
 
 import hashlib
 from itertools import permutations
 
 from entriv import perms
+from entriv.core_algebra import ChainComplex, IntMatrix, elementary_complex
 from entriv.rep_theory import SignedPermModule, character
 from entriv.rng import CounterRng
 from entriv.sym_seq import SymSeq
@@ -93,3 +96,61 @@ def action_digest(modules, max_rank: int = 5) -> str:
                 h.update(repr(m.act_signed(p)).encode())
         h.update(repr(character(m).values).encode())
     return h.hexdigest()
+
+
+def random_unimodular(n: int, rng, ops: int = 6, bound: int = 2) -> tuple:
+    """(u, u^-1) for u a product of elementary shears and swaps.
+
+    Each row operation on u is matched by the inverse column operation on
+    u^-1, so u * u^-1 = 1 stays true throughout and no draw is spent on it.
+    """
+    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in m]
+    for _ in range(ops):
+        i = rng.below(n)
+        j = rng.below(n)
+        if i == j:
+            continue
+        if rng.below(4) == 0:
+            m[i], m[j] = m[j], m[i]
+            for row in inv:
+                row[i], row[j] = row[j], row[i]
+        else:
+            q = rng.sign() * rng.randint(1, bound)
+            m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+            for row in inv:
+                row[j] -= q * row[i]
+    return IntMatrix.from_rows(m), IntMatrix.from_rows(inv)
+
+
+def random_differentials(rng, max_degree: int = 3, max_rank: int = 6,
+                         entry_bound: int = 9) -> tuple:
+    """(ranks, {degree: IntMatrix}) of a bounded complex with d o d = 0 and
+    small entries, every differential nonzero.
+
+    An elementary_complex of a random graded group, sheared by a few
+    elementary basis changes in each degree, redrawn until every rank and
+    entry stays within its bound.
+    """
+    while True:
+        free_at, torsion_at = {}, {}
+        for deg in range(max_degree + 1):
+            free_at[deg] = rng.below(3)
+            torsion_at[deg] = [rng.randint(2, 6) for _ in range(rng.below(3))] \
+                if deg < max_degree else []
+        cx = elementary_complex(free_at, torsion_at)
+        if any(r > max_rank for _, r in cx.ranks):
+            continue
+        # basis changes: d_n -> U_{n-1} d_n U_n^{-1}
+        us = {deg: random_unimodular(rank, rng, ops=3, bound=1) for deg, rank in cx.ranks}
+        dense = cx.to_json()["differentials"]
+        diffs = {deg: us[deg - 1][0].mul(IntMatrix.from_rows(dense[str(deg)])).mul(us[deg][1])
+                 for deg, _ in cx.differentials}
+        if all(abs(e) <= entry_bound for m in diffs.values() for row in m.entries for e in row):
+            return dict(cx.ranks), diffs
+
+
+def random_chain_complex(rng, max_degree: int = 3, max_rank: int = 6,
+                         entry_bound: int = 9) -> ChainComplex:
+    """The ChainComplex of random_differentials."""
+    return ChainComplex.create(*random_differentials(rng, max_degree, max_rank, entry_bound))

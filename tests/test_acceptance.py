@@ -9,11 +9,10 @@ from math import factorial
 
 import pytest
 
-from conftest import random_symseq
+from conftest import random_chain_complex, random_symseq
 from entriv import perms
 from entriv.cli import parse, run
-from entriv.core_algebra import (formality_splitting, homology,
-                                 random_chain_complex)
+from entriv.core_algebra import formality_splitting, homology
 from entriv.euler_section import equivariance_test, random_configuration, section_eval
 from entriv.extended_powers import (moore_complex, moore_identification,
                                     pushout_rank_check, transfer_cofiber_check,

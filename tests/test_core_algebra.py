@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_chain_complex, random_differentials, random_unimodular
 from entriv import RepeatedKeyError, core_algebra
 from entriv.core_algebra import (ChainComplex, GradedAbelianGroup, IntMatrix,
                                  echelon_mod_p, elementary_complex, formality_splitting, homology,
-                                 invariant_factors, is_prime, random_chain_complex,
-                                 random_unimodular, product_is_zero, rank_mod_p, rank_q,
+                                 invariant_factors, is_prime, product_is_zero, rank_mod_p, rank_q,
                                  ring_prime, smith_diagonal, smith_normal_form)
 from entriv.rng import CounterRng
+from entriv.steenrod_cochains import rp2_model
 from entriv.stunted_ktheory import StuntedCellComplex, stunted_integral_homology
 
 small_matrices = st.integers(1, 4).flatmap(
@@ -88,8 +89,8 @@ class TestSmithNormalForm:
         rng = CounterRng(29)
         checked = 0
         for _ in range(40):
-            cx = random_chain_complex(rng, max_degree=4)
-            for _, m in cx.differentials:
+            _, mats = random_differentials(rng, max_degree=4)
+            for m in mats.values():
                 got = sympy_snf(sympy.Matrix(m.to_lists()), domain=sympy.ZZ)
                 want = tuple(abs(int(got[i, i])) for i in range(min(m.rows, m.cols)))
                 assert smith_normal_form(m).diagonal == want
@@ -271,7 +272,7 @@ class TestSmithDiagonal:
         rng = CounterRng(37)
         checked = 0
         for _ in range(40):
-            for _, m in random_chain_complex(rng, max_degree=5).differentials:
+            for m in random_differentials(rng, max_degree=5)[1].values():
                 assert rank_q(m) == sum(1 for d in smith_diagonal(m) if d)
                 checked += 1
         assert checked > 40
@@ -294,7 +295,7 @@ class TestSmithDiagonal:
         cx = ChainComplex.create({0: 9, 1: 8}, {1: STALLING_9X8})
         start = time.perf_counter()
         h = homology(cx, "Z")
-        diagonal = smith_diagonal(cx.differentials[0][1])
+        diagonal = smith_diagonal(IntMatrix.from_rows(cx.to_json()["differentials"]["1"]))
         assert time.perf_counter() - start < 0.5
         assert h == GradedAbelianGroup.create({0: (1, ())})
         assert diagonal == (1,) * 8
@@ -311,15 +312,17 @@ class TestSmithDiagonal:
         complexes = [random_chain_complex(rng, max_degree=5) for _ in range(20)]
         complexes.append(StuntedCellComplex(-50, 50).chain_complex())
         full, diagonal = [], []
-        real = core_algebra.smith_diagonal
+        real = core_algebra._smith
         monkeypatch.setattr(core_algebra, "smith_normal_form",
                             lambda m: full.append(m) or smith_normal_form(m))
 
-        def counting(m):
-            diagonal.append(m)
-            return real(m)
+        def counting(rows, ncols, left, right):
+            # empty transform rows: the kernel's steps carry no L or R
+            assert not any(left) and not any(right)
+            diagonal.append(rows)
+            return real(rows, ncols, left, right)
 
-        monkeypatch.setattr(core_algebra, "smith_diagonal", counting)
+        monkeypatch.setattr(core_algebra, "_smith", counting)
         for cx in complexes:
             distinct = list(dict.fromkeys(m for _, m in cx.differentials))
             for ring in ("Z", "Q", "F2", "F5"):
@@ -331,16 +334,16 @@ class TestSmithDiagonal:
     def test_equal_differentials_are_reduced_once(self, monkeypatch):
         cx = StuntedCellComplex(-50, 50).chain_complex()
         assert len(cx.differentials) == 50
-        assert {m for _, m in cx.differentials} == {IntMatrix.from_rows([[2]])}
+        assert {m for _, m in cx.differentials} == {(((0, 2),),)}
         want = stunted_integral_homology(-50, 50)
         calls = []
-        for name in ("smith_diagonal", "rank_mod_p"):
+        for name in ("_smith", "rank_mod_p"):
             real = getattr(core_algebra, name)
             monkeypatch.setattr(core_algebra, name,
                                 lambda *args, real=real, name=name:
                                 calls.append(name) or real(*args))
         assert homology(cx, "Z") == want
-        assert calls == ["smith_diagonal"]
+        assert calls == ["_smith"]
         calls.clear()
         homology(cx, "F2")
         assert calls == ["rank_mod_p"]
@@ -452,12 +455,13 @@ class TestHomology:
     def test_basis_change_invariance(self):
         rng = CounterRng(5)
         for _ in range(25):
-            cx = random_chain_complex(rng)
+            ranks, mats = random_differentials(rng)
+            cx = ChainComplex.create(ranks, mats)
             h = homology(cx, "Z")
             us, invs = {}, {}
             for d, rank in cx.ranks:
                 us[d], invs[d] = random_unimodular(rank, rng, 4, 1)
-            diffs = {d: us[d - 1].mul(m).mul(invs[d]) for d, m in cx.differentials}
+            diffs = {d: us[d - 1].mul(m).mul(invs[d]) for d, m in mats.items()}
             assert homology(ChainComplex.create(dict(cx.ranks), diffs), "Z") == h
 
     def test_universal_coefficients(self):
@@ -493,7 +497,8 @@ class TestHomology:
         cx = ChainComplex.create({-3: 2, 0: 1, 1: 2, 2: 1, 5: 3},
                                  {1: [[0, 0]], 2: [[2], [4]], 5: []})
         assert dict(cx.ranks) == {-3: 2, 0: 1, 1: 2, 2: 1, 5: 3}
-        assert [(n, m.to_lists()) for n, m in cx.differentials] == [(2, [[2], [4]])]
+        assert cx.differentials == ((2, (((0, 2),), ((0, 4),))),)
+        assert cx.to_json()["differentials"] == {"2": [[2], [4]]}
         assert homology(cx, "Z") == GradedAbelianGroup.create(
             {-3: (2, ()), 0: (1, ()), 1: (1, (2,)), 5: (3, ())})
         assert homology(cx, "Q") == GradedAbelianGroup.create(
@@ -520,6 +525,48 @@ class TestHomology:
                 homology(cx, ring)
                 assert len(calls) <= most
                 assert all(not m.is_zero() for m in calls)
+
+
+class TestSparseRows:
+    """ChainComplex.create on rows {column: entry}, the form in which the
+    package's own complexes hand over their differentials."""
+
+    @pytest.mark.parametrize("ranks, rows, error", [
+        ({0: 1, 1: 2}, [{2: 1}], "d_1 has shape 1x3, expected 1x2"),  # a column >= rank
+        ({0: 2, 1: 1}, [{0: 1}], "d_1 has shape 1x1, expected 2x1"),
+        ({0: 1, 1: 1}, [{0: 2.0}], "matrix entry 2.0 is not an integer"),
+        ({0: 1, 1: 1}, [{0: True}], "matrix entry True is not an integer"),
+        ({0: 1, 1: 1}, [{"0": 2}], "matrix column '0' is not a nonnegative integer"),
+        ({0: 1, 1: 1}, [{-1: 2}], "matrix column -1 is not a nonnegative integer"),
+    ])
+    def test_rejects_bad_rows(self, ranks, rows, error):
+        with pytest.raises(ValueError, match=error):
+            ChainComplex.create(ranks, {1: rows})
+
+    def test_drops_explicit_zeros(self):
+        cx = ChainComplex.create({0: 2, 1: 2}, {1: [{1: 3, 0: 0}, {0: 2}]})
+        assert cx.differentials == ((1, (((1, 3),), ((0, 2),))),)
+        assert cx.to_json()["differentials"] == {"1": [[0, 3], [2, 0]]}
+        # a differential of zeros, of any row count, is left out
+        assert ChainComplex.create({0: 2, 1: 2}, {1: [{0: 0}], 2: [{}]}).differentials == ()
+
+    def test_a_repeated_object_lands_in_each_of_its_degrees(self, monkeypatch):
+        two = ({0: 2},)
+        cx = ChainComplex.create({n: 1 for n in range(5)}, {2: two, 4: two})
+        assert cx.differentials == ((2, (((0, 2),),)), (4, (((0, 2),),)))
+        # read once, but checked against the shape of every degree it fills
+        with pytest.raises(ValueError, match="d_3 has shape 1x1, expected 2x1"):
+            ChainComplex.create({0: 1, 1: 1, 2: 2, 3: 1}, {1: two, 3: two})
+        reads = []
+        real = core_algebra._read_differential
+        monkeypatch.setattr(core_algebra, "_read_differential",
+                            lambda mat: reads.append(mat) or real(mat))
+        assert len(StuntedCellComplex(-50, 50).chain_complex().differentials) == 50
+        assert len(reads) == 1
+
+    def test_simplicial_chains_survive_json(self):
+        cx = rp2_model().chain_complex()
+        assert ChainComplex.from_json(json.loads(json.dumps(cx.to_json()))) == cx
 
 
 class TestElementaryComplex:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entriv import steenrod_cochains
-from entriv.core_algebra import rank_mod_p
+from entriv.core_algebra import GradedAbelianGroup, rank_mod_p
 from entriv.rng import CounterRng
 from entriv.steenrod_cochains import (Cochain, SimplicialSet, _cut_blocks, _cut_faces,
                                       coboundary, cocycle_basis,
@@ -226,6 +226,14 @@ class TestKernelGolden:
         model = _boundary_of_simplex(5)
         assert [len(model.names(k)) for k in range(5)] == [6, 15, 20, 15, 6]
         assert model.homology("F2").component(4) == (1, ())
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_boundary_of_simplex_has_the_homology_of_a_sphere(self, k):
+        # the boundary of the k-simplex is S^(k-1): R in degrees 0 and k - 1
+        model = _boundary_of_simplex(k)
+        sphere = GradedAbelianGroup.create({0: (1, ()), k - 1: (1, ())})
+        for ring in ("Z", "Q", "F2", "F3"):
+            assert model.homology(ring) == sphere, ring
 
 
 def _interval_formula(model, x, y, i):
