@@ -17,7 +17,11 @@ from dataclasses import dataclass
 from . import MAX_MATERIALIZED_ARITY, RepeatedKeyError
 
 # Each verb imports its computation modules when it runs, so that a cold
-# start loads only what that verb needs.
+# start loads only what that verb needs.  Likewise a command builds only its
+# verb's parser; the full tree of every verb's parser is built only for
+# `entriv -h` or a first word that is not a verb.  Abbreviations such as
+# `--pri 3`, the `--flag=value` form, help and every error text are the same
+# on both routes.
 
 
 class UsageError(Exception):
@@ -186,28 +190,57 @@ _BOUNDS = {verb: tuple((option[0][2:], *option[2]) for option in options
            for verb, (_, options) in VERBS.items()}
 
 
+def _add_options(parser: _Parser, options):
+    for flag, default, spec, *extra in options + _COMMON:
+        kwargs = dict(*extra)
+        if spec is None:
+            kwargs["action"] = "store_true"
+        elif _is_bounds(spec):
+            kwargs.update(type=int, help=f"in [{spec[0]}, {spec[1]}]")
+        elif type(spec) is tuple:
+            kwargs["choices"] = spec
+        else:
+            kwargs["type"] = spec
+        if flag.startswith("-"):
+            kwargs.update({"required": True} if default is REQUIRED else {"default": default})
+        parser.add_argument(flag, **kwargs)
+
+
 def build_parser(add_help: bool = True) -> _Parser:
+    """The full tree: a top-level parser with one subparser per verb."""
     parser = _Parser(prog="entriv", description=__doc__, add_help=add_help)
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb, (text, options) in VERBS.items():
-        p = sub.add_parser(verb, help=text, add_help=add_help)
-        for flag, default, spec, *extra in options + _COMMON:
-            kwargs = dict(*extra)
-            if spec is None:
-                kwargs["action"] = "store_true"
-            elif _is_bounds(spec):
-                kwargs.update(type=int, help=f"in [{spec[0]}, {spec[1]}]")
-            elif type(spec) is tuple:
-                kwargs["choices"] = spec
-            else:
-                kwargs["type"] = spec
-            if flag.startswith("-"):
-                kwargs.update({"required": True} if default is REQUIRED else {"default": default})
-            p.add_argument(flag, **kwargs)
+        _add_options(sub.add_parser(verb, help=text, add_help=add_help), options)
     return parser
 
 
-_PARSERS: dict = {}  # add_help -> parser, built on first use, once per process
+def _verb_parser(verb: str, add_help: bool) -> _Parser:
+    """verb's parser as the full tree builds it: the same prog, options and
+    errors, without the other verbs."""
+    parser = _Parser(prog=f"entriv {verb}", add_help=add_help)
+    _add_options(parser, VERBS[verb][1])
+    return parser
+
+
+_PARSERS: dict = {}  # (verb, or None for the full tree; add_help) -> parser, built on first use
+
+
+def _namespace(argv: list, add_help: bool) -> tuple:
+    """(verb, namespace) of argv.  A verb-first command goes to that verb's
+    parser alone: under the full tree the verb's subparser reads every word
+    after the verb, so both routes give the same namespace, help and errors.
+    Anything else (-h, no verb, an unknown one, an option before the verb)
+    goes to the full tree."""
+    verb = argv[0] if argv and argv[0] in VERBS else None
+    parser = _PARSERS.get((verb, add_help))
+    if parser is None:
+        parser = _PARSERS[verb, add_help] = \
+            build_parser(add_help) if verb is None else _verb_parser(verb, add_help)
+    if verb is None:
+        ns = parser.parse_args(argv)
+        return ns.verb, ns
+    return verb, parser.parse_args(argv[1:])
 
 
 def parse(argv, add_help: bool = True) -> Command:
@@ -216,12 +249,9 @@ def parse(argv, add_help: bool = True) -> Command:
     argv = list(argv)
     if argv[:1] == ["extpow"] and len(argv) > 1 and argv[1] in ("ses", "pushout"):
         argv = argv[1:]
-    parser = _PARSERS.get(add_help)
-    if parser is None:
-        parser = _PARSERS[add_help] = build_parser(add_help)
-    ns = parser.parse_args(argv)
+    verb, ns = _namespace(argv, add_help)
     params = {k: v for k, v in vars(ns).items() if k not in ("verb", "format", "out")}
-    for key, lo, hi in _BOUNDS[ns.verb]:
+    for key, lo, hi in _BOUNDS[verb]:
         value = params[key]
         if value is not None and not lo <= value <= hi:
             raise UsageError(f"--{key} {value} is outside the cap [{lo}, {hi}]")
@@ -230,8 +260,8 @@ def parse(argv, add_help: bool = True) -> Command:
         from . import core_algebra
         if not core_algebra.is_prime(prime):
             raise UsageError(f"--prime {prime} is not a prime")
-    _validate(ns.verb, params)
-    return Command(ns.verb, params, ns.format, ns.out)
+    _validate(verb, params)
+    return Command(verb, params, ns.format, ns.out)
 
 
 def _validate(verb: str, params: dict):

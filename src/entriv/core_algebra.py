@@ -103,14 +103,6 @@ class IntMatrix:
         ncols = len(rows[0]) if rows else 0
         return IntMatrix(len(rows), ncols, rows)
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
@@ -121,9 +113,6 @@ class IntMatrix:
                 sum(row[k] * other.entries[k][j] for k in range(self.cols))
                 for j in range(other.cols)))
         return IntMatrix(self.rows, other.cols, tuple(out))
-
-    def is_zero(self) -> bool:
-        return not any(map(any, self.entries))
 
     def det(self) -> int:
         """Fraction-free (Bareiss) determinant; square matrices only."""

@@ -98,6 +98,10 @@ def action_digest(modules, max_rank: int = 5) -> str:
     return h.hexdigest()
 
 
+def is_zero_matrix(m: IntMatrix) -> bool:
+    return not any(map(any, m.entries))
+
+
 def random_unimodular(n: int, rng, ops: int = 6, bound: int = 2) -> tuple:
     """(u, u^-1) for u a product of elementary shears and swaps.
 

@@ -8,12 +8,14 @@ import os
 import pathlib
 import re
 import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import is_zero_matrix
 from entriv import cli
 from entriv.cli import (MAX_CELL_RANGE, MAX_COMPLEX_CELLS, MAX_COMPOSE_BASIS, MAX_ENTRY_BITS,
                         MAX_EULER_WORK, MAX_K, MAX_M, MAX_N, MAX_PRIME, MAX_SAMPLES, MAX_SEED,
@@ -218,6 +220,79 @@ class TestVerbTable:
             assert f"{flag} {flag[2:].upper()} in [{spec[0]}, {spec[1]}]" in text
 
 
+# Commands that reach argparse's other paths, beside the acceptance manifest:
+# help, abbreviations, '--', the --flag=value form and each kind of error.
+_ROUTE_CASES = [
+    [], ["bogus"], ["-h"], ["--he"], ["--x", "moore"], ["--", "moore", "--prime", "3"],
+    ["-h", "theta"], ["theta", "-h"], ["theta", "--help"], ["theta", "--he"],
+    ["batch", "-h"], ["theta", "--n", "2"],  # a missing required option
+    ["ses", "--prime", "3", "--n", "2", "--which", "third"],  # a bad choice
+    ["theta", "--n", "two", "--prime", "3"],  # a bad int
+    ["moore", "--pri", "3"], ["moore", "--prime=3"],
+    ["ses", "--prime", "3", "--n", "2", "--w", "first"],  # an ambiguous abbreviation
+    ["moore", "--prime", "3", "--prime", "5"],  # a repeated option: the last wins
+    ["moore", "--prime", "3", "extra"],  # an extra positional
+    ["theta", "--n", "4", "--prime", "3", "--", "extra"],
+    ["stunted", "--range=-1:4", "homology"], ["stunted", "homology", "--range", "-1:4"],
+    ["theta", "--format", "md", "--out=report.md", "--n", "4", "--prime", "3"],
+    ["extpow", "ses", "--prime", "3", "--n", "2", "--which", "first"],
+    ["extpow", "pushout", "--prime", "3"], ["extpow", "--prime", "3"],
+]
+
+_FULL_TREES = {}  # add_help -> cli.build_parser(add_help)
+
+
+def _full_tree_namespace(argv, add_help):
+    if add_help not in _FULL_TREES:
+        _FULL_TREES[add_help] = cli.build_parser(add_help)
+    ns = _FULL_TREES[add_help].parse_args(argv)
+    return ns.verb, ns
+
+
+def _parse_outcome(argv, add_help):
+    """What parse makes of argv: the Command, the UsageError text or the
+    SystemExit code, with everything printed on the way."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv, add_help)
+        except UsageError as exc:
+            result = ("UsageError", str(exc))
+        except SystemExit as exc:
+            result = ("SystemExit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestParserRoutes:
+    @pytest.mark.parametrize("add_help", [True, False])
+    def test_verb_parsers_match_the_full_tree(self, monkeypatch, add_help):
+        manifest = json.loads((ROOT / "manifests/acceptance.json").read_text())
+        argvs = [entry["argv"] for entry in manifest] + _ROUTE_CASES
+        routed = [_parse_outcome(argv, add_help) for argv in argvs]
+        assert sum(type(result) is Command for result, _, _ in routed) >= len(manifest)
+        monkeypatch.setattr(cli, "_namespace", _full_tree_namespace)
+        for argv, outcome in zip(argvs, routed):
+            assert _parse_outcome(argv, add_help) == outcome, argv
+
+    def test_a_verb_first_command_builds_only_its_parser(self):
+        probe = ("import argparse\n"
+                 "built = []\n"
+                 "init = argparse.ArgumentParser.__init__\n"
+                 "def counted(self, *args, **kwargs):\n"
+                 "    init(self, *args, **kwargs)\n"
+                 "    built.append(self.prog)\n"
+                 "argparse.ArgumentParser.__init__ = counted\n"
+                 "from entriv import cli\n"
+                 "cli.parse(['theta', '--n', '4', '--prime', '3'])\n"
+                 "print(*built, sep='\\n')\n")
+        outer = [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src")] + outer))
+        run = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == ["entriv theta"]
+
+
 class TestRun:
     def test_ses_report(self):
         report = run(parse(["ses", "--prime", "3", "--n", "2", "--which", "first"]))
@@ -297,7 +372,7 @@ class TestRun:
                     min_size=4, max_size=4))
     def test_sparse_square_check_matches_the_dense_product(self, rows):
         mat = IntMatrix.from_rows(rows)
-        assert product_is_zero(mat, mat) == mat.mul(mat).is_zero()
+        assert product_is_zero(mat, mat) == is_zero_matrix(mat.mul(mat))
 
     def test_euler_config_names_the_coincident_pair(self, tmp_path):
         config = tmp_path / "c.json"
