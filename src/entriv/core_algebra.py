@@ -571,10 +571,6 @@ class GradedAbelianGroup:
                 comps.append((int(deg), int(free), chain))
         return GradedAbelianGroup(tuple(sorted(comps)))
 
-    @staticmethod
-    def zero() -> "GradedAbelianGroup":
-        return GradedAbelianGroup(())
-
     def component(self, degree: int):
         for deg, free, torsion in self.components:
             if deg == degree:

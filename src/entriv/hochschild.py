@@ -25,12 +25,13 @@ element and checks w(s+1) w(s) = 0 once per distinct consecutive pair.
 
 An algebra builds one product table, products[i][j] = e_i * e_j normalized
 (mod p over F_p), and every product reads it: the unit, associativity and
-commutativity checks, multiply, mult_entry, the tensor square, the bar
-differential and the resolution's action matrices.  The bar route's memory
-guard bounds, from dim, the reduced dimension r and smax alone, the words
-W_s = dim * r^s plus W_s * W_(s-1), which bounds the fill that eliminating
-one block of the differential C_s -> C_(s-1) can reach, for s <= smax + 1,
-and refuses before building anything when that exceeds BAR_BASIS_CAP.
+commutativity checks, mult_entry, the bar differential, and the resolution's
+Koszul-signed products of its elements and its action matrices.  The bar
+route's memory guard bounds, from dim, the reduced dimension r and smax
+alone, the words W_s = dim * r^s plus W_s * W_(s-1), which bounds the fill
+that eliminating one block of the differential C_s -> C_(s-1) can reach, for
+s <= smax + 1, and refuses before building anything when that exceeds
+BAR_BASIS_CAP.
 """
 
 from __future__ import annotations
@@ -114,15 +115,6 @@ class GradedUnitalAlgebra:
         """Product of basis elements i, j as (index, coeff) terms, normalized."""
         return tuple(sorted(self.products[i][j].items()))
 
-    def multiply(self, vec_a: dict, vec_b: dict) -> dict:
-        out: dict[int, object] = {}
-        for i, c in vec_a.items():
-            row = self.products[i]
-            for j, d in vec_b.items():
-                for k, e in row[j].items():
-                    out[k] = out.get(k, 0) + c * d * e
-        return self._normalize(out)
-
     @staticmethod
     def square_zero(ring: str, n: int) -> "GradedUnitalAlgebra":
         """R[x]/x^2 with |x| = -n."""
@@ -131,30 +123,6 @@ class GradedUnitalAlgebra:
         return GradedUnitalAlgebra(
             ring, ("1", "x"), (0, -n), 0,
             ((((0, 1),), ((1, 1),)), (((1, 1),), ())))
-
-    def tensor_square(self) -> "GradedUnitalAlgebra":
-        """A (x) A with the Koszul multiplication (a(x)b)(c(x)d) =
-        (-1)^(|b||c|) ac (x) bd."""
-        dim = self.dim
-        names = tuple(f"{self.basis[i]}(x){self.basis[j]}"
-                      for i in range(dim) for j in range(dim))
-        degrees = tuple(self.degrees[i] + self.degrees[j]
-                        for i in range(dim) for j in range(dim))
-        unit = self.unit * dim + self.unit
-        table = []
-        for i in range(dim):
-            for j in range(dim):
-                row = []
-                for k in range(dim):
-                    for l in range(dim):
-                        sign = -1 if (self.degrees[j] * self.degrees[k]) % 2 else 1
-                        # the pairs (u, v) are distinct, so no index repeats
-                        row.append(tuple(sorted(
-                            (u * dim + v, sign * c * d)
-                            for u, c in self.products[i][k].items()
-                            for v, d in self.products[j][l].items())))
-                table.append(tuple(row))
-        return GradedUnitalAlgebra(self.ring, names, degrees, unit, tuple(table))
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +140,6 @@ class BigradedGroup:
             if free or torsion:
                 out.append(((s, t), (free, tuple(torsion))))
         return BigradedGroup(tuple(sorted(out)))
-
-    def group_at(self, s: int, t: int):
-        for (ss, tt), val in self.entries:
-            if (ss, tt) == (s, t):
-                return val
-        return (0, ())
 
     def to_json(self):
         return {f"{s},{t}": {"free": free, "torsion": list(torsion)}
@@ -324,6 +286,22 @@ def bar_hochschild(algebra: GradedUnitalAlgebra, smax: int) -> BigradedGroup:
 # path two: the small periodic resolution
 
 
+def _tensor_product(algebra: GradedUnitalAlgebra, w: dict, w2: dict) -> dict:
+    """w * w2 in A (x) A, each keyed by i * dim + j for e_i (x) e_j, with the
+    Koszul multiplication (a(x)b)(c(x)d) = (-1)^(|b||c|) ac (x) bd."""
+    dim, deg, products = algebra.dim, algebra.degrees, algebra.products
+    out: dict[int, object] = {}
+    for ij, c in w.items():
+        i, j = divmod(ij, dim)
+        for kl, d in w2.items():
+            k, l = divmod(kl, dim)
+            sign = -1 if (deg[j] * deg[k]) % 2 else 1
+            for u, e in products[i][k].items():
+                for v, f in products[j][l].items():
+                    out[u * dim + v] = out.get(u * dim + v, 0) + sign * c * d * e * f
+    return algebra._normalize(out)
+
+
 def small_resolution_hh(ring: str, n: int, smax: int) -> BigradedGroup:
     """Hochschild homology of R[x]/x^2 from the 2-periodic resolution."""
     if n < 1:
@@ -331,7 +309,6 @@ def small_resolution_hh(ring: str, n: int, smax: int) -> BigradedGroup:
     if smax < 0:
         raise ValueError("smax must be >= 0")
     algebra = GradedUnitalAlgebra.square_zero(ring, n)
-    env = algebra.tensor_square()
     dim = algebra.dim
     y = {1 * dim + 0: 1}  # x (x) 1
     z = {0 * dim + 1: 1}  # 1 (x) x
@@ -346,12 +323,12 @@ def small_resolution_hh(ring: str, n: int, smax: int) -> BigradedGroup:
         out = dict(y)
         for k, c in z.items():
             out[k] = out.get(k, 0) + (-1 if key else 1) * c
-        elements[key] = env._normalize(out)
+        elements[key] = algebra._normalize(out)
 
     # consecutive differentials must compose to zero in the tensor square;
     # the steps are 2-periodic, so s = 1, 2 give every consecutive pair
     for later, earlier in {(phase(s + 1), phase(s)) for s in (1, 2)}:
-        if env.multiply(elements[later], elements[earlier]):
+        if _tensor_product(algebra, elements[later], elements[earlier]):
             raise AssertionError("periodic resolution elements do not compose to zero")
 
     def action_matrix(w: dict):

@@ -8,10 +8,6 @@ from math import factorial
 from operator import itemgetter
 
 
-def identity(n: int) -> tuple:
-    return tuple(range(n))
-
-
 def compose(p: tuple, q: tuple) -> tuple:
     """(p o q)(i) = p[q[i]]."""
     return tuple(p[q[i]] for i in range(len(p)))
@@ -39,22 +35,6 @@ def adjacent(n: int, i: int) -> tuple:
     p = list(range(n))
     p[i], p[i + 1] = p[i + 1], p[i]
     return tuple(p)
-
-
-def cycle_type(p: tuple) -> tuple:
-    seen = [False] * len(p)
-    lengths = []
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
 
 
 def fixed_points(p: tuple) -> int:

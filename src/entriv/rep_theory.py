@@ -1,9 +1,9 @@
 """Finite-dimensional representations of symmetric groups on labelled bases.
 
-Signed-permutation actions, characters, restriction to wreath subgroups, and
-freeness of the underlying basis action.  Representations over Q are
-compared through characters: Q[Sigma_n] is semisimple, so character
-equality is isomorphism and no intertwiner search is needed.
+Signed-permutation actions, characters and restriction to wreath subgroups.
+Representations over Q are compared through characters: Q[Sigma_n] is
+semisimple, so character equality is isomorphism and no intertwiner search
+is needed.
 
 A signed permutation of the basis e_0, ..., e_{dim-1} is read as a
 permutation of 2*dim points: +e_j is point 2j and -e_j is point 2j+1, so
@@ -235,32 +235,6 @@ def trivial_multiplicity(m: SignedPermModule):
     return mult
 
 
-def is_sigma_free(m: SignedPermModule) -> bool:
-    """True iff the Sigma_n-set of basis lines has trivial stabilizers."""
-    if m.dim == 0:
-        return True
-    gens = [[x >> 1 for x in p] for p in m.plus]
-    order = factorial(m.n)
-    seen = [False] * m.dim
-    for start in range(m.dim):
-        if seen[start]:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = g[x]
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        if len(orbit) != order:
-            return False
-        for x in orbit:
-            seen[x] = True
-    return True
-
-
 # ---------------------------------------------------------------------------
 # wreath subgroups
 
@@ -308,7 +282,7 @@ class WreathReport:
     passed: bool
 
 
-def wreath_decomposition_check(a: int, b: int, t_size: int | None = None) -> WreathReport:
+def wreath_decomposition_check(a: int, b: int) -> WreathReport:
     """Character identity rho_{ab}|_{Sigma_b wr Sigma_a} = rho_a o q + R^a (x) rho_b.
 
     Verified pointwise on every element of the block-preserving subgroup of
@@ -318,8 +292,6 @@ def wreath_decomposition_check(a: int, b: int, t_size: int | None = None) -> Wre
     """
     if a < 1 or b < 1:
         raise ValueError("a, b must be >= 1")
-    if t_size is not None and t_size != a * b:
-        raise ValueError(f"a*b = {a * b} does not match declared t_size {t_size}")
     n = a * b
 
     def chars(g):

@@ -227,10 +227,6 @@ class Cochain:
         return not self.support
 
 
-def zero_cochain(degree: int) -> Cochain:
-    return Cochain(degree, frozenset())
-
-
 def _check_support(sset: SimplicialSet, x: Cochain) -> None:
     """Raise ValueError unless every name in x's support is a simplex of x's
     degree: one subset test against the degree's names, kept by the model."""
@@ -364,20 +360,6 @@ def h_dim(sset: SimplicialSet, degree: int) -> int:
     """dim H_d(X; F_2) of the chain complex: a route apart from the cochain
     eliminations that cohomology_class reads, which triviality_witness crosses."""
     return sset.homology("F2").component(degree)[0]
-
-
-def cocycle_basis(sset: SimplicialSet, degree: int) -> list:
-    """A basis of ker(delta) in degree d, as Cochains (kernel of the
-    coboundary matrix over F_2)."""
-    return [Cochain.create(degree, tag) for tag in _echelon(sset, degree)[1]]
-
-
-def nontrivial_class_representative(sset: SimplicialSet, degree: int) -> Cochain | None:
-    """Some cocycle with nonzero class, if the group is nonzero."""
-    for x in cocycle_basis(sset, degree):
-        if not cohomology_class(sset, x).is_zero():
-            return x
-    return None
 
 
 def sq(sset: SimplicialSet, k: int, x: Cochain) -> CohomologyClass:

@@ -198,11 +198,6 @@ class SymSeq:
         return SymSeq.create(truncation, comps)
 
 
-def unit_seq(truncation: int = 1) -> SymSeq:
-    """The monoidal unit: a one-dimensional piece in arity 1, degree 0."""
-    return SymSeq.create(truncation, {1: {0: SignedPermModule.trivial(1)}})
-
-
 # ---------------------------------------------------------------------------
 # composition product
 

@@ -5,6 +5,9 @@ natural permutation action, regular) and direct sums, so every generated
 action satisfies the symmetric-group relations by construction.  Random
 chain complexes are elementary complexes of random graded groups, sheared
 by unimodular basis changes, so d o d = 0 and the homology stays known.
+The last helpers read what only tests ask for: the monoidal unit sequence,
+one entry of a bigraded table, and F_2 cocycle bases and a cocycle with a
+nonzero class.
 """
 
 import hashlib
@@ -12,8 +15,10 @@ from itertools import permutations
 
 from entriv import perms
 from entriv.core_algebra import ChainComplex, IntMatrix, elementary_complex
+from entriv.hochschild import BigradedGroup
 from entriv.rep_theory import SignedPermModule, character
 from entriv.rng import CounterRng
+from entriv.steenrod_cochains import Cochain, SimplicialSet, _echelon, cohomology_class
 from entriv.sym_seq import SymSeq
 
 
@@ -158,3 +163,27 @@ def random_chain_complex(rng, max_degree: int = 3, max_rank: int = 6,
                          entry_bound: int = 9) -> ChainComplex:
     """The ChainComplex of random_differentials."""
     return ChainComplex.create(*random_differentials(rng, max_degree, max_rank, entry_bound))
+
+
+def unit_seq(truncation: int = 1) -> SymSeq:
+    """The monoidal unit: a one-dimensional piece in arity 1, degree 0."""
+    return SymSeq.create(truncation, {1: {0: SignedPermModule.trivial(1)}})
+
+
+def group_at(table: BigradedGroup, s: int, t: int) -> tuple:
+    """(free, torsion) of a bigraded table at (s, t); (0, ()) where it is empty."""
+    return dict(table.entries).get((s, t), (0, ()))
+
+
+def cocycle_basis(sset: SimplicialSet, degree: int) -> list:
+    """A basis of ker(delta) in degree d, as Cochains: the kernel rows of the
+    model's F_2 elimination of the coboundary."""
+    return [Cochain.create(degree, tag) for tag in _echelon(sset, degree)[1]]
+
+
+def nontrivial_class_representative(sset: SimplicialSet, degree: int) -> Cochain | None:
+    """Some cocycle with nonzero class, if the group is nonzero."""
+    for x in cocycle_basis(sset, degree):
+        if not cohomology_class(sset, x).is_zero():
+            return x
+    return None

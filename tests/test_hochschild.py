@@ -4,9 +4,10 @@ import pathlib
 
 import pytest
 
+from conftest import group_at
 from entriv.cli import MAX_SMAX
-from entriv.hochschild import (BigradedGroup, GradedUnitalAlgebra, bar_hochschild,
-                               loop_space_table, small_resolution_hh)
+from entriv.hochschild import (BigradedGroup, GradedUnitalAlgebra, _tensor_product,
+                               bar_hochschild, loop_space_table, small_resolution_hh)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "hochschild_s6.json"
 
@@ -68,13 +69,12 @@ class TestAlgebra:
     @pytest.mark.parametrize("ring", ("Z", "Q", "F2", "F3"))
     @pytest.mark.parametrize("n", (1, 2, 3, 4))
     def test_tensor_square_entries(self, ring, n):
+        # every basis product (i(x)j)(k(x)l) in A (x) A against the Koszul formula
         a = GradedUnitalAlgebra.square_zero(ring, n)
-        env = a.tensor_square()
         p = int(ring[1:]) if ring.startswith("F") else None
 
         def normalized(vec):
-            return tuple(sorted((k, c % p if p else c) for k, c in vec.items()
-                                if (c % p if p else c)))
+            return {k: c % p if p else c for k, c in vec.items() if (c % p if p else c)}
 
         dim = a.dim
         for i in range(dim):
@@ -86,24 +86,40 @@ class TestAlgebra:
                         for u, c in a.mult_entry(i, k):
                             for v, d in a.mult_entry(j, l):
                                 want[u * dim + v] = want.get(u * dim + v, 0) + sign * c * d
-                        assert env.mult_entry(i * dim + j, k * dim + l) == normalized(want)
-        for alg in (a, env):
-            for i in range(alg.dim):
-                for j in range(alg.dim):
-                    raw = {}
-                    for k, c in alg.mult[i][j]:
-                        raw[k] = raw.get(k, 0) + c
-                    assert alg.mult_entry(i, j) == normalized(raw)
+                        got = _tensor_product(a, {i * dim + j: 1}, {k * dim + l: 1})
+                        assert got == normalized(want)
+        for i in range(dim):
+            for j in range(dim):
+                raw = {}
+                for k, c in a.mult[i][j]:
+                    raw[k] = raw.get(k, 0) + c
+                assert a.mult_entry(i, j) == tuple(sorted(normalized(raw).items()))
 
     def test_tensor_square_is_valid_and_koszul(self):
-        for n in (1, 2):
-            env = GradedUnitalAlgebra.square_zero("Z", n).tensor_square()
-            assert env.dim == 4
-            y, z = 2, 1  # x(x)1 and 1(x)x
-            yz = dict(env.mult[y][z])
-            zy = dict(env.mult[z][y])
-            sign = -1 if n % 2 else 1
-            assert zy == {k: sign * v for k, v in yz.items()}
+        for ring in ("Z", "Q", "F2", "F3"):
+            for n in (1, 2, 3, 4):
+                a = GradedUnitalAlgebra.square_zero(ring, n)
+                dim = a.dim
+                basis = [{w: 1} for w in range(dim * dim)]
+                degree = [a.degrees[i] + a.degrees[j] for i in range(dim) for j in range(dim)]
+
+                def mul(u, v):
+                    return _tensor_product(a, u, v)
+
+                def scaled(sign, vec):
+                    return a._normalize({k: sign * c for k, c in vec.items()})
+
+                for u in basis:
+                    for v in basis:
+                        for w in basis:
+                            assert mul(mul(u, v), w) == mul(u, mul(v, w))
+                for wu, u in enumerate(basis):
+                    for wv, v in enumerate(basis):
+                        sign = -1 if (degree[wu] * degree[wv]) % 2 else 1
+                        assert mul(v, u) == scaled(sign, mul(u, v))
+                y, z = basis[1 * dim + 0], basis[0 * dim + 1]  # x(x)1 and 1(x)x
+                assert mul(y, z) == {dim + 1: 1}  # x(x)x
+                assert mul(z, y) == scaled(-1 if n % 2 else 1, mul(y, z))
 
 
 class TestBarComplex:
@@ -116,8 +132,8 @@ class TestBarComplex:
         for ring in ("Z", "Q", "F3"):
             for n in (1, 2, 3):
                 table = bar_hochschild(GradedUnitalAlgebra.square_zero(ring, n), 3)
-                assert table.group_at(0, 0) == (1, ())
-                assert table.group_at(0, -n) == (1, ())
+                assert group_at(table, 0, 0) == (1, ())
+                assert group_at(table, 0, -n) == (1, ())
 
     def test_memory_guard(self):
         big = GradedUnitalAlgebra(
@@ -140,29 +156,29 @@ class TestBarComplex:
         for smax in (7, 14, 16):
             with pytest.raises(ValueError, match="exceed the configured cap"):
                 bar_hochschild(big, smax)
-        assert bar_hochschild(big, 6).group_at(0, 0) == (1, ())
+        assert group_at(bar_hochschild(big, 6), 0, 0) == (1, ())
 
     @pytest.mark.parametrize("ring", ("Z", "Q", "F2", "F3"))
     def test_memory_guard_admits_every_cli_hh(self, ring):
         # the CLI reaches only square_zero, whose bound is 2 + 6 (smax + 1)
         for n in (1, 2):
             table = bar_hochschild(GradedUnitalAlgebra.square_zero(ring, n), MAX_SMAX)
-            assert table.group_at(MAX_SMAX, -n * (MAX_SMAX + 1)) == (1, ())
+            assert group_at(table, MAX_SMAX, -n * (MAX_SMAX + 1)) == (1, ())
 
     def test_odd_n_has_no_differential(self):
         table = bar_hochschild(GradedUnitalAlgebra.square_zero("Z", 3), 5)
         for s in range(6):
-            assert table.group_at(s, -3 * s) == (1, ())
-            assert table.group_at(s, -3 * (s + 1)) == (1, ())
+            assert group_at(table, s, -3 * s) == (1, ())
+            assert group_at(table, s, -3 * (s + 1)) == (1, ())
 
     def test_even_n_torsion_pattern(self):
         table = bar_hochschild(GradedUnitalAlgebra.square_zero("Z", 2), 6)
         for s in (1, 3, 5):
-            assert table.group_at(s, -2 * s) == (1, ())
-            assert table.group_at(s, -2 * (s + 1)) == (0, (2,))
+            assert group_at(table, s, -2 * s) == (1, ())
+            assert group_at(table, s, -2 * (s + 1)) == (0, (2,))
         for s in (2, 4, 6):
-            assert table.group_at(s, -2 * (s + 1)) == (1, ())
-            assert table.group_at(s, -2 * s) == (0, ())
+            assert group_at(table, s, -2 * (s + 1)) == (1, ())
+            assert group_at(table, s, -2 * s) == (0, ())
 
     @pytest.mark.parametrize("ring", ("Z", "F2", "F3", "Q"))
     def test_group_ring_of_z2(self, ring):
@@ -179,7 +195,7 @@ class TestBarComplex:
                 want = (0, (2, 2))
             else:
                 want = (0, ())
-            assert table.group_at(s, 0) == want
+            assert group_at(table, s, 0) == want
         assert all(t == 0 for (_, t), _ in table.entries)
 
 
@@ -205,16 +221,16 @@ class TestCrossOracle:
             hz = small_resolution_hh("Z", n, 5)
             hq = small_resolution_hh("Q", n, 5)
             for (s, t), (free, _) in hz.entries:
-                assert hq.group_at(s, t)[0] == free
+                assert group_at(hq, s, t)[0] == free
             for (s, t), (free, _) in hq.entries:
-                assert hz.group_at(s, t)[0] == free
+                assert group_at(hz, s, t)[0] == free
 
     def test_universal_coefficients_to_f2(self):
         hz = small_resolution_hh("Z", 2, 5)
         h2 = small_resolution_hh("F2", 2, 5)
         for (s, t), (free, _) in h2.entries:
-            z_free, z_tor = hz.group_at(s, t)
-            _, below_tor = hz.group_at(s - 1, t)
+            z_free, z_tor = group_at(hz, s, t)
+            _, below_tor = group_at(hz, s - 1, t)
             two_tor = sum(1 for q in z_tor if q % 2 == 0)
             two_below = sum(1 for q in below_tor if q % 2 == 0)
             assert free == z_free + two_tor + two_below

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import (action_digest, direct_sum_modules, perm_module, random_monomial_module,
                       regular, sign_rep)
 from entriv import perms
-from entriv.rep_theory import (SignedPermModule, character, is_sigma_free, trivial_multiplicity,
+from entriv.rep_theory import (SignedPermModule, character, trivial_multiplicity,
                                wreath_decomposition_check)
 from entriv.rng import CounterRng
 
@@ -22,7 +22,7 @@ class TestPermWords:
         p = tuple(p)
         word = perms.adjacent_word(p)
         # the word lists leftmost factor first: fold as p = s_{w0} o ... o s_{wk}
-        acc = perms.identity(5)
+        acc = tuple(range(5))
         for i in word:
             acc = perms.compose(acc, perms.adjacent(5, i))
         assert acc == p
@@ -31,7 +31,7 @@ class TestPermWords:
         assert perms.partitions(4) == ((1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,))
         assert sum(perms.class_size(part) for part in perms.partitions(5)) == factorial(5)
         rep = perms.class_representative((3, 1))
-        assert perms.cycle_type(rep) == (3, 1)
+        assert rep == (1, 2, 0, 3)
 
 
 class TestCharacter:
@@ -121,34 +121,18 @@ class TestWreath:
         assert (report.dim_total, report.dim_pullback, report.dim_tensor) == (3, 1, 2)
         assert sum(size for _, size, *_ in report.classes) == 8
 
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            wreath_decomposition_check(2, 3, t_size=5)
-
-
-class TestFreeness:
-    def test_regular_is_free(self):
-        assert is_sigma_free(regular(3))
-
-    def test_trivial_is_not(self):
-        assert not is_sigma_free(SignedPermModule.trivial(2))
-
-    def test_associative_arity_component(self):
-        # the orderings of three letters with the place-permutation action
-        assert is_sigma_free(regular(3))
-        assert regular(3).dim == 6
-
-    def test_free_multiplicity(self):
-        for n in (2, 3):
-            m = regular(n)
-            assert trivial_multiplicity(m) == m.dim // factorial(n)
-
 
 class TestTrivialMultiplicity:
     def test_values(self):
         assert trivial_multiplicity(SignedPermModule.trivial(3)) == 1
         assert trivial_multiplicity(sign_rep(2)) == 0
         assert trivial_multiplicity(regular(3)) == 1
+
+    def test_free_multiplicity(self):
+        for n in (2, 3):
+            m = regular(n)
+            assert m.dim == factorial(n)
+            assert trivial_multiplicity(m) == m.dim // factorial(n)
 
     def test_direct_sum_additive(self):
         rng = CounterRng(31)

@@ -7,15 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cocycle_basis, nontrivial_class_representative
 from entriv import steenrod_cochains
 from entriv.core_algebra import GradedAbelianGroup, rank_mod_p
 from entriv.rng import CounterRng
 from entriv.steenrod_cochains import (Cochain, SimplicialSet, _cut_blocks, _cut_faces,
-                                      coboundary, cocycle_basis,
-                                      cohomology_class, cup_i, h_dim,
-                                      nontrivial_class_representative, rp2_model,
-                                      sphere_model, sq, triviality_witness,
-                                      zero_cochain)
+                                      coboundary, cohomology_class, cup_i, h_dim,
+                                      rp2_model, sphere_model, sq, triviality_witness)
 
 
 def random_cochain(sset, degree, rng):
@@ -116,7 +114,7 @@ class TestCupI:
     def test_zero_cochain_absorbs(self):
         m = rp2_model()
         x = random_cochain(m, 1, CounterRng(1))
-        assert cup_i(m, x, zero_cochain(1), 1).is_zero()
+        assert cup_i(m, x, Cochain.create(1, ()), 1).is_zero()
 
     def test_rejects_excess_i(self):
         m = rp2_model()
@@ -315,7 +313,7 @@ def _f2_digest(model, seed):
             for k in range(d + 1):
                 rows.append(["sq", d, k, list(sq(model, k, x).representative)])
         for _ in range(4):
-            z = zero_cochain(d)
+            z = Cochain.create(d, ())
             for x in basis:
                 if rng.below(2):
                     z = z + x
@@ -364,7 +362,7 @@ class TestF2Golden:
     @given(st.sampled_from(sorted(_F2_MODELS)), st.integers(1, 4), st.data())
     def test_class_ignores_coboundaries(self, model_name, degree, data):
         model = _F2_MODELS[model_name]()
-        x = zero_cochain(degree)
+        x = Cochain.create(degree, ())
         for z in cocycle_basis(model, degree):
             if data.draw(st.booleans()):
                 x = x + z

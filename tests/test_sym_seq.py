@@ -3,14 +3,14 @@ import json
 
 import pytest
 
-from conftest import action_digest, random_symseq, sign_rep
+from conftest import action_digest, random_symseq, sign_rep, unit_seq
 from entriv import RepeatedKeyError
 from entriv.rep_theory import SignedPermModule, character
 from entriv.rng import CounterRng
 from entriv.sym_seq import (MAX_MATERIALIZED_ARITY, SymSeq, _coset_moves, compose,
                             compose_dimensions_raw, free_piece_rational,
                             graded_characters, koszul_sign, monoidality_report,
-                            partition_orbits, set_partitions, suspend, unit_seq)
+                            partition_orbits, set_partitions, suspend)
 
 
 def trivial_seq(arity, degree=0, truncation=4):
