@@ -31,7 +31,7 @@ bijection, so the bijection and sign checks could add nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
 from math import factorial
@@ -71,17 +71,16 @@ class SignedPermModule:
         self.__post_init__(gens_perm=gens_perm)
 
     @classmethod
-    def _from_plus(cls, n: int, dim: int, plus: tuple, check: bool = True):
+    def _from_plus(cls, n: int, dim: int, plus: tuple):
         """A module from plus tables built by this package (a tuple of tuples
-        of points); `check=False` is for tables whose relations are already
-        proven, as in `twist_by_sign`."""
+        of points)."""
         m = cls.__new__(cls)
         object.__setattr__(m, "n", n)
         object.__setattr__(m, "dim", dim)
-        m.__post_init__(plus=plus, check=check)
+        m.__post_init__(plus=plus)
         return m
 
-    def __post_init__(self, gens_perm=None, plus=None, check=True):
+    def __post_init__(self, gens_perm=None, plus=None):
         if self.n < 1:
             raise ValueError("symmetric group rank must be >= 1")
         if self.n > MAX_RANK:
@@ -105,7 +104,7 @@ class SignedPermModule:
             doubled = [_doubled(p) for p in plus]
         object.__setattr__(self, "plus", plus)
         object.__setattr__(self, "_doubled", tuple(doubled))
-        if plus and check:  # at n = 1 there is no relation, and dim may be huge
+        if plus:  # at n = 1 there is no relation, and dim may be huge
             self._check_relations()
 
     def _check_relations(self):
@@ -163,28 +162,31 @@ class SignedPermModule:
         """
         return tuple([(x >> 1, -1 if x & 1 else 1) for x in self.act_plus(perm)])
 
-    def trace(self, perm: tuple):
-        """Fixed basis vectors of perm count +1, negated ones -1."""
-        plus = self.act_plus(perm)
-        return (sum(map(eq, plus, range(0, 2 * self.dim, 2)))
-                - sum(map(eq, plus, range(1, 2 * self.dim, 2))))
-
     def twist_by_sign(self, power: int = 1):
         """Tensor with the sign representation to the given power.
 
         Each doubled generator g becomes N g, where N is the negation
-        x -> x ^ 1 of the 2*dim points, so the plus tables are XORed with 1.
-        N is an involution commuting with every doubled generator, so
-        (N g)^2 = g^2, (N g)(N h) = g h and (N g)(N h)(N g) = N g h g: each
-        relation holds for the twisted generators exactly when it holds for
-        these, which were checked when this module was built, and the
-        relations are not checked again.
+        x -> x ^ 1 of the 2*dim points: N g sends 2j to g(2j + 1) and 2j + 1
+        to g(2j), so its table is g's with the even and odd slices swapped,
+        and its plus table is g's odd slice.  N is an involution commuting
+        with every doubled generator, so (N g)^2 = g^2, (N g)(N h) = g h and
+        (N g)(N h)(N g) = N g h g: each relation holds for the twisted
+        generators exactly when it holds for these, which were checked when
+        this module was built, and the relations are not checked again.
         """
         if power % 2 == 0:
             return self
-        return SignedPermModule._from_plus(
-            self.n, self.dim, tuple(tuple([x ^ 1 for x in p]) for p in self.plus),
-            check=False)
+        doubled = []
+        for g in self._doubled:
+            twisted = g[:]
+            twisted[0::2], twisted[1::2] = g[1::2], g[0::2]
+            doubled.append(twisted)
+        m = SignedPermModule.__new__(SignedPermModule)
+        for name, value in (("n", self.n), ("dim", self.dim),
+                            ("plus", tuple(tuple(g[1::2]) for g in self._doubled)),
+                            ("_doubled", tuple(doubled))):
+            object.__setattr__(m, name, value)
+        return m
 
     def to_json(self):
         return {"n": self.n, "dim": self.dim,
@@ -217,13 +219,38 @@ class CharacterVector:
         return self.value((1,) * self.n)
 
 
+@lru_cache(maxsize=None)
+def _class_chain(n: int) -> tuple:
+    """The words `perms.adjacent_word(perms.class_representative(part))` of
+    the classes of Sigma_n and every prefix of them, sorted, as (word,
+    position of its parent, its class or None when it is no class's word).
+    A word's parent is the word without its last letter (the empty word is
+    its own), which sorts before it, so each word's element is its parent's
+    followed by one generator."""
+    classes = {perms.adjacent_word(perms.class_representative(part)): part
+               for part in perms.partitions(n)}
+    words = sorted({w[:i] for w in classes for i in range(len(w) + 1)})
+    position = {w: i for i, w in enumerate(words)}
+    return tuple((w, position[w[:-1]], classes.get(w)) for w in words)
+
+
 def character(m: SignedPermModule) -> CharacterVector:
-    """Trace of one representative per conjugacy class (classes = partitions)."""
-    values = []
-    for part in perms.partitions(m.n):
-        rep = perms.class_representative(part)
-        values.append((part, m.trace(rep)))
-    return CharacterVector(m.n, tuple(values))
+    """Trace of one representative per conjugacy class (classes = partitions):
+    fixed basis vectors count +1, negated ones -1.  The representatives'
+    plus points are built along `_class_chain`, one gather per word of two
+    or more letters; the identity's trace is the dimension."""
+    evens, odds = range(0, 2 * m.dim, 2), range(1, 2 * m.dim, 2)
+    elements, values = [], {}
+    for word, parent, part in _class_chain(m.n):
+        if len(word) > 1:
+            plus = perms.gather(elements[parent])(m._doubled[word[-1]])
+        else:
+            plus = m.plus[word[0]] if word else None
+        elements.append(plus)
+        if part is not None:
+            values[part] = (sum(map(eq, plus, evens)) - sum(map(eq, plus, odds))
+                            if word else m.dim)
+    return CharacterVector(m.n, tuple((part, values[part]) for part in perms.partitions(m.n)))
 
 
 def trivial_multiplicity(m: SignedPermModule):

@@ -21,8 +21,11 @@ F': where g(F_i[r]) sits in F' gives h's block permutation and within-block
 maps, and no permutation is composed or inverted.  A generator's image of a
 whole coset block is then one gather, by a table that depends on h alone,
 from the points of the target block.  Within one `compose` call the signed
-action of each permutation on A- and B-labels, each tensor-label action, each
-h's gather and each Koszul sign are computed once and reused.
+action of each permutation on A- and B-labels and each h's gather are
+computed once.  The tables that depend on no input are built once per
+process, on first use: `_coset_moves` and `_stabilizer_moves` (the moves
+with each distinct h numbered) per orbit representative, `_koszul_bit` per
+block permutation pi and parity pattern, and `_shape_counts` per n.
 
 Signed permutations are kept in the plus-point form of `rep_theory`: a
 basis vector's image is the point 2k (+e_k) or 2k+1 (-e_k).  The labels'
@@ -213,10 +216,9 @@ def compose(a_seq: SymSeq, b_seq: SymSeq, truncation: int) -> SymSeq:
                          f"{MAX_MATERIALIZED_ARITY}")
 
     a_labels, b_labels = _LabelActions(a_seq), _LabelActions(b_seq)
-    signs: dict[tuple, int] = {}
     out: dict[int, dict[int, SignedPermModule]] = {}
     for n in range(1, truncation + 1):
-        built = _compose_arity(a_labels, b_labels, signs, n)
+        built = _compose_arity(a_labels, b_labels, n)
         if built:
             out[n] = built
     return SymSeq.create(truncation, out)
@@ -255,8 +257,7 @@ class _LabelActions:
         return got
 
 
-def _compose_arity(a_labels: _LabelActions, b_labels: _LabelActions, signs: dict,
-                   n: int) -> dict:
+def _compose_arity(a_labels: _LabelActions, b_labels: _LabelActions, n: int) -> dict:
     """Arity-n piece of A o B.  Basis elements are ordered orbit by orbit,
     then coset, A-label and tensor label; a coset block is the n_a * n_t
     elements (A-label a, tensor x) of one coset c.  Within a total degree D
@@ -275,7 +276,6 @@ def _compose_arity(a_labels: _LabelActions, b_labels: _LabelActions, signs: dict
         block_deg = [b_labels.label_degrees(size) for size in orbit.block_sizes]
         if not a_deg or not all(block_deg):
             continue
-        moves = _coset_moves(orbit.representative)
 
         # tensor labels: one label per block, the first block most significant
         stride = [1] * k
@@ -311,43 +311,57 @@ def _compose_arity(a_labels: _LabelActions, b_labels: _LabelActions, signs: dict
         points = [list(chain.from_iterable(
             range(2 * (starts[d] + c * count), 2 * (starts[d] + (c + 1) * count))
             for d, count in counts.items())) for c in range(orbit.orbit_size)]
+        patterns: dict[tuple, int] = {}  # parity pattern -> its number
+        pattern_of = [patterns.setdefault(p, len(patterns)) for p in parities]
+        identity = tuple(range(k))
 
-        def tensor_action(pi, within):
-            """Per tensor label, the plus point of its image: the blockwise
-            B-sign bits and the Koszul sign bit of moving block i to slot
-            pi[i], XORed."""
-            out = [0]
+        def gather_of(pi, within):
+            """The gather of a block's image under h = (pi, within), read off
+            the target block's points.  Per tensor label, the plus point of
+            its image carries the blockwise B-sign bits and the Koszul sign
+            bit of moving block i to slot pi[i], XORed; the A-sign bit is
+            folded into each index."""
+            t = [0]
             for i, size in enumerate(orbit.block_sizes):
                 step = 2 * stride[pi[i]]
-                out = [(x ^ (y & 1)) + (y >> 1) * step
-                       for x in out for y in b_labels.action(size, within[i])]
-            kos = {}
-            for p in set(parities):
-                bit = signs.get((pi, p))
-                if bit is None:
-                    bit = signs[(pi, p)] = int(koszul_sign(pi, p) == -1)
-                kos[p] = bit
-            return list(map(xor, out, map(kos.__getitem__, parities)))
+                t = [(x ^ (y & 1)) + (y >> 1) * step
+                     for x in t for y in b_labels.action(size, within[i])]
+            if pi != identity:
+                kos = [_koszul_bit(pi, p) for p in patterns]
+                t = list(map(xor, t, map(kos.__getitem__, pattern_of)))
+            flat = [rank2[(ap >> 1) * n_t + (y >> 1)] + ((ap ^ y) & 1)
+                    for ap in a_labels.action(k, pi) for y in t]
+            return perms.gather(perms.gather(order)(flat))
 
-        # per distinct h in G_E: the gather of a block's image, read off the
-        # target block's points; the A-sign bit is folded into each index
-        gathers: dict[tuple, object] = {}
+        hs, moves = _stabilizer_moves(orbit.representative)
+        takes = [gather_of(pi, within) for pi, within in hs]
         for image, moves_t in zip(images, moves):
-            for d, _, _ in runs:
-                image.setdefault(d, [])
-            for c2, pi, within in moves_t:
-                take = gathers.get((pi, within))
-                if take is None:
-                    t = tensor_action(pi, within)
-                    flat = [rank2[(ap >> 1) * n_t + (y >> 1)] + ((ap ^ y) & 1)
-                            for ap in a_labels.action(k, pi) for y in t]
-                    take = gathers[(pi, within)] = perms.gather(perms.gather(order)(flat))
-                out = take(points[c2])
-                for d, lo, hi in runs:
-                    image[d] += out[lo:hi]
+            bound = [(image.setdefault(d, []), lo, hi) for d, lo, hi in runs]
+            for c2, h in moves_t:
+                out = takes[h](points[c2])
+                for run, lo, hi in bound:
+                    run += out[lo:hi]
 
     return {d: SignedPermModule._from_plus(n, size, tuple(tuple(image[d]) for image in images))
             for d, size in sizes.items()}
+
+
+@lru_cache(maxsize=None)
+def _stabilizer_moves(rep: tuple) -> tuple:
+    """`_coset_moves(rep)` indexed: (the distinct h = (pi, within) of its
+    moves, in order of first use; per generator and coset, (index of the
+    target coset, index of h))."""
+    hs: dict[tuple, int] = {}
+    moves = tuple(tuple((c2, hs.setdefault((pi, within), len(hs))) for c2, pi, within in row)
+                  for row in _coset_moves(rep))
+    return tuple(hs), moves
+
+
+@lru_cache(maxsize=None)
+def _koszul_bit(pi: tuple, parities: tuple) -> int:
+    """1 when `koszul_sign(pi, parities)` is -1, else 0; with k blocks
+    there are at most k! * 2^k keys."""
+    return int(koszul_sign(pi, parities) == -1)
 
 
 @lru_cache(maxsize=None)
@@ -378,16 +392,20 @@ def _coset_moves(rep: tuple) -> tuple:
 
 
 def compose_dimensions_raw(a_seq: SymSeq, b_seq: SymSeq, n: int) -> dict:
-    """Degreewise dimension of (A o B)(n) by brute summation over all set
-    partitions, with no orbit grouping; the independent bookkeeping oracle."""
+    """Degreewise dimension of (A o B)(n) by summation over set partitions,
+    the independent bookkeeping oracle.  It shares `set_partitions` with the
+    product route: the partitions of each block-size shape are counted over
+    that enumeration, once per n, and each shape costs one degree
+    convolution.  It reads no orbit representative, stabilizer order,
+    coset or label action."""
     a_dims, b_dims = ({m: {d: seq.dimension(m, d) for d in seq.degrees(m)}
                        for m in range(n + 1)} for seq in (a_seq, b_seq))
     dims: dict[int, int] = {}
-    for blocks in set_partitions(n):
-        parts = [a_dims[len(blocks)], *(b_dims[len(b)] for b in blocks)]
+    for shape, count in _shape_counts(n):
+        parts = [a_dims[len(shape)], *(b_dims[size] for size in shape)]
         if not all(parts):
             continue
-        conv = {0: 1}
+        conv = {0: count}
         for factor in parts:
             nxt: dict[int, int] = {}
             for d1, m1 in conv.items():
@@ -397,6 +415,17 @@ def compose_dimensions_raw(a_seq: SymSeq, b_seq: SymSeq, n: int) -> dict:
         for d, m in conv.items():
             dims[d] = dims.get(d, 0) + m
     return {d: m for d, m in dims.items() if m}
+
+
+@lru_cache(maxsize=None)
+def _shape_counts(n: int) -> tuple:
+    """(block sizes, number of set partitions of {0..n-1} with those sizes),
+    counted over `set_partitions(n)`, shapes in order of first appearance."""
+    counts: dict[tuple, int] = {}
+    for blocks in set_partitions(n):
+        shape = tuple(map(len, blocks))
+        counts[shape] = counts.get(shape, 0) + 1
+    return tuple(counts.items())
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,14 @@ natural permutation action, regular) and direct sums, so every generated
 action satisfies the symmetric-group relations by construction.  Random
 chain complexes are elementary complexes of random graded groups, sheared
 by unimodular basis changes, so d o d = 0 and the homology stays known.
-The last helpers read what only tests ask for: the monoidal unit sequence,
-one entry of a bigraded table, and F_2 cocycle bases and a cocycle with a
-nonzero class.
+The last helpers read what only tests ask for: the per-element trace of a
+module, the monoidal unit sequence, one entry of a bigraded table, and F_2
+cocycle bases and a cocycle with a nonzero class.
 """
 
 import hashlib
 from itertools import permutations
+from operator import eq
 
 from entriv import perms
 from entriv.core_algebra import ChainComplex, IntMatrix, elementary_complex
@@ -163,6 +164,14 @@ def random_chain_complex(rng, max_degree: int = 3, max_rank: int = 6,
                          entry_bound: int = 9) -> ChainComplex:
     """The ChainComplex of random_differentials."""
     return ChainComplex.create(*random_differentials(rng, max_degree, max_rank, entry_bound))
+
+
+def trace(m: SignedPermModule, perm: tuple) -> int:
+    """Fixed basis vectors of perm count +1, negated ones -1: the per-element
+    trace that `character` is checked against."""
+    plus = m.act_plus(perm)
+    return (sum(map(eq, plus, range(0, 2 * m.dim, 2)))
+            - sum(map(eq, plus, range(1, 2 * m.dim, 2))))
 
 
 def unit_seq(truncation: int = 1) -> SymSeq:

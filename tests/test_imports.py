@@ -5,6 +5,7 @@ process pays only for the modules that verb uses.  One top-level import in
 cli.py would load them all again; these checks run fresh interpreters.
 """
 
+import json
 import os
 import pathlib
 import re
@@ -48,3 +49,30 @@ def test_cold_verb_loads_only_its_modules(argv, modules):
     assert run.returncode == 0, run.stderr
     loaded = set(re.findall(r"\|\s*entriv\.(\w+)\s*$", run.stderr, flags=re.MULTILINE))
     assert loaded == modules
+
+
+# The operad layer's per-process tables: each fills on first use inside a
+# compose or character call, and nothing at start-up fills one.
+OPERAD_TABLES = ("sym_seq._stabilizer_moves", "sym_seq._koszul_bit", "sym_seq._shape_counts",
+                 "rep_theory._class_chain")
+
+
+def test_start_up_and_suspend_fill_no_operad_table():
+    # the benchmark's operad set-up imports the CLI and runs this verb in
+    # process; a compose with characters afterwards fills every table
+    probe = _python("-c", f"""
+import contextlib, io, json
+import entriv.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["suspend", "--input", "manifests/inputs/pair_a.json", "--k", "1"])
+from entriv import rep_theory, sym_seq
+tables = [eval(name) for name in {OPERAD_TABLES!r}]
+before = [t.cache_info().currsize for t in tables]
+with open("manifests/inputs/pair_a.json") as fh:
+    a = sym_seq.SymSeq.from_json(json.load(fh))
+ab = sym_seq.compose(a, sym_seq.suspend(a, 1), 4)
+sym_seq.graded_characters(ab, 4), sym_seq.compose_dimensions_raw(a, a, 4)
+print(json.dumps([code, before, [t.cache_info().currsize > 0 for t in tables]]))
+""")
+    assert probe.returncode == 0, probe.stderr
+    assert json.loads(probe.stdout) == [0, [0] * 4, [True] * 4]

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (action_digest, direct_sum_modules, perm_module, random_monomial_module,
-                      regular, sign_rep)
+                      regular, sign_rep, trace)
 from entriv import perms
-from entriv.rep_theory import (SignedPermModule, character, trivial_multiplicity,
-                               wreath_decomposition_check)
+from entriv.rep_theory import (MAX_RANK, SignedPermModule, _class_chain, _doubled, character,
+                               trivial_multiplicity, wreath_decomposition_check)
 from entriv.rng import CounterRng
 
 
@@ -54,7 +54,7 @@ class TestCharacter:
             g = rng.permutation(4)
             h = rng.permutation(4)
             conj = perms.compose(h, perms.compose(g, perms.inverse(h)))
-            assert m.trace(g) == m.trace(conj)
+            assert trace(m, g) == trace(m, conj)
 
     def test_relation_validation_rejects_garbage(self):
         swap, still = ((1, 1), (0, 1)), ((0, 1), (1, 1))
@@ -83,6 +83,27 @@ class TestCharacter:
 def _signed_compose(f, g):
     """f o g on signed basis maps: first g, then f."""
     return tuple((f[j][0], s * f[j][1]) for j, s in g)
+
+
+class TestClassChain:
+    @pytest.mark.parametrize("n", range(1, MAX_RANK + 1))
+    def test_words_give_the_class_representatives(self, n):
+        chain = _class_chain(n)
+        assert sorted(part for _, _, part in chain if part) == sorted(perms.partitions(n))
+        for word, parent, part in chain:
+            assert chain[parent][0] == word[:-1]
+            if part:
+                element = tuple(range(n))
+                for i in word:
+                    element = perms.compose(element, perms.adjacent(n, i))
+                assert element == perms.class_representative(part)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_character_is_the_trace_at_each_representative(self, n):
+        for m in [sign_rep(n), perm_module(n), perm_module(n, sign_twist=True), regular(n)]:
+            assert character(m).values == tuple(
+                (part, trace(m, perms.class_representative(part)))
+                for part in perms.partitions(n))
 
 
 class TestAction:
@@ -237,7 +258,7 @@ class TestPlusTables:
             for p in permutations(range(n)):
                 pairs = _fold_pairs(m, p)
                 assert m.act_plus(p) == tuple(2 * k + (s == -1) for k, s in pairs)
-                assert m.trace(p) == sum(s for j, (k, s) in enumerate(pairs) if k == j)
+                assert trace(m, p) == sum(s for j, (k, s) in enumerate(pairs) if k == j)
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32), st.integers(1, 5))
     def test_twist_matches_the_checked_constructor(self, seed, n):
@@ -247,6 +268,10 @@ class TestPlusTables:
         negated = tuple(tuple((j, -s) for j, s in g) for g in m.gens_perm)
         assert m.twist_by_sign() == SignedPermModule(m.n, m.dim, gens_perm=negated)
         assert m.twist_by_sign().twist_by_sign() == m
+        # the twist swaps slices of the doubled tables; they are still the
+        # doubled form of its plus tables
+        twisted = m.twist_by_sign()
+        assert list(twisted._doubled) == [_doubled(p) for p in twisted.plus]
 
     @pytest.mark.parametrize("n, dim, plus, message", [
         (2, 2, ((2, 1),), "generator 0 is not an involution"),

@@ -3,12 +3,12 @@ import json
 
 import pytest
 
-from conftest import action_digest, random_symseq, sign_rep, unit_seq
-from entriv import RepeatedKeyError
+from conftest import action_digest, random_symseq, sign_rep, trace, unit_seq
+from entriv import RepeatedKeyError, perms
 from entriv.rep_theory import SignedPermModule, character
 from entriv.rng import CounterRng
-from entriv.sym_seq import (MAX_MATERIALIZED_ARITY, SymSeq, _coset_moves, compose,
-                            compose_dimensions_raw, free_piece_rational,
+from entriv.sym_seq import (MAX_MATERIALIZED_ARITY, SymSeq, _coset_moves, _shape_counts,
+                            compose, compose_dimensions_raw, free_piece_rational,
                             graded_characters, koszul_sign, monoidality_report,
                             partition_orbits, set_partitions, suspend)
 
@@ -28,6 +28,13 @@ class TestPartitions:
         for o in orbits:
             assert sum(o.block_sizes) == 4
             assert 24 % o.stabilizer_order == 0
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_shape_counts_are_orbit_sizes(self, n):
+        # counted over the enumeration, crossed with n! / |stabilizer|
+        counts = dict(_shape_counts(n))
+        assert sum(counts.values()) == [1, 1, 2, 5, 15, 52, 203][n]
+        assert counts == {o.block_sizes: o.orbit_size for o in partition_orbits(n)}
 
     def test_pairs_of_pairs(self):
         orbit = next(o for o in partition_orbits(4) if o.block_sizes == (2, 2))
@@ -70,6 +77,21 @@ class TestCompose:
             for n in range(1, 5):
                 got = {d: ab.module(n, d).dim for d in ab.degrees(n)}
                 assert got == compose_dimensions_raw(a, b, n)
+
+    @pytest.mark.parametrize("seed", [3, 12, 1, 14])
+    def test_raw_dimensions_are_a_sum_over_partitions(self, seed):
+        # one degree convolution per set partition, none grouped by shape
+        a, b = _seeded_pair(seed, 5)
+        for n in range(1, 6):
+            want: dict[int, int] = {}
+            for blocks in set_partitions(n):
+                conv = {0: 1}
+                for seq, m in [(a, len(blocks)), *((b, len(block)) for block in blocks)]:
+                    conv = {d: sum(c * seq.dimension(m, d - e) for e, c in conv.items())
+                            for d in {e + f for e in conv for f in seq.degrees(m)}}
+                for d, c in conv.items():
+                    want[d] = want.get(d, 0) + c
+            assert compose_dimensions_raw(a, b, n) == {d: c for d, c in want.items() if c}
 
     def test_associativity_dimensions_and_characters(self):
         rng = CounterRng(13)
@@ -137,6 +159,16 @@ class TestComposeGolden:
         assert action_digest(m for _, by_degree in product.components
                              for _, m in by_degree) == digest
 
+    @pytest.mark.parametrize("seed, truncation", [(3, 5), (12, 5), (19, 5), (1, 6), (14, 6),
+                                                  (26, 6)])
+    def test_characters_are_traces(self, seed, truncation):
+        a, b = _seeded_pair(seed, truncation)
+        for _, by_degree in compose(a, b, truncation).components:
+            for _, m in by_degree:
+                assert character(m).values == tuple(
+                    (part, trace(m, perms.class_representative(part)))
+                    for part in perms.partitions(m.n))
+
     def test_coset_moves(self):
         # every (target coset, block permutation, within-block maps) triple
         # of every orbit up to the materialization cap: the products above
@@ -193,7 +225,6 @@ class TestKoszul:
 
     def test_cocycle_property(self):
         # sign of a composite equals the product along the factorization
-        from entriv import perms
         rng = CounterRng(37)
         for _ in range(40):
             degs = tuple(rng.randint(-2, 2) for _ in range(4))
